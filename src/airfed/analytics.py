@@ -39,6 +39,7 @@ __all__ = [
     "p_all_exploited",
     "latency_baa",
     "mqam_snr_factor",
+    "digital_device_snr",
     "rate_digital_expected",
     "latency_digital",
     "latency_reduction_ratio",
@@ -64,7 +65,8 @@ class SystemParams:
         g_th: power-cutoff threshold on the sub-channel gain (dimensionless).
         n0: noise power (watts).  Set n0 = 1.0 to work in noise-normalized
             units; CLI configs ingest it from dBm.
-        q_bits: quantization resolution of the digital baseline (bits/param).
+        q_bits: quantization resolution of the digital baseline (bits/param),
+            1 to 63 so every quantizer code fits a uint64.
         ber: target bit error rate of the digital baseline's adaptive MQAM.
     """
 
@@ -93,8 +95,8 @@ class SystemParams:
             raise ValueError(f"g_th must be >= 0, got {self.g_th}")
         if self.n0 <= 0:
             raise ValueError(f"n0 must be positive, got {self.n0}")
-        if self.q_bits < 1:
-            raise ValueError(f"q_bits must be >= 1, got {self.q_bits}")
+        if not 1 <= self.q_bits <= 63:
+            raise ValueError(f"q_bits must lie in [1, 63], got {self.q_bits}")
         if not 0.0 < self.ber < 1.0:
             raise ValueError(f"ber must lie in (0, 1), got {self.ber}")
 
@@ -378,8 +380,6 @@ def _interior_scaling_factor(k_devices: int, p_in: float, alpha: float) -> float
     makes the factor an under-estimate when k_devices * p_in is small.
     """
     k_start = max(2, math.floor(alpha / 2.0) + 1)
-    while 2.0 * k_start <= alpha:
-        k_start += 1
     total = 0.0
     for k in range(k_start, k_devices + 1):
         total += 2.0 * k / (2.0 * k - alpha) * _binom_pmf(k_devices, k, p_in)
@@ -488,12 +488,18 @@ def mqam_snr_factor(ber: float) -> float:
     return -1.5 / math.log(5.0 * ber)
 
 
-def _digital_device_snr(params: SystemParams, k_devices: int, r: float) -> float:
-    # Per-device OFDMA SNR: the device spends its whole budget on m/k
-    # sub-channels, scaling the per-sub-channel power by k.
+def digital_device_snr(params: SystemParams, k_devices: int, r: float) -> float:
+    """Per-device OFDMA receive SNR (linear): the device spends its whole
+    budget on m/k sub-channels, which scales :func:`receive_snr` by k."""
     if params.g_th <= 0:
         raise ValueError("digital rate model requires g_th > 0")
-    return k_devices * params.p0 / (params.m * r**params.alpha * exp_integral(params.g_th)) / params.n0
+    return k_devices * receive_snr(params, r)
+
+
+def _bits_per_symbol(params: SystemParams, snr: float) -> float:
+    # Expected MQAM bits per sub-channel use: log2(1 + factor * snr) when
+    # the sub-channel survives the cutoff, which it does w.p. exp(-g_th).
+    return math.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
 
 
 def rate_digital_expected(params: SystemParams, k_devices: int, r_k: float) -> float:
@@ -507,23 +513,18 @@ def rate_digital_expected(params: SystemParams, k_devices: int, r_k: float) -> f
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     if r_k <= 0:
         raise ValueError(f"r_k must be positive, got {r_k}")
-    snr = _digital_device_snr(params, k_devices, r_k)
-    m_k = params.m / k_devices
-    return m_k * params.b_sub * math.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
+    snr = digital_device_snr(params, k_devices, r_k)
+    return params.m / k_devices * params.b_sub * _bits_per_symbol(params, snr)
 
 
 def latency_digital(params: SystemParams, scenario: ScenarioParams, r_max: float) -> float:
     """Expected per-round latency of the digital OFDMA baseline (seconds).
 
     Aggregation waits for the slowest device, so the round is pinned by the
-    furthest one: k * q * Q / (m * log2(1 + factor * snr(r_max)) * e^-g_th)
-    OFDM symbols.
+    furthest one: q * Q bits at that device's expected rate, which equals
+    k * q * Q / (m * log2(1 + factor * snr(r_max)) * e^-g_th) OFDM symbols.
     """
-    if r_max <= 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    snr = _digital_device_snr(params, scenario.k_devices, r_max)
-    denom = params.m * math.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
-    return scenario.k_devices * scenario.q_dim * params.q_bits / denom * params.t_s
+    return scenario.q_dim * params.q_bits / rate_digital_expected(params, scenario.k_devices, r_max)
 
 
 def latency_reduction_ratio(params: SystemParams, scenario: ScenarioParams, r_max: float) -> float:
@@ -532,9 +533,8 @@ def latency_reduction_ratio(params: SystemParams, scenario: ScenarioParams, r_ma
     Equals k * Q / (log2(1 + factor * snr(r_max)) * e^-g_th); matches the
     quotient of the two latency functions whenever q is a multiple of m.
     """
-    snr = _digital_device_snr(params, scenario.k_devices, r_max)
-    denom = math.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
-    return scenario.k_devices * params.q_bits / denom
+    snr = digital_device_snr(params, scenario.k_devices, r_max)
+    return scenario.k_devices * params.q_bits / _bits_per_symbol(params, snr)
 
 
 def latency_report(params: SystemParams, scenario: ScenarioParams, r_max: float) -> LatencyReport:

@@ -16,10 +16,9 @@ versions).  Outputs are byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,41 +27,11 @@ from . import analytics, extensions, learning, network
 from .config import ConfigError, ExperimentConfig, load_config, manifest_json
 from .datasets import load_mnist_idx, synth_gaussian_mixture
 from .rng import derived_rng
+from .tables import Table
 
-
-@dataclass(frozen=True)
-class Table:
-    """Result table rendered to CSV or JSON with stable formatting."""
-
-    columns: tuple
-    rows: list
-
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            lines = [",".join(self.columns)]
-            for row in self.rows:
-                lines.append(",".join(_cell(v) for v in row))
-            return "\n".join(lines) + "\n"
-        if fmt == "json":
-            payload = [dict(zip(self.columns, (_jsonable(v) for v in row))) for row in self.rows]
-            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        raise ValueError(f"unknown format {fmt!r}")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return _cell(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+# With one user both beams are the same MRC beam, so the aggregation
+# objective and the best SDMA SNR tie exactly and differ only by rounding.
+BEAM_TIE_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +232,6 @@ def _build_datasets(config: ExperimentConfig):
     return train, test
 
 
-def _trace_table(result: learning.TrainResult) -> Table:
-    rows = [
-        (r.round, r.accuracy, r.loss, r.latency_s, r.rho0_db, r.truncation_frac)
-        for r in result.records
-    ]
-    return Table(learning.TRACE_COLUMNS, rows)
-
-
 def _run_once(config: ExperimentConfig, train_set, test_set, scheme=None, aggregation=None,
               r_in=None, g_th=None) -> learning.TrainResult:
     params = config.system if g_th is None else replace(config.system, g_th=g_th)
@@ -296,7 +257,7 @@ def cmd_train(config: ExperimentConfig, grid: bool = False) -> dict:
     train_set, test_set = _build_datasets(config)
     result = _run_once(config, train_set, test_set)
     out = {
-        f"trace_{config.scheme.kind}_{config.train.aggregation}": _trace_table(result)
+        f"trace_{config.scheme.kind}_{config.train.aggregation}": learning.trace_table(result)
     }
     if grid:
         values = config.values
@@ -330,7 +291,7 @@ def cmd_compare(config: ExperimentConfig) -> dict:
     summary = []
     for aggregation in learning.AGGREGATIONS:
         result = _run_once(config, train_set, test_set, aggregation=aggregation)
-        out[f"trace_{aggregation}"] = _trace_table(result)
+        out[f"trace_{aggregation}"] = learning.trace_table(result)
         summary.append((aggregation, result.final_accuracy, result.total_latency_s))
     out["summary"] = Table(("aggregation", "final_accuracy", "total_latency_s"), summary)
     return out
@@ -369,6 +330,7 @@ def cmd_extensions(config: ExperimentConfig) -> dict:
         agg = extensions.aggregation_beamformer(problem)
         sdma = extensions.sdma_beamformer(problem)
         best_sdma = float(np.nanmax(sdma.per_user_snr)) if sdma.feasible else float("nan")
+        dominates = not sdma.feasible or agg.objective >= best_sdma * (1.0 - BEAM_TIE_RTOL)
         beam_rows.append(
             (
                 idx,
@@ -377,7 +339,7 @@ def cmd_extensions(config: ExperimentConfig) -> dict:
                 agg.objective,
                 "feasible" if sdma.feasible else "infeasible",
                 best_sdma,
-                "yes" if (not sdma.feasible or agg.objective >= best_sdma) else "no",
+                "yes" if dominates else "no",
             )
         )
     return {

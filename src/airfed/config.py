@@ -140,10 +140,6 @@ class ExperimentConfig:
     trials: int
     values: dict = field(repr=False)
 
-    @property
-    def grids(self) -> dict:
-        return {k: v for k, v in self.values.items() if isinstance(v, tuple)}
-
     def canonical_text(self) -> str:
         """Stable textual form of every effective key=value pair."""
         lines = []
@@ -173,6 +169,9 @@ def _build(values: dict) -> ExperimentConfig:
         )
     if not 0.0 < values["r_in_frac"] <= 1.0:
         raise ConfigError(f"r_in_frac must lie in (0, 1], got {values['r_in_frac']}")
+    bad_bits = [q for q in values["q_bits_grid"] if not 1 <= q <= 63]
+    if bad_bits:
+        raise ConfigError(f"q_bits_grid entries must lie in [1, 63], got {bad_bits}")
     if values["mobility"] not in ("static", "iid-resample"):
         raise ConfigError(f"mobility must be 'static' or 'iid-resample', got {values['mobility']!r}")
 

@@ -7,8 +7,8 @@ sum while white interference loses a factor of the spreading gain.
 
 Beamforming compares two multi-antenna strategies on a shared channel
 matrix: sum-SNR maximization over the weak-user subspace (a Rayleigh
-quotient solved by power iteration) versus per-user zero-forcing beams,
-which need at least as many antennas as users.
+quotient solved by a Hermitian eigendecomposition) versus per-user
+zero-forcing beams, which need at least as many antennas as users.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import as_rng
+from .tables import Table
 
 __all__ = [
     "SpreadingCode",
@@ -184,32 +185,7 @@ def beam_objective(problem: BeamProblem, f_matrix: np.ndarray) -> float:
     return num / (problem.n0 * den)
 
 
-def _principal_subspace(a: np.ndarray, rank: int, tol: float, max_iter: int):
-    """Orthogonal (power) iteration for the top eigenpairs of Hermitian PSD a."""
-    n = a.shape[0]
-    # Deterministic start: canonical basis columns rotated by the matrix once.
-    v = np.eye(n, rank, dtype=complex)
-    v = a @ v + v
-    v, _ = np.linalg.qr(v)
-    eigvals = np.zeros(rank)
-    for _ in range(max_iter):
-        w = a @ v
-        v_new, _ = np.linalg.qr(w)
-        eigvals = np.real(np.einsum("ij,ij->j", v_new.conj(), a @ v_new))
-        residual = np.linalg.norm(a @ v_new - v_new * eigvals, ord="fro")
-        v = v_new
-        if residual <= tol * max(np.max(np.abs(eigvals)), 1.0):
-            break
-    order = np.argsort(eigvals)[::-1]
-    return v[:, order], eigvals[order]
-
-
-def aggregation_beamformer(
-    problem: BeamProblem,
-    rank: int = 1,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-) -> AggregationBeamResult:
+def aggregation_beamformer(problem: BeamProblem, rank: int = 1) -> AggregationBeamResult:
     """Sum-SNR-maximizing receive beams for the weak-user subspace.
 
     Maximizes tr(F^H A F) / (n0 tr(F^H F)) with A built from the weak users'
@@ -222,17 +198,19 @@ def aggregation_beamformer(
         raise ValueError(f"rank must lie in [1, {problem.n_antennas}], got {rank}")
     h_weak = problem.h_matrix[:, list(problem.weak_set)]
     a = h_weak @ h_weak.conj().T
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
+    if not np.any(a):
         warnings.warn("zero channel matrix: beamformer is degenerate", RuntimeWarning, stacklevel=2)
         return AggregationBeamResult(
             f_matrix=np.zeros((problem.n_antennas, rank), dtype=complex),
             objective=0.0,
             degenerate=True,
         )
-    v, eigvals = _principal_subspace(a / scale, rank, tol, max_iter)
-    objective = float(np.mean(eigvals) * scale / problem.n0)
-    return AggregationBeamResult(f_matrix=v, objective=objective)
+    # eigh sorts ascending; the last ``rank`` columns span the top eigenspace.
+    eigvals, eigvecs = np.linalg.eigh(a)
+    top = slice(-1, -rank - 1, -1)
+    return AggregationBeamResult(
+        f_matrix=eigvecs[:, top], objective=float(np.mean(eigvals[top]) / problem.n0)
+    )
 
 
 def sdma_beamformer(problem: BeamProblem, tol: float = 1e-10) -> SdmaBeamResult:
@@ -293,7 +271,4 @@ def beam_pattern_csv(beam: np.ndarray, n_points: int = 361) -> str:
     elements = np.arange(n)
     steering = np.exp(1j * np.pi * np.outer(np.sin(angles), elements))
     gains = np.abs(steering @ beam.conj()) ** 2
-    lines = ["angle_rad,gain"]
-    for angle, gain in zip(angles, gains):
-        lines.append(f"{angle:.10g},{gain:.10g}")
-    return "\n".join(lines) + "\n"
+    return Table(("angle_rad", "gain"), list(zip(angles, gains))).render("csv")

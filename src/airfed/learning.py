@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import network, phy
-from .analytics import ScenarioParams, SystemParams, exp_integral
+from .analytics import ScenarioParams, SystemParams, digital_device_snr
 from .datasets import LabeledDataset
 from .rng import as_rng, derived_rng
+from .tables import Table
 
 logger = logging.getLogger(__name__)
 
@@ -334,15 +335,7 @@ def federated_train(
                 )
                 weights = result.aggregate
                 latency_s = result.round_latency_s
-                k_sched = len(ids)
-                snr = (
-                    k_sched
-                    * params.p0
-                    / (params.m * decision.r_max_scheduled**params.alpha)
-                    / exp_integral(params.g_th)
-                    / params.n0
-                )
-                rho0_db = _snr_db(snr)
+                rho0_db = _snr_db(digital_device_snr(params, len(ids), decision.r_max_scheduled))
 
         records.append(
             RoundRecord(
@@ -358,12 +351,15 @@ def federated_train(
     return TrainResult(records=tuple(records), final_weights=weights)
 
 
+def trace_table(result: TrainResult) -> Table:
+    """Per-round trace as a table with the standard column schema."""
+    rows = [
+        (r.round, r.accuracy, r.loss, r.latency_s, r.rho0_db, r.truncation_frac)
+        for r in result.records
+    ]
+    return Table(TRACE_COLUMNS, rows)
+
+
 def trace_csv(result: TrainResult) -> str:
     """Per-round trace as CSV text with the standard column schema."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in result.records:
-        lines.append(
-            f"{r.round},{r.accuracy:.10g},{r.loss:.10g},{r.latency_s:.10g},"
-            f"{r.rho0_db:.10g},{r.truncation_frac:.10g}"
-        )
-    return "\n".join(lines) + "\n"
+    return trace_table(result).render("csv")

@@ -15,13 +15,12 @@ Mobility covers the two analyzed extremes only: ``static`` positions and
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .rng import as_rng
+from .tables import Table
 
 MOBILITY_MODES = ("static", "iid-resample")
 SCHEME_KINDS = ("all-inclusive", "cell-interior", "alternating")
@@ -185,9 +184,5 @@ def schedule(net: NetworkRealization, scheme: SchedulingScheme, round_index: int
 
 def topology_csv(net: NetworkRealization) -> str:
     """Snapshot as CSV text with columns device_id, radius, angle."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["device_id", "radius_m", "angle_rad"])
-    for pos in net.positions:
-        writer.writerow([pos.device_id, f"{pos.radius:.12g}", f"{pos.angle:.12g}"])
-    return buf.getvalue()
+    rows = [(pos.device_id, pos.radius, pos.angle) for pos in net.positions]
+    return Table(("device_id", "radius_m", "angle_rad"), rows).render("csv")

@@ -27,18 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ScenarioParams, SystemParams, exp_integral, rate_digital_expected
+from .analytics import ScenarioParams, SystemParams, aligned_receive_power, rate_digital_expected
 from .rng import as_rng
 
 __all__ = [
     "PowerPolicy",
-    "UpdateVector",
     "NormalizationSpec",
     "BaaDiagnostics",
     "DigitalRoundResult",
     "draw_channels",
     "align_rho0",
-    "inversion_coefficients",
     "baa_round",
     "digital_round",
     "normalization_from_values",
@@ -57,18 +55,6 @@ class PowerPolicy:
 
 
 @dataclass(frozen=True)
-class UpdateVector:
-    """A local model update and the realized truncation mask (1 = sent)."""
-
-    values: np.ndarray
-    truncation_mask: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.truncation_mask.shape:
-            raise ValueError("values and truncation_mask must have equal shape")
-
-
-@dataclass(frozen=True)
 class NormalizationSpec:
     """Shared per-round symbol normalization, broadcast with the model."""
 
@@ -82,7 +68,8 @@ class NormalizationSpec:
 
 @dataclass(frozen=True)
 class BaaDiagnostics:
-    """Per-round bookkeeping emitted by :func:`baa_round`."""
+    """Per-round bookkeeping emitted by :func:`baa_round`; ``truncation_mask``
+    is the (k, q) inversion mask, True where a device's entry was sent."""
 
     rho0: float
     r_max: float
@@ -91,7 +78,7 @@ class BaaDiagnostics:
     truncation_fraction: np.ndarray
     tx_power: np.ndarray
     contributor_counts: np.ndarray
-    transmitted: tuple
+    truncation_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,29 +111,14 @@ def align_rho0(distances, params: SystemParams) -> PowerPolicy:
     if params.g_th <= 0:
         raise ValueError("align_rho0 requires g_th > 0 (inversion cost diverges at 0)")
     r_max = float(distances.max())
-    rho0 = params.p0 / (params.m * r_max**params.alpha * exp_integral(params.g_th))
-    return PowerPolicy(rho0=rho0, g_th=params.g_th, r_max=r_max)
-
-
-def inversion_coefficients(h, radii, policy: PowerPolicy, params: SystemParams) -> np.ndarray:
-    """Truncated-channel-inversion coefficients, zero on cut-off entries.
-
-    ``h`` has device index on its first axis; ``radii`` aligns with it.
-    """
-    h = np.asarray(h)
-    radii = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * (h.ndim - 1))
-    mask = np.abs(h) ** 2 >= policy.g_th
-    p = np.zeros_like(h)
-    amplitude = math.sqrt(policy.rho0) * radii ** (params.alpha / 2.0)
-    np.divide(amplitude, h, out=p, where=mask)
-    return p
+    return PowerPolicy(rho0=aligned_receive_power(params, r_max), g_th=params.g_th, r_max=r_max)
 
 
 def _as_update_matrix(updates) -> np.ndarray:
     if isinstance(updates, np.ndarray) and updates.ndim == 2:
         mat = np.asarray(updates, dtype=float)
     else:
-        rows = [u.values if isinstance(u, UpdateVector) else np.asarray(u, dtype=float) for u in updates]
+        rows = [np.asarray(u, dtype=float) for u in updates]
         if len({r.shape for r in rows}) != 1:
             raise ValueError("all updates must share the same dimension")
         mat = np.stack(rows).astype(float)
@@ -169,7 +141,7 @@ def baa_round(
 
     Args:
         updates: (k, q) matrix of normalized update symbols, one row per
-            scheduled device (or a list of 1-d arrays / UpdateVectors).
+            scheduled device (or a list of 1-d arrays).
         radii: distances of the scheduled devices, aligned with the rows.
         params: physical-layer constants.
         rng: random stream for channel and noise draws.
@@ -212,7 +184,8 @@ def baa_round(
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.
         received = received + rng.normal(0.0, math.sqrt(params.n0 / 2.0), padded_q) / math.sqrt(policy.rho0)
 
-    counts = mask[:, :q].sum(axis=0)
+    sent = mask[:, :q]
+    counts = sent.sum(axis=0)
     if genie_counts:
         divisor = np.maximum(counts, 1)
     else:
@@ -222,14 +195,11 @@ def baa_round(
     # Per-device audit: average per-symbol transmit power sum_m |p|^2,
     # evaluated over the q real (non-padding) entries.
     per_entry_power = np.where(
-        mask[:, :q], policy.rho0 * radii[:, None] ** params.alpha / gains[:, :q], 0.0
+        sent, policy.rho0 * radii[:, None] ** params.alpha / gains[:, :q], 0.0
     )
     tx_power = params.m * per_entry_power.mean(axis=1)
 
-    truncation_fraction = 1.0 - mask[:, :q].mean(axis=1)
-    transmitted = tuple(
-        UpdateVector(values=mat[i], truncation_mask=mask[i, :q].copy()) for i in range(k)
-    )
+    truncation_fraction = 1.0 - sent.mean(axis=1)
     diag = BaaDiagnostics(
         rho0=policy.rho0,
         r_max=policy.r_max,
@@ -238,7 +208,7 @@ def baa_round(
         truncation_fraction=truncation_fraction,
         tx_power=tx_power,
         contributor_counts=counts,
-        transmitted=transmitted,
+        truncation_mask=sent,
     )
     return aggregate, diag
 

@@ -161,7 +161,7 @@ def test_criterion_05_aggregation_oracle():
     )
     masked = np.zeros(q)
     for i in range(k):
-        masked += updates[i] * diag.transmitted[i].truncation_mask
+        masked += updates[i] * diag.truncation_mask[i]
     assert np.array_equal(aggregate, masked / k)
     report(5, "noiseless aggregates equal brute-force references (1e-12 / exact)")
 

@@ -471,6 +471,8 @@ class TestSystemParamsInvariants:
             {"n0": 0.0},
             {"ber": 0.0},
             {"ber": 1.0},
+            {"q_bits": 0},
+            {"q_bits": 64},  # codes would overflow the quantizer's uint64
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -69,6 +69,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="target_ber"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["quant_bits = 64\n", "q_bits_grid = 8, 64\n"])
+    def test_unrepresentable_quant_bits_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="q_bits"):
+            load_config(path)
+
+    def test_bad_q_bits_grid_exits_cleanly(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("q_bits_grid = 16, 64\n")
+        assert cli.main(["latency", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# comment\nk_grid = 2, 4, 8\np0_watts = 0.5  # inline\n")
@@ -180,6 +192,14 @@ class TestExtensionsCommand:
         beams = tables["beamforming"].rows
         assert any(row[4] == "infeasible" for row in beams)
         assert all(row[6] == "yes" for row in beams)
+
+    def test_single_user_tie_reports_dominance(self):
+        # The 8 x 1 instance gives both strategies the same MRC beam; the
+        # verdict must not depend on how the two SNRs happen to round.
+        for seed in range(20):
+            config = load_config(None, overrides={"trials": 10, "seed": seed})
+            beams = cmd_extensions(config)["beamforming"].rows
+            assert [row[6] for row in beams] == ["yes"] * len(beams), seed
 
 
 class TestTrainCompareCommands:

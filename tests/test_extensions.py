@@ -148,6 +148,18 @@ class TestAggregationBeamformer:
         oracle = float(eigvals[-2:].mean() / problem.n0)
         assert abs(result.objective - oracle) / oracle < 1e-8
 
+    def test_every_rank_consistent_with_own_objective(self):
+        # Guards the eigenvector ordering and slicing: the reported objective
+        # is the one its own beams achieve, and the beams are orthonormal.
+        for n, k, seed in [(6, 3, 16), (8, 8, 17), (4, 1, 18)]:
+            problem = random_problem(n, k, seed=seed)
+            for rank in range(1, n + 1):
+                result = aggregation_beamformer(problem, rank=rank)
+                f = result.f_matrix
+                assert f.shape == (n, rank)
+                assert beam_objective(problem, f) == pytest.approx(result.objective, rel=1e-12)
+                assert np.max(np.abs(f.conj().T @ f - np.eye(rank))) < 1e-12
+
     def test_zero_channels_degenerate(self):
         problem = BeamProblem(h_matrix=np.zeros((4, 2), dtype=complex), weak_set=(0, 1), n0=1.0)
         with pytest.warns(RuntimeWarning):
