@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .analytics import ScenarioParams, SystemParams
 from .learning import PartitionSpec, TrainConfig
-from .network import SchedulingScheme
+from .network import MOBILITY_MODES, SchedulingScheme
 
 SCHEMA_VERSION = 1
 
@@ -172,8 +172,8 @@ def _build(values: dict) -> ExperimentConfig:
     bad_bits = [q for q in values["q_bits_grid"] if not 1 <= q <= 63]
     if bad_bits:
         raise ConfigError(f"q_bits_grid entries must lie in [1, 63], got {bad_bits}")
-    if values["mobility"] not in ("static", "iid-resample"):
-        raise ConfigError(f"mobility must be 'static' or 'iid-resample', got {values['mobility']!r}")
+    if values["mobility"] not in MOBILITY_MODES:
+        raise ConfigError(f"mobility must be one of {MOBILITY_MODES}, got {values['mobility']!r}")
 
     system = SystemParams(
         p0=values["p0_watts"],

@@ -21,6 +21,10 @@ import numpy as np
 from .rng import as_rng
 from .tables import Table
 
+SYMBOLS_PER_TRIAL = 64
+# Suppression trials are drawn in blocks of about this many chips to bound memory.
+CHIPS_PER_BLOCK = 1 << 20
+
 __all__ = [
     "SpreadingCode",
     "BeamProblem",
@@ -30,6 +34,7 @@ __all__ = [
     "spread",
     "despread",
     "adversary_suppression_trial",
+    "suppression_ratio",
     "beam_objective",
     "aggregation_beamformer",
     "sdma_beamformer",
@@ -75,22 +80,21 @@ def spread(symbols, code: SpreadingCode) -> np.ndarray:
 def despread(chip_symbols, code: SpreadingCode) -> np.ndarray:
     """Correlate chip blocks against the code and divide by gamma.
 
-    Exact inverse of :func:`spread`: the +/-1 multiplications are lossless
-    and the block reduction halves pairwise, so power-of-two spreading
-    factors round-trip bit-exactly.
+    Works on the last axis, so a (trials, n * gamma) matrix despreads
+    row by row.  Exact inverse of :func:`spread`: the +/-1 multiplications
+    are lossless and the block reduction halves pairwise, so power-of-two
+    spreading factors round-trip bit-exactly.
     """
-    chip_symbols = np.asarray(chip_symbols, dtype=float)
+    chip_symbols = np.atleast_1d(np.asarray(chip_symbols, dtype=float))
     gamma = code.gamma
-    if chip_symbols.ndim != 1 or chip_symbols.size % gamma != 0:
-        raise ValueError(
-            f"chip signal length {chip_symbols.size} is not a multiple of gamma={gamma}"
-        )
-    blocks = chip_symbols.reshape(-1, gamma) * code.chips[None, :]
-    while blocks.shape[1] > 1 and blocks.shape[1] % 2 == 0:
-        blocks = blocks[:, ::2] + blocks[:, 1::2]
-    if blocks.shape[1] > 1:
-        blocks = blocks.sum(axis=1, keepdims=True)
-    return blocks[:, 0] / gamma
+    if chip_symbols.shape[-1] % gamma != 0:
+        raise ValueError(f"chip signal length {chip_symbols.shape[-1]} is not a multiple of gamma={gamma}")
+    blocks = chip_symbols.reshape(*chip_symbols.shape[:-1], -1, gamma) * code.chips
+    while blocks.shape[-1] > 1 and blocks.shape[-1] % 2 == 0:
+        blocks = blocks[..., ::2] + blocks[..., 1::2]
+    if blocks.shape[-1] > 1:
+        blocks = blocks.sum(axis=-1, keepdims=True)
+    return blocks[..., 0] / gamma
 
 
 def adversary_suppression_trial(legit_updates, adversary_power: float, gamma: int, rng):
@@ -107,9 +111,7 @@ def adversary_suppression_trial(legit_updates, adversary_power: float, gamma: in
     rng = as_rng(rng)
     mat = np.atleast_2d(np.asarray(legit_updates, dtype=float))
     code = pn_code(gamma, rng)
-    superposed = np.zeros(mat.shape[1] * gamma)
-    for row in mat:
-        superposed += spread(row, code)
+    superposed = spread(mat.sum(axis=0), code)
     interference = rng.normal(0.0, np.sqrt(adversary_power), superposed.size) if adversary_power else np.zeros_like(superposed)
     aggregate = despread(superposed + interference, code)
 
@@ -118,6 +120,25 @@ def adversary_suppression_trial(legit_updates, adversary_power: float, gamma: in
     despread_power = float(np.mean(residual**2))
     ratio = raw_power / despread_power if despread_power > 0 else float("inf")
     return aggregate, ratio
+
+
+def suppression_ratio(gamma: int, trials: int, rng) -> float:
+    """Suppression of unit white interference by despreading, pooled over
+    trials of ``SYMBOLS_PER_TRIAL`` symbols: total chip power over gamma
+    divided by total despread power, which concentrates on gamma.  One code
+    serves every trial, since white interference does not depend on it."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = as_rng(rng)
+    code = pn_code(gamma, rng)
+    chips = SYMBOLS_PER_TRIAL * gamma
+    rows = max(1, CHIPS_PER_BLOCK // chips)
+    raw_power = despread_power = 0.0
+    for start in range(0, trials, rows):
+        interference = rng.standard_normal((min(rows, trials - start), chips))
+        raw_power += float(np.square(interference).sum())
+        despread_power += float(np.square(despread(interference, code)).sum())
+    return raw_power / gamma / despread_power
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def predict_proba(weights: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    w, b = _unpack(weights, features.shape[1], n_classes)
-    return np.exp(_log_softmax(features @ w + b))
-
-
 def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
     """Mean cross-entropy of the model on one device's shard."""
     if len(shard) == 0:
@@ -154,10 +149,15 @@ def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
 
 
 def global_loss(weights: np.ndarray, shards) -> float:
-    """Mean of the per-device losses (valid because shards are equal-sized)."""
+    """Mean of the per-device losses: one loss over the pooled, equal-sized shards."""
     if not shards:
         raise ValueError("need at least one shard")
-    return float(np.mean([local_loss(weights, shard) for shard in shards]))
+    pooled = replace(
+        shards[0],
+        features=np.concatenate([shard.features for shard in shards]),
+        labels=np.concatenate([shard.labels for shard in shards]),
+    )
+    return local_loss(weights, pooled)
 
 
 def loss_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -204,10 +204,9 @@ def local_sgd(
 
 def global_average(local_models) -> np.ndarray:
     """Coordinate-wise mean of equal-dimension local models."""
-    models = list(local_models)
-    if not models:
+    mat = np.asarray(local_models, dtype=float)
+    if mat.size == 0:
         raise ValueError("cannot average an empty model list")
-    mat = np.stack([np.asarray(m, dtype=float) for m in models])
     return mat.mean(axis=0)
 
 

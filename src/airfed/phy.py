@@ -115,13 +115,8 @@ def align_rho0(distances, params: SystemParams) -> PowerPolicy:
 
 
 def _as_update_matrix(updates) -> np.ndarray:
-    if isinstance(updates, np.ndarray) and updates.ndim == 2:
-        mat = np.asarray(updates, dtype=float)
-    else:
-        rows = [np.asarray(u, dtype=float) for u in updates]
-        if len({r.shape for r in rows}) != 1:
-            raise ValueError("all updates must share the same dimension")
-        mat = np.stack(rows).astype(float)
+    # numpy itself raises ValueError on ragged rows.
+    mat = np.asarray(updates, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise ValueError("updates must form a nonempty (k, q) matrix")
     return mat
@@ -164,38 +159,27 @@ def baa_round(
     policy = align_rho0(radii, params)
 
     n_symbols = math.ceil(q / params.m)
-    padded_q = n_symbols * params.m
-    padded = np.zeros((k, padded_q))
-    padded[:, :q] = mat
-
     if fading:
+        # The last OFDM symbol's unused sub-channels are drawn and dropped.
         h = draw_channels(k, params.m, n_symbols, rng)
-        gains = np.moveaxis(np.abs(h) ** 2, 1, 0).reshape(k, padded_q)
-        mask = gains >= params.g_th
+        gains = np.moveaxis(np.abs(h) ** 2, 1, 0).reshape(k, n_symbols * params.m)[:, :q]
+        sent = gains >= params.g_th
     else:
-        gains = np.ones((k, padded_q))
-        mask = np.ones((k, padded_q), dtype=bool)
+        gains = np.ones((k, q))
+        sent = np.ones((k, q), dtype=bool)
 
-    # Fixed device-order reduction keeps results bit-reproducible.
-    received = np.zeros(padded_q)
-    for i in range(k):
-        received += padded[i] * mask[i]
+    # The axis-0 sum adds rows in device order, so results are bit-reproducible.
+    received = np.where(sent, mat, 0.0).sum(axis=0)
     if noise:
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.
-        received = received + rng.normal(0.0, math.sqrt(params.n0 / 2.0), padded_q) / math.sqrt(policy.rho0)
+        received = received + rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(policy.rho0)
 
-    sent = mask[:, :q]
     counts = sent.sum(axis=0)
-    if genie_counts:
-        divisor = np.maximum(counts, 1)
-    else:
-        divisor = k
-    aggregate = received[:q] / divisor
+    aggregate = received / (np.maximum(counts, 1) if genie_counts else k)
 
-    # Per-device audit: average per-symbol transmit power sum_m |p|^2,
-    # evaluated over the q real (non-padding) entries.
+    # Per-device audit: average per-symbol transmit power sum_m |p|^2.
     per_entry_power = np.where(
-        sent, policy.rho0 * radii[:, None] ** params.alpha / gains[:, :q], 0.0
+        sent, policy.rho0 * radii[:, None] ** params.alpha / gains, 0.0
     )
     tx_power = params.m * per_entry_power.mean(axis=1)
 

@@ -179,6 +179,15 @@ class TestMonteCarloCommand:
         ]
         assert all(row[-1] == "pass" for row in table.rows)
 
+    def test_interior_snr_is_a_joint_expectation(self):
+        # With few devices, many trials have fewer than two interior devices.
+        # They add 0 to the empirical mean, as they do to the closed form.
+        # At alpha = 1.9 every counted interior count has finite variance.
+        overrides = {"k_devices": 10, "r_in_frac": 0.4, "path_loss_exponent": 1.9}
+        config = load_config(None, overrides={**overrides, "trials": 100000})
+        rows = {row[0]: row for row in cmd_montecarlo(config)["validation"].rows}
+        assert rows["snr_cell_interior"][-1] == "pass"
+
 
 class TestExtensionsCommand:
     def test_suppression_and_beam_tables(self):
@@ -229,7 +238,8 @@ class TestTrainCompareCommands:
 
 
 class TestDeterminism:
-    def test_byte_identical_outputs(self, tmp_path):
+    @pytest.mark.parametrize("command", ["compare", "extensions", "montecarlo"])
+    def test_byte_identical_outputs(self, tmp_path, command):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SMALL_TRAIN)
         outputs = {}
@@ -237,7 +247,7 @@ class TestDeterminism:
             out_dir = tmp_path / run
             code = cli.main(
                 [
-                    "compare",
+                    command,
                     "--config",
                     str(cfg_path),
                     "--out",

@@ -14,6 +14,7 @@ from airfed.extensions import (
     pn_code,
     sdma_beamformer,
     spread,
+    suppression_ratio,
 )
 from airfed.rng import derived_rng
 
@@ -48,6 +49,13 @@ class TestSpreadDespread:
         code = pn_code(4, derived_rng(5, "code"))
         with pytest.raises(ValueError):
             despread(np.ones(10), code)
+
+    @pytest.mark.parametrize("gamma", [1, 3, 4, 16, 64])
+    def test_matrix_despread_equals_row_by_row(self, gamma):
+        code = pn_code(gamma, derived_rng(12, "code", gamma))
+        chips = derived_rng(12, "chips", gamma).normal(0, 1, size=(7, 64 * gamma))
+        rows = np.stack([despread(row, code) for row in chips])
+        assert np.array_equal(despread(chips, code), rows)
 
     def test_code_validation(self):
         with pytest.raises(ValueError):
@@ -87,6 +95,16 @@ class TestAdversarySuppression:
             raw_total += float(np.mean(interference**2))
             residual_total += float(np.mean(residual**2))
         assert raw_total / residual_total == pytest.approx(gamma, rel=0.2)
+
+    def test_pooled_ratio_unit_factor_is_exactly_one(self):
+        assert suppression_ratio(1, 10000, derived_rng(13, "dsss")) == 1.0
+        with pytest.raises(ValueError):
+            suppression_ratio(4, 0, derived_rng(13, "dsss"))
+
+    @pytest.mark.parametrize("gamma", [4, 16])
+    def test_pooled_ratio_tracks_spreading_factor(self, gamma):
+        measured = suppression_ratio(gamma, 10000, derived_rng(14, "dsss", gamma))
+        assert measured == pytest.approx(gamma, rel=0.05)
 
     def test_aggregate_unchanged_by_interference_on_average(self):
         rng = derived_rng(9, "adv")

@@ -107,12 +107,14 @@ class TestBaaRound:
         assert np.max(np.abs(aggregate - oracle)) < 1e-12
         assert np.all(diag.truncation_fraction == 0.0)
 
-    def test_noiseless_masked_equals_bruteforce_exactly(self):
+    # q = 2500 leaves the last OFDM symbol partly unused (M = 1000).
+    @pytest.mark.parametrize("k, q", [(5, 3000), (5, 2500), (1, 2500)])
+    def test_noiseless_masked_equals_bruteforce_exactly(self, k, q):
         rng = derived_rng(6, "updates")
-        updates = rng.normal(0.0, 1.0, size=(5, 3000))
-        radii = np.linspace(25.0, 95.0, 5)
+        updates = rng.normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
         aggregate, diag = baa_round(updates, radii, PARAMS, derived_rng(6, "round"), noise=False)
-        oracle = masked_mean_oracle(updates, diag.truncation_mask, 5)
+        oracle = masked_mean_oracle(updates, diag.truncation_mask, k)
         assert np.array_equal(aggregate, oracle)
 
     def test_genie_divides_by_contributor_count(self):
