@@ -242,18 +242,20 @@ def cutoff_for_ratio(zeta: float) -> float:
     return -math.log1p(-zeta)
 
 
-def aligned_receive_power(params: SystemParams, r_max: float, g_th: float | None = None) -> float:
+def aligned_receive_power(params: SystemParams, r_max, g_th: float | None = None):
     """Aligned per-sub-channel receive power rho0 (watts).
 
     This is the common amplitude-squared at which every scheduled device's
     symbols arrive when the furthest device (distance r_max) transmits at
-    its full power budget under truncated channel inversion.
+    its full power budget under truncated channel inversion.  ``r_max`` may
+    be an array of distances; the result then has its shape.
 
     Returns 0.0 with a warning when g_th == 0: full inversion of a Rayleigh
     channel has infinite expected power cost, so the feasible aligned power
     collapses.
     """
-    if r_max <= 0:
+    r_max = np.asarray(r_max, dtype=float)
+    if (r_max <= 0).any():
         raise ValueError(f"r_max must be positive, got {r_max}")
     g = params.g_th if g_th is None else g_th
     if g == 0.0:
@@ -266,7 +268,7 @@ def aligned_receive_power(params: SystemParams, r_max: float, g_th: float | None
     return params.p0 / (params.m * r_max**params.alpha * exp_integral(g))
 
 
-def receive_snr(params: SystemParams, r_max: float, g_th: float | None = None) -> float:
+def receive_snr(params: SystemParams, r_max, g_th: float | None = None):
     """Receive SNR (linear) of the aligned aggregation signal: rho0 / n0."""
     return aligned_receive_power(params, r_max, g_th) / params.n0
 
@@ -488,30 +490,33 @@ def mqam_snr_factor(ber: float) -> float:
     return -1.5 / math.log(5.0 * ber)
 
 
-def digital_device_snr(params: SystemParams, k_devices: int, r: float) -> float:
+def digital_device_snr(params: SystemParams, k_devices: int, r):
     """Per-device OFDMA receive SNR (linear): the device spends its whole
-    budget on m/k sub-channels, which scales :func:`receive_snr` by k."""
+    budget on m/k sub-channels, which scales :func:`receive_snr` by k.
+    ``r`` may be an array of distances."""
     if params.g_th <= 0:
         raise ValueError("digital rate model requires g_th > 0")
     return k_devices * receive_snr(params, r)
 
 
-def _bits_per_symbol(params: SystemParams, snr: float) -> float:
+def _bits_per_symbol(params: SystemParams, snr):
     # Expected MQAM bits per sub-channel use: log2(1 + factor * snr) when
     # the sub-channel survives the cutoff, which it does w.p. exp(-g_th).
-    return math.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
+    return np.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
 
 
-def rate_digital_expected(params: SystemParams, k_devices: int, r_k: float) -> float:
+def rate_digital_expected(params: SystemParams, k_devices: int, r_k):
     """Expected uplink rate (bits/s) of one device in the OFDMA baseline.
 
     The device holds m/k sub-channels (kept real-valued), each delivering
     log2(1 + factor * snr) bits per symbol when not cut off; the cutoff
-    survives with probability exp(-g_th).
+    survives with probability exp(-g_th).  ``r_k`` may be an array of
+    distances, one rate per entry; the cutoff integral is evaluated once.
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    if r_k <= 0:
+    r_k = np.asarray(r_k, dtype=float)
+    if (r_k <= 0).any():
         raise ValueError(f"r_k must be positive, got {r_k}")
     snr = digital_device_snr(params, k_devices, r_k)
     return params.m / k_devices * params.b_sub * _bits_per_symbol(params, snr)

@@ -174,6 +174,8 @@ def _build(values: dict) -> ExperimentConfig:
         raise ConfigError(f"q_bits_grid entries must lie in [1, 63], got {bad_bits}")
     if values["mobility"] not in MOBILITY_MODES:
         raise ConfigError(f"mobility must be one of {MOBILITY_MODES}, got {values['mobility']!r}")
+    if values["trials"] < 1:
+        raise ConfigError(f"trials must be >= 1, got {values['trials']}")
 
     system = SystemParams(
         p0=values["p0_watts"],

@@ -127,16 +127,16 @@ def init_weights(n_features: int, n_classes: int, rng, scale: float = 1e-2) -> n
 
 def _unpack(weights: np.ndarray, n_features: int, n_classes: int):
     expected = model_dim(n_features, n_classes)
-    if weights.shape != (expected,):
-        raise ValueError(f"weights must have shape ({expected},), got {weights.shape}")
-    w = weights[: n_features * n_classes].reshape(n_features, n_classes)
-    b = weights[n_features * n_classes :]
+    if weights.shape[-1:] != (expected,):
+        raise ValueError(f"weights must have shape (..., {expected}), got {weights.shape}")
+    w = weights[..., : n_features * n_classes].reshape(*weights.shape[:-1], n_features, n_classes)
+    b = weights[..., n_features * n_classes :]
     return w, b
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
@@ -161,14 +161,19 @@ def global_loss(weights: np.ndarray, shards) -> float:
 
 
 def loss_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Analytic gradient of the mean cross-entropy, flattened like weights."""
-    n = features.shape[0]
-    w, b = _unpack(weights, features.shape[1], n_classes)
-    p = np.exp(_log_softmax(features @ w + b))
-    p[np.arange(n), labels] -= 1.0
-    grad_w = features.T @ p / n
-    grad_b = p.mean(axis=0)
-    return np.concatenate([grad_w.ravel(), grad_b])
+    """Analytic gradient of the mean cross-entropy, flattened like weights.
+
+    Weights ``(..., q)``, features ``(..., n, d)`` and labels ``(..., n)``
+    share their leading (device) axes; each leading index is one model on
+    its own samples.
+    """
+    n, d = features.shape[-2:]
+    w, b = _unpack(weights, d, n_classes)
+    p = np.exp(_log_softmax(features @ w + b[..., None, :]))
+    p -= labels[..., None] == np.arange(n_classes)
+    grad_w = np.swapaxes(features, -1, -2) @ p / n
+    grad_b = p.mean(axis=-2)
+    return np.concatenate([grad_w.reshape(*grad_w.shape[:-2], d * n_classes), grad_b], axis=-1)
 
 
 def accuracy(weights: np.ndarray, dataset: LabeledDataset) -> float:
@@ -179,26 +184,36 @@ def accuracy(weights: np.ndarray, dataset: LabeledDataset) -> float:
 
 def local_sgd(
     weights: np.ndarray,
-    shard: LabeledDataset,
+    features: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
     eta: float,
     tau: int,
     batch_size: int | None,
     rng,
 ) -> np.ndarray:
-    """tau minibatch gradient steps from the broadcast model."""
-    if len(shard) == 0:
+    """tau minibatch gradient steps from the broadcast model.
+
+    Features ``(..., n, d)`` and labels ``(..., n)`` stack one shard per
+    leading index; the ``(q,)`` model is broadcast over those axes and the
+    result has shape ``(..., q)``.  Each step draws every shard's minibatch
+    without replacement in one call.
+    """
+    n = features.shape[-2]
+    if n == 0:
         raise ValueError("cannot train on an empty shard")
     rng = as_rng(rng)
-    n = len(shard)
-    w = weights.copy()
+    lead = features.shape[:-2]
+    w = np.broadcast_to(weights, lead + weights.shape).copy()
     full_batch = batch_size is None or batch_size >= n
     for _ in range(tau):
         if full_batch:
-            batch_x, batch_y = shard.features, shard.labels
+            batch_x, batch_y = features, labels
         else:
-            idx = rng.choice(n, size=batch_size, replace=False)
-            batch_x, batch_y = shard.features[idx], shard.labels[idx]
-        w -= eta * loss_gradient(w, batch_x, batch_y, shard.n_classes)
+            idx = rng.permuted(np.broadcast_to(np.arange(n), lead + (n,)), axis=-1)[..., :batch_size]
+            batch_x = np.take_along_axis(features, idx[..., None], axis=-2)
+            batch_y = np.take_along_axis(labels, idx, axis=-1)
+        w -= eta * loss_gradient(w, batch_x, batch_y, n_classes)
     return w
 
 
@@ -279,6 +294,8 @@ def federated_train(
     """
     k = scenario.k_devices
     shards = partition(dataset, partition_spec, k, derived_rng(seed, "partition"))
+    features = np.stack([shard.features for shard in shards])
+    labels = np.stack([shard.labels for shard in shards])
     d, n_classes = dataset.n_features, dataset.n_classes
     q = model_dim(d, n_classes)
     scenario = replace(scenario, q_dim=q)
@@ -303,18 +320,15 @@ def federated_train(
         else:
             ids = list(decision.scheduled_ids)
             radii = net.radii[ids]
-            locals_ = np.stack(
-                [
-                    local_sgd(
-                        weights,
-                        shards[i],
-                        train_cfg.eta,
-                        train_cfg.tau,
-                        train_cfg.batch_size,
-                        derived_rng(seed, "sgd", rnd, i),
-                    )
-                    for i in ids
-                ]
+            locals_ = local_sgd(
+                weights,
+                features[ids],
+                labels[ids],
+                n_classes,
+                train_cfg.eta,
+                train_cfg.tau,
+                train_cfg.batch_size,
+                derived_rng(seed, "sgd", rnd),
             )
             if train_cfg.aggregation == "ideal":
                 weights = global_average(locals_)

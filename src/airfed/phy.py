@@ -3,7 +3,8 @@
 Covers the analog path (Rayleigh sub-channel draws, truncated channel
 inversion with amplitude alignment, superposition with receiver noise) and
 the digital OFDMA baseline (uniform quantization, per-device expected rate,
-straggler-bound round latency).
+straggler-bound round latency).  The digital rate is evaluated once on the
+vector of scheduled radii, not device by device.
 
 Conventions:
 
@@ -282,7 +283,7 @@ def digital_round(
     aggregate = dequantized.mean(axis=0)
 
     bits = q * params.q_bits
-    latencies = np.array([bits / rate_digital_expected(params, k, float(r)) for r in radii])
+    latencies = bits / rate_digital_expected(params, k, radii)
     return DigitalRoundResult(
         aggregate=aggregate,
         per_device_latency_s=latencies,

@@ -81,6 +81,19 @@ class TestConfig:
         path.write_text("q_bits_grid = 16, 64\n")
         assert cli.main(["latency", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("command", ["montecarlo", "extensions"])
+    def test_nonpositive_trials_exit_cleanly(self, tmp_path, capsys, command, trials, via_config):
+        if via_config:
+            path = tmp_path / "trials.cfg"
+            path.write_text(f"trials = {trials}\n")
+            args = ["--config", str(path)]
+        else:
+            args = ["--trials", str(trials)]
+        assert cli.main([command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: trials must be >= 1, got {trials}" in capsys.readouterr().err
+
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# comment\nk_grid = 2, 4, 8\np0_watts = 0.5  # inline\n")

@@ -95,7 +95,10 @@ class TestLocalSgd:
         w0 = init_weights(data.n_features, data.n_classes, derived_rng(3, "w"))
         with pytest.raises(ValueError):
             TrainConfig(eta=0.0)
-        out = local_sgd(w0, data, eta=1e-300, tau=3, batch_size=None, rng=derived_rng(3, "s"))
+        out = local_sgd(
+            w0, data.features, data.labels, data.n_classes,
+            eta=1e-300, tau=3, batch_size=None, rng=derived_rng(3, "s"),
+        )
         assert np.allclose(out, w0, atol=1e-290)
 
     def test_single_full_batch_step_matches_reference(self):
@@ -113,7 +116,10 @@ class TestLocalSgd:
         grad_w = features.T @ residual / 4.0
         grad_b = residual.mean(axis=0)
         expected = w0 - eta * np.concatenate([grad_w.ravel(), grad_b])
-        stepped = local_sgd(w0, data, eta=eta, tau=1, batch_size=None, rng=derived_rng(4, "s"))
+        stepped = local_sgd(
+            w0, data.features, data.labels, data.n_classes,
+            eta=eta, tau=1, batch_size=None, rng=derived_rng(4, "s"),
+        )
         assert np.allclose(stepped, expected, atol=1e-12)
 
     def test_full_batch_descent_on_convex_loss(self):
@@ -121,16 +127,49 @@ class TestLocalSgd:
         w = init_weights(data.n_features, data.n_classes, derived_rng(5, "w"))
         losses = [local_loss(w, data)]
         for _ in range(10):
-            w = local_sgd(w, data, eta=0.1, tau=1, batch_size=None, rng=derived_rng(5, "s"))
+            w = local_sgd(
+                w, data.features, data.labels, data.n_classes,
+                eta=0.1, tau=1, batch_size=None, rng=derived_rng(5, "s"),
+            )
             losses.append(local_loss(w, data))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_minibatch_deterministic_given_seed(self):
+    @pytest.mark.parametrize("devices", [None, 3], ids=["shard", "stack"])
+    def test_minibatch_deterministic_given_seed(self, devices):
         data = toy_dataset(n=50, seed=11)
+        features, labels = data.features, data.labels
+        if devices is not None:
+            shards = [toy_dataset(n=50, seed=11 + i) for i in range(devices)]
+            features = np.stack([shard.features for shard in shards])
+            labels = np.stack([shard.labels for shard in shards])
         w0 = init_weights(data.n_features, data.n_classes, derived_rng(6, "w"))
-        a = local_sgd(w0, data, eta=0.2, tau=5, batch_size=8, rng=derived_rng(6, "s"))
-        b = local_sgd(w0, data, eta=0.2, tau=5, batch_size=8, rng=derived_rng(6, "s"))
+        a = local_sgd(
+            w0, features, labels, data.n_classes,
+            eta=0.2, tau=5, batch_size=8, rng=derived_rng(6, "s"),
+        )
+        b = local_sgd(
+            w0, features, labels, data.n_classes,
+            eta=0.2, tau=5, batch_size=8, rng=derived_rng(6, "s"),
+        )
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tau", [1, 3])
+    @pytest.mark.parametrize("devices", [1, 7, 50])
+    def test_device_axis_equals_per_device_calls(self, devices, tau):
+        # A (K, n, d) shard stack gives each device exactly its own 2-D result.
+        rng = derived_rng(7, "stack", devices)
+        features = rng.normal(0.0, 1.0, size=(devices, 12, 5))
+        labels = rng.integers(0, 3, size=(devices, 12))
+        w0 = init_weights(5, 3, derived_rng(7, "w"))
+        stacked = local_sgd(w0, features, labels, 3, 0.3, tau, None, derived_rng(7, "s"))
+        per_device = [
+            local_sgd(w0, features[i], labels[i], 3, 0.3, tau, None, derived_rng(7, "s"))
+            for i in range(devices)
+        ]
+        assert np.array_equal(stacked, np.stack(per_device))
+        models = rng.normal(0.0, 1.0, size=(devices, model_dim(5, 3)))
+        gradients = [loss_gradient(models[i], features[i], labels[i], 3) for i in range(devices)]
+        assert np.array_equal(loss_gradient(models, features, labels, 3), np.stack(gradients))
 
 
 class TestGlobalAverage:
@@ -224,7 +263,10 @@ class TestFederatedTrain:
         shards = partition(data, PartitionSpec(mode="iid"), 1, derived_rng(seed, "partition"))
         w = init_weights(data.n_features, data.n_classes, derived_rng(seed, "init"))
         for rnd in range(8):
-            w = local_sgd(w, shards[0], 0.3, 2, 16, derived_rng(seed, "sgd", rnd, 0))
+            w = local_sgd(
+                w, shards[0].features, shards[0].labels, shards[0].n_classes,
+                0.3, 2, 16, derived_rng(seed, "sgd", rnd),
+            )
         assert np.array_equal(result.final_weights, w)
 
     def test_channel_substitutability(self):
@@ -360,7 +402,10 @@ class TestDatasets:
         test = synth_gaussian_mixture(5, 8, 3000, seed=42, separation=0.0)
         w = init_weights(8, 5, derived_rng(41, "w"))
         for _ in range(30):
-            w = local_sgd(w, data, eta=0.5, tau=1, batch_size=None, rng=derived_rng(41, "s"))
+            w = local_sgd(
+                w, data.features, data.labels, data.n_classes,
+                eta=0.5, tau=1, batch_size=None, rng=derived_rng(41, "s"),
+            )
         assert abs(accuracy(w, test) - 0.2) < 0.05
 
     def test_wide_separation_tracks_bayes_oracle(self):
@@ -376,7 +421,10 @@ class TestDatasets:
         bayes = (distances.argmin(axis=1) == test.labels).mean()
         w = init_weights(16, 10, derived_rng(43, "w"))
         for _ in range(100):
-            w = local_sgd(w, data, eta=0.5, tau=1, batch_size=None, rng=derived_rng(43, "s"))
+            w = local_sgd(
+                w, data.features, data.labels, data.n_classes,
+                eta=0.5, tau=1, batch_size=None, rng=derived_rng(43, "s"),
+            )
         trained = accuracy(w, test)
         assert bayes > 0.985
         assert trained > bayes - 0.005
@@ -386,7 +434,10 @@ class TestDatasets:
         test = synth_gaussian_mixture(10, 16, 2000, seed=44, separation=7.0)
         w = init_weights(16, 10, derived_rng(43, "w"))
         for _ in range(100):
-            w = local_sgd(w, data, eta=0.5, tau=1, batch_size=None, rng=derived_rng(43, "s"))
+            w = local_sgd(
+                w, data.features, data.labels, data.n_classes,
+                eta=0.5, tau=1, batch_size=None, rng=derived_rng(43, "s"),
+            )
         assert accuracy(w, test) > 0.99
 
     def test_balanced_labels(self):

@@ -6,9 +6,12 @@ empirically; normalization is checked by composition.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfed import analytics, phy
 from airfed.analytics import ScenarioParams, SystemParams, exp_integral, truncation_ratio
@@ -244,6 +247,28 @@ class TestDigitalRound:
             radii = 100.0 * np.sqrt(derived_rng(20, "radii", draw).random(k))
             result = digital_round(updates, radii, PARAMS, scenario, derived_rng(20, "round", draw))
             assert result.round_latency_s == analytics.latency_digital(PARAMS, scenario, radii.max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(2.0, 4.0),
+        g_th=st.floats(0.0, 3.0, exclude_min=True),
+        ber=st.floats(1e-6, 0.1),
+        radii=st.lists(st.floats(0.0, PARAMS.r_cell, exclude_min=True), min_size=1, max_size=300),
+    )
+    def test_rate_over_radius_vector_equals_scalar_calls(self, alpha, g_th, ber, radii):
+        # g_th spans both exp_integral branches (below and above 1).  Radii
+        # near 0 give an infinite SNR, which both sides must agree on too.
+        params = replace(PARAMS, alpha=alpha, g_th=g_th, ber=ber)
+        k, q = len(radii), 2
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        vector = np.array(radii)
+        with np.errstate(divide="ignore", over="ignore"):
+            rates = analytics.rate_digital_expected(params, k, vector)
+            scalar = [analytics.rate_digital_expected(params, k, r) for r in radii]
+            result = digital_round(np.zeros((k, q)), vector, params, scenario, derived_rng(22, "round"))
+            closed = analytics.latency_digital(params, scenario, max(radii))
+        assert np.array_equal(rates, scalar)
+        assert result.round_latency_s == closed
 
     def test_widest_quantizer_within_one_step(self):
         rng = derived_rng(21, "dig")
