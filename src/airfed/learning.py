@@ -27,7 +27,7 @@ logger = logging.getLogger(__name__)
 AGGREGATIONS = ("ideal", "baa", "digital")
 PARTITION_MODES = ("iid", "noniid-shards")
 
-TRACE_COLUMNS = ("round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac")
+TRACE_COLUMNS = ("round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac", "k_scheduled")
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,11 @@ def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
     return float(-log_p[np.arange(len(shard)), shard.labels].mean())
 
 
-def global_loss(weights: np.ndarray, shards) -> float:
-    """Mean of the per-device losses: one loss over the pooled, equal-sized shards."""
-    if not shards:
-        raise ValueError("need at least one shard")
-    pooled = replace(
-        shards[0],
-        features=np.concatenate([shard.features for shard in shards]),
-        labels=np.concatenate([shard.labels for shard in shards]),
-    )
+def global_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
+    """Mean of the per-device losses over equal-sized shards stacked as
+    features ``(K, n, d)`` and labels ``(K, n)``: one loss over the pooled
+    samples, which a contiguous stack reshapes to without a copy."""
+    pooled = LabeledDataset(features.reshape(-1, features.shape[-1]), labels.reshape(-1), n_classes)
     return local_loss(weights, pooled)
 
 
@@ -354,7 +350,7 @@ def federated_train(
             RoundRecord(
                 round=rnd,
                 accuracy=accuracy(weights, test_set),
-                loss=global_loss(weights, shards),
+                loss=global_loss(weights, features, labels, n_classes),
                 latency_s=latency_s,
                 rho0_db=rho0_db,
                 truncation_frac=truncation_frac,
@@ -366,10 +362,7 @@ def federated_train(
 
 def trace_table(result: TrainResult) -> Table:
     """Per-round trace as a table with the standard column schema."""
-    rows = [
-        (r.round, r.accuracy, r.loss, r.latency_s, r.rho0_db, r.truncation_frac)
-        for r in result.records
-    ]
+    rows = [tuple(getattr(r, name) for name in TRACE_COLUMNS) for r in result.records]
     return Table(TRACE_COLUMNS, rows)
 
 

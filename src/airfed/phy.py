@@ -1,6 +1,6 @@
 """Physical-layer simulation of one aggregation round.
 
-Covers the analog path (Rayleigh sub-channel draws, truncated channel
+Covers the analog path (Rayleigh sub-channel gain draws, truncated channel
 inversion with amplitude alignment, superposition with receiver noise) and
 the digital OFDMA baseline (uniform quantization, per-device expected rate,
 straggler-bound round latency).  The digital rate is evaluated once on the
@@ -8,8 +8,12 @@ vector of scheduled radii, not device by device.
 
 Conventions:
 
-* Channel coefficients are unit-variance circularly-symmetric complex
-  Gaussians, i.i.d. across devices, sub-channels and OFDM symbols.
+* Entry j of an update rides sub-channel j mod M of OFDM symbol j // M.
+  Truncated inversion needs only the power gain |h|^2 of each Rayleigh
+  sub-channel, so gains are drawn directly as Exp(1), i.i.d. across
+  devices, sub-channels and OFDM symbols.  The analog round walks the
+  update matrix one OFDM symbol at a time, so its working memory is
+  O(K M) beyond the (K, q) input and the boolean truncation mask.
 * Transmitted symbols are real amplitudes; the receiver keeps the real part
   of the complex noise, so each aggregated entry sees noise of variance
   n0 / 2 before the 1/sqrt(rho0) and 1/K scalings.
@@ -90,12 +94,11 @@ class DigitalRoundResult:
 
 
 def draw_channels(k_devices: int, m: int, n_symbols: int, rng) -> np.ndarray:
-    """I.i.d. CN(0, 1) sub-channel coefficients, shape (n_symbols, k, m)."""
+    """I.i.d. Rayleigh power gains |h|^2 ~ Exp(1), shape (k, n_symbols * m);
+    column j is sub-channel j mod m of OFDM symbol j // m."""
     if min(k_devices, m, n_symbols) < 1:
         raise ValueError("k_devices, m and n_symbols must all be >= 1")
-    rng = as_rng(rng)
-    shape = (n_symbols, k_devices, m)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return as_rng(rng).standard_exponential((k_devices, n_symbols * m))
 
 
 def align_rho0(distances, params: SystemParams) -> PowerPolicy:
@@ -159,41 +162,47 @@ def baa_round(
         raise ValueError(f"radii must have shape ({k},), got {radii.shape}")
     policy = align_rho0(radii, params)
 
-    n_symbols = math.ceil(q / params.m)
-    if fading:
+    m = params.m
+    n_symbols = math.ceil(q / m)
+    # Unit gains pass a zero threshold, so nothing is truncated without fading.
+    g_th = params.g_th if fading else 0.0
+    received = np.empty(q)
+    counts = np.empty(q, dtype=np.intp)
+    sent_mask = np.empty((k, q), dtype=bool)
+    inverse_gain_sum = np.zeros(k)
+    # numpy sums a single column pairwise, not in device order, so the terms
+    # sit in rows at least two wide; columns past the last entry stay 0.
+    terms = np.zeros((k, max(m, 2)))
+    for lo in range(0, q, m):
+        width = min(m, q - lo)
         # The last OFDM symbol's unused sub-channels are drawn and dropped.
-        h = draw_channels(k, params.m, n_symbols, rng)
-        gains = np.moveaxis(np.abs(h) ** 2, 1, 0).reshape(k, n_symbols * params.m)[:, :q]
-        sent = gains >= params.g_th
-    else:
-        gains = np.ones((k, q))
-        sent = np.ones((k, q), dtype=bool)
+        gains = draw_channels(k, m, 1, rng)[:, :width] if fading else np.ones((k, width))
+        sent = gains >= g_th
+        sent_mask[:, lo : lo + width] = sent
+        terms[:, :width] = np.where(sent, mat[:, lo : lo + width], 0.0)
+        received[lo : lo + width] = terms.sum(axis=0)[:width]
+        counts[lo : lo + width] = sent.sum(axis=0)
+        # Truncated entries divide 0 by at least g_th > 0, never 0 by 0.
+        inverse_gain_sum += (sent / np.maximum(gains, g_th)).sum(axis=1)
 
-    # The axis-0 sum adds rows in device order, so results are bit-reproducible.
-    received = np.where(sent, mat, 0.0).sum(axis=0)
     if noise:
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.
-        received = received + rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(policy.rho0)
-
-    counts = sent.sum(axis=0)
+        received += rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(policy.rho0)
     aggregate = received / (np.maximum(counts, 1) if genie_counts else k)
 
-    # Per-device audit: average per-symbol transmit power sum_m |p|^2.
-    per_entry_power = np.where(
-        sent, policy.rho0 * radii[:, None] ** params.alpha / gains, 0.0
-    )
-    tx_power = params.m * per_entry_power.mean(axis=1)
+    # Per-device audit: average per-symbol transmit power sum_m |p|^2, where
+    # a sent entry costs rho0 r^alpha / g and a truncated one nothing.
+    tx_power = m * policy.rho0 * radii**params.alpha * inverse_gain_sum / q
 
-    truncation_fraction = 1.0 - sent.mean(axis=1)
     diag = BaaDiagnostics(
         rho0=policy.rho0,
         r_max=policy.r_max,
         n_symbols=n_symbols,
         latency_s=n_symbols * params.t_s,
-        truncation_fraction=truncation_fraction,
+        truncation_fraction=1.0 - sent_mask.mean(axis=1),
         tx_power=tx_power,
         contributor_counts=counts,
-        truncation_mask=sent,
+        truncation_mask=sent_mask,
     )
     return aggregate, diag
 

@@ -231,7 +231,9 @@ class TestTrainCompareCommands:
         config = load_config(path)
         tables = run_command("train", config, grid=True)
         trace = tables["trace_all-inclusive_baa"]
-        assert trace.columns == ("round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac")
+        assert trace.columns == (
+            "round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac", "k_scheduled"
+        )
         assert len(trace.rows) == 3
         grid = tables["accuracy_grid"]
         assert len(grid.rows) == 2  # 2 r_in x 1 g_th

@@ -63,7 +63,9 @@ class TestLossAndGradient:
         shards = partition(data, PartitionSpec(mode="iid"), 6, derived_rng(1, "p"))
         weights = init_weights(data.n_features, data.n_classes, derived_rng(1, "w"))
         mean_local = np.mean([local_loss(weights, s) for s in shards])
-        assert global_loss(weights, shards) == pytest.approx(mean_local, abs=1e-12)
+        features = np.stack([s.features for s in shards])
+        labels = np.stack([s.labels for s in shards])
+        assert global_loss(weights, features, labels, data.n_classes) == pytest.approx(mean_local, abs=1e-12)
 
     def test_gradient_matches_central_differences(self):
         # 20 random (model, sample-batch) probes, relative error < 1e-5.
@@ -343,7 +345,7 @@ class TestFederatedTrain:
         )
         text = trace_csv(result)
         header = text.splitlines()[0]
-        assert header == "round,accuracy,loss,latency_s,rho0_db,truncation_frac"
+        assert header == "round,accuracy,loss,latency_s,rho0_db,truncation_frac,k_scheduled"
         assert len(text.splitlines()) == 4
         assert result.records[0].latency_s > 0
 

@@ -6,11 +6,12 @@ empirically; normalization is checked by composition.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airfed import analytics, phy
@@ -41,12 +42,12 @@ def masked_mean_oracle(updates, masks, divisor):
 
 class TestDrawChannels:
     def test_unit_mean_power(self):
-        h = draw_channels(10, 1000, 100, derived_rng(1, "pw"))
-        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.005)
+        gains = draw_channels(10, 1000, 100, derived_rng(1, "pw"))
+        assert np.mean(gains) == pytest.approx(1.0, rel=0.005)
 
     def test_cutoff_probability(self):
-        h = draw_channels(10, 1000, 100, derived_rng(1, "cut"))
-        empirical = np.mean(np.abs(h) ** 2 < 0.5)
+        gains = draw_channels(10, 1000, 100, derived_rng(1, "cut"))
+        empirical = np.mean(gains < 0.5)
         assert empirical == pytest.approx(truncation_ratio(0.5), abs=0.005)
 
     def test_same_seed_identical(self):
@@ -163,6 +164,56 @@ class TestBaaRound:
         aggregate, diag = baa_round(updates, radii, PARAMS, derived_rng(11, "noise"), fading=False)
         expected_std = math.sqrt(PARAMS.n0 / 2.0 / diag.rho0) / k
         assert aggregate.std() == pytest.approx(expected_std, rel=0.02)
+
+    # q spans a partial first symbol, whole symbols and ragged last symbols.
+    # The examples pin one-entry symbols, which numpy would sum pairwise
+    # rather than in device order.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        q=st.integers(1, 3 * PARAMS.m + 17),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=40, q=1, seed=0)
+    @example(k=40, q=PARAMS.m + 1, seed=0)
+    def test_streamed_round_invariants(self, k, q, seed):
+        updates = derived_rng(seed, "updates").normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
+
+        plain, _ = baa_round(
+            updates, radii, PARAMS, derived_rng(seed, "round"), fading=False, noise=False
+        )
+        assert np.max(np.abs(plain - updates.mean(axis=0))) < 1e-12
+
+        aggregate, diag = baa_round(updates, radii, PARAMS, derived_rng(seed, "round"), noise=False)
+        mask = diag.truncation_mask
+        assert mask.shape == (k, q)
+        assert np.array_equal(diag.contributor_counts, mask.sum(axis=0))
+        assert np.array_equal(diag.truncation_fraction, 1.0 - mask.mean(axis=1))
+        assert np.array_equal(aggregate, masked_mean_oracle(updates, mask, k))
+
+        genie, genie_diag = baa_round(
+            updates, radii, PARAMS, derived_rng(seed, "round"), noise=False, genie_counts=True
+        )
+        assert np.array_equal(genie_diag.truncation_mask, mask)
+        divisor = np.maximum(diag.contributor_counts, 1)
+        masked_sum = masked_mean_oracle(updates, mask, 1)
+        np.testing.assert_allclose(genie * divisor, masked_sum, rtol=4 * np.finfo(float).eps, atol=0)
+        assert np.array_equal(genie, masked_sum / divisor)
+
+    def test_working_memory_below_one_float_matrix(self):
+        # The round streams one OFDM symbol at a time: its traced peak stays
+        # below the bytes of one float64 (K, q) array.
+        k, q = 50, 20000
+        updates = derived_rng(23, "updates").normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
+        tracemalloc.start()
+        try:
+            baa_round(updates, radii, PARAMS, derived_rng(23, "round"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k * q
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
