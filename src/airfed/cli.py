@@ -233,11 +233,10 @@ def _build_datasets(config: ExperimentConfig):
     return train, test
 
 
-def _run_once(config: ExperimentConfig, train_set, test_set, scheme=None, aggregation=None,
+def _run_once(config: ExperimentConfig, train_set, test_set, aggregation=None,
               r_in=None, g_th=None) -> learning.TrainResult:
     params = config.system if g_th is None else replace(config.system, g_th=g_th)
-    scenario = config.scenario if r_in is None else replace(config.scenario, r_in=r_in)
-    scheme = scheme if scheme is not None else config.scheme
+    scheme = config.scheme
     if r_in is not None and scheme.kind != "all-inclusive":
         scheme = replace(scheme, r_in=r_in)
     train_cfg = config.train if aggregation is None else replace(config.train, aggregation=aggregation)
@@ -246,7 +245,7 @@ def _run_once(config: ExperimentConfig, train_set, test_set, scheme=None, aggreg
         config.partition,
         train_cfg,
         params,
-        scenario,
+        config.scenario,
         scheme,
         config.seed,
         test_set,

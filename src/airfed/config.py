@@ -76,6 +76,35 @@ DEFAULTS: dict = {
 }
 
 
+# Accepted range of each bounded key, checked at load on a scalar or on
+# every entry of a grid.  Values outside would otherwise fail mid-command
+# or yield meaningless tables.
+RANGES = {
+    "g_th": "> 0",
+    "target_ber": "(0, 0.2)",
+    "r_in_frac": "(0, 1]",
+    "classes": ">= 2",
+    "feature_dim": ">= 1",
+    "train_samples": ">= 1",
+    "test_samples": ">= 1",
+    "trials": ">= 1",
+    "zeta_grid": "(0, 1)",
+    "alpha_grid": "> 0",
+    "r_max_grid": "> 0",
+    "f_dat_grid": "(0, 1]",
+    "k_grid": ">= 1",
+    "q_bits_grid": "[1, 63]",
+    "ber_grid": "(0, 0.2)",
+    "r_in_grid": "(0, 1]",
+    "g_th_grid": "> 0",
+    "gamma_grid": ">= 1",
+    "beam_antennas": ">= 1",
+    "beam_users": ">= 1",
+}
+# Curve abscissae, which must also be strictly increasing.
+INCREASING_GRIDS = ("zeta_grid", "f_dat_grid")
+
+
 def dbm_to_watts(dbm: float) -> float:
     """Power conversion used at config ingestion: watts = 10^((dBm-30)/10)."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -162,20 +191,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _within(value, bound: str) -> bool:
+    """Whether ``value`` satisfies a RANGES entry: "> a", ">= a" or an
+    interval such as "(a, b]"."""
+    if bound.startswith(">"):
+        op, limit = bound.split()
+        return value >= float(limit) if op == ">=" else value > float(limit)
+    lo, hi = (float(x) for x in bound[1:-1].split(","))
+    above = lo <= value if bound[0] == "[" else lo < value
+    return above and (value <= hi if bound[-1] == "]" else value < hi)
+
+
 def _build(values: dict) -> ExperimentConfig:
-    if not 0.0 < values["target_ber"] < 0.2:
-        raise ConfigError(
-            f"target_ber must lie in (0, 0.2) for the MQAM rate model, got {values['target_ber']}"
-        )
-    if not 0.0 < values["r_in_frac"] <= 1.0:
-        raise ConfigError(f"r_in_frac must lie in (0, 1], got {values['r_in_frac']}")
-    bad_bits = [q for q in values["q_bits_grid"] if not 1 <= q <= 63]
-    if bad_bits:
-        raise ConfigError(f"q_bits_grid entries must lie in [1, 63], got {bad_bits}")
+    for key, bound in RANGES.items():
+        value = values[key]
+        if not all(_within(v, bound) for v in (value if isinstance(value, tuple) else (value,))):
+            verb = "be" if bound.startswith(">") else "lie in"
+            raise ConfigError(f"{key} must {verb} {bound}, got {value}")
+    for key in INCREASING_GRIDS:
+        grid = values[key]
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"{key} must be strictly increasing, got {grid}")
     if values["mobility"] not in MOBILITY_MODES:
         raise ConfigError(f"mobility must be one of {MOBILITY_MODES}, got {values['mobility']!r}")
-    if values["trials"] < 1:
-        raise ConfigError(f"trials must be >= 1, got {values['trials']}")
 
     system = SystemParams(
         p0=values["p0_watts"],

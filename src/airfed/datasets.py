@@ -19,8 +19,6 @@ import numpy as np
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
-PROVENANCES = ("mnist-idx", "synthetic")
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -29,7 +27,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=float)
@@ -42,8 +39,6 @@ class LabeledDataset:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError("labels must lie in [0, n_classes)")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -60,7 +55,6 @@ class LabeledDataset:
             features=self.features[indices],
             labels=self.labels[indices],
             n_classes=self.n_classes,
-            provenance=self.provenance,
         )
 
 
@@ -103,17 +97,13 @@ def _resolve_idx_pair(path) -> tuple[Path, Path]:
     return path, label_path
 
 
-def load_mnist_idx(path, labels_path=None) -> LabeledDataset:
+def load_mnist_idx(path) -> LabeledDataset:
     """Load an IDX image/label pair as flat [0, 1] features.
 
     ``path`` may be a directory holding the standard file names, or the
-    images file itself (the label file is then inferred, or passed
-    explicitly via ``labels_path``).
+    images file itself (the label file name is then inferred from it).
     """
-    if labels_path is not None:
-        images_file, labels_file = Path(path), Path(labels_path)
-    else:
-        images_file, labels_file = _resolve_idx_pair(path)
+    images_file, labels_file = _resolve_idx_pair(path)
     images = _read_idx(images_file, IMAGES_MAGIC, 3)
     labels = _read_idx(labels_file, LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
@@ -125,7 +115,6 @@ def load_mnist_idx(path, labels_path=None) -> LabeledDataset:
         features=features,
         labels=labels.astype(int),
         n_classes=10,
-        provenance="mnist-idx",
     )
 
 
@@ -157,4 +146,4 @@ def synth_gaussian_mixture(
         means = scale * directions
     labels = rng.permutation(np.arange(n) % classes)
     features = means[labels] + rng.standard_normal((n, dim))
-    return LabeledDataset(features=features, labels=labels, n_classes=classes, provenance="synthetic")
+    return LabeledDataset(features=features, labels=labels, n_classes=classes)

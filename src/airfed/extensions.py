@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import as_rng
-from .tables import Table
 
 SYMBOLS_PER_TRIAL = 64
 # Suppression trials are drawn in blocks of about this many chips to bound memory.
@@ -38,7 +37,6 @@ __all__ = [
     "beam_objective",
     "aggregation_beamformer",
     "sdma_beamformer",
-    "beam_pattern_csv",
 ]
 
 
@@ -279,17 +277,3 @@ def sdma_beamformer(problem: BeamProblem, tol: float = 1e-10) -> SdmaBeamResult:
         infeasible_users=tuple(bad_users),
         reason="colinear channels leave no interference-free direction" if bad_users else "",
     )
-
-
-def beam_pattern_csv(beam: np.ndarray, n_points: int = 361) -> str:
-    """Gain of a beam vector against a uniform linear array, as CSV text.
-
-    Half-wavelength element spacing; rows are (angle_rad, gain).
-    """
-    beam = np.asarray(beam, dtype=complex).ravel()
-    n = beam.size
-    angles = np.linspace(-np.pi / 2, np.pi / 2, n_points)
-    elements = np.arange(n)
-    steering = np.exp(1j * np.pi * np.outer(np.sin(angles), elements))
-    gains = np.abs(steering @ beam.conj()) ** 2
-    return Table(("angle_rad", "gain"), list(zip(angles, gains))).render("csv")

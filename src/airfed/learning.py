@@ -119,10 +119,10 @@ def model_dim(n_features: int, n_classes: int) -> int:
     return n_features * n_classes + n_classes
 
 
-def init_weights(n_features: int, n_classes: int, rng, scale: float = 1e-2) -> np.ndarray:
-    """Small random init; keeps the broadcast normalization non-degenerate."""
+def init_weights(n_features: int, n_classes: int, rng) -> np.ndarray:
+    """Small N(0, 0.01^2) init; keeps the broadcast normalization non-degenerate."""
     rng = as_rng(rng)
-    return rng.normal(0.0, scale, size=model_dim(n_features, n_classes))
+    return rng.normal(0.0, 1e-2, size=model_dim(n_features, n_classes))
 
 
 def _unpack(weights: np.ndarray, n_features: int, n_classes: int):
@@ -306,15 +306,14 @@ def federated_train(
     for rnd in range(train_cfg.n_cr):
         if rnd > 0:
             net = network.advance_round(net, derived_rng(seed, "mobility", rnd))
-        decision = network.schedule(net, scheme, rnd)
+        ids = network.schedule(net, scheme, rnd)
         latency_s = 0.0
         rho0_db = float("nan")
         truncation_frac = float("nan")
 
-        if decision.empty:
+        if ids.size == 0:
             logger.info("round %d: no device inside r_in, skipping aggregation", rnd)
         else:
-            ids = list(decision.scheduled_ids)
             radii = net.radii[ids]
             locals_ = local_sgd(
                 weights,
@@ -344,7 +343,7 @@ def federated_train(
                 )
                 weights = result.aggregate
                 latency_s = result.round_latency_s
-                rho0_db = _snr_db(digital_device_snr(params, len(ids), decision.r_max_scheduled))
+                rho0_db = _snr_db(digital_device_snr(params, ids.size, float(radii.max())))
 
         records.append(
             RoundRecord(
@@ -354,7 +353,7 @@ def federated_train(
                 latency_s=latency_s,
                 rho0_db=rho0_db,
                 truncation_frac=truncation_frac,
-                k_scheduled=len(decision.scheduled_ids),
+                k_scheduled=ids.size,
             )
         )
     return TrainResult(records=tuple(records), final_weights=weights)

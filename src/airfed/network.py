@@ -9,7 +9,7 @@ CDF as R * sqrt(U)).  Three schemes decide who transmits in a round:
 * ``alternating``: cell-interior on one block of rounds, all-inclusive on
   the next, with a configurable half-period.
 
-Mobility covers the two analyzed extremes only: ``static`` positions and
+Mobility covers the two analyzed extremes only: ``static`` distances and
 ``iid-resample`` (fresh uniform drop every round).
 """
 
@@ -20,51 +20,33 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .rng import as_rng
-from .tables import Table
 
 MOBILITY_MODES = ("static", "iid-resample")
 SCHEME_KINDS = ("all-inclusive", "cell-interior", "alternating")
 
 
 @dataclass(frozen=True)
-class DevicePosition:
-    device_id: int
-    radius: float
-    angle: float
-
-
-@dataclass(frozen=True)
 class NetworkRealization:
-    """Positions of all devices at a given communication round."""
+    """Distances of all devices to the edge server in one round; path loss
+    and scheduling depend on nothing else."""
 
     radii: np.ndarray
-    angles: np.ndarray
     r_cell: float
-    round_index: int = 0
     mobility: str = "static"
 
     def __post_init__(self):
         if self.mobility not in MOBILITY_MODES:
             raise ValueError(f"mobility must be one of {MOBILITY_MODES}, got {self.mobility!r}")
         radii = np.asarray(self.radii, dtype=float)
-        angles = np.asarray(self.angles, dtype=float)
-        if radii.shape != angles.shape or radii.ndim != 1:
-            raise ValueError("radii and angles must be 1-d arrays of equal length")
+        if radii.ndim != 1:
+            raise ValueError("radii must be a 1-d array")
         if radii.size and radii.max() > self.r_cell * (1 + 1e-12):
             raise ValueError("device radius exceeds the cell radius")
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "angles", angles)
 
     @property
     def k_devices(self) -> int:
         return self.radii.size
-
-    @property
-    def positions(self) -> list[DevicePosition]:
-        return [
-            DevicePosition(i, float(r), float(a))
-            for i, (r, a) in enumerate(zip(self.radii, self.angles))
-        ]
 
 
 @dataclass(frozen=True)
@@ -102,20 +84,6 @@ class SchedulingScheme:
         return cls("alternating", r_in=r_in, period=period)
 
 
-@dataclass(frozen=True)
-class ScheduleDecision:
-    """Outcome of one scheduling step."""
-
-    scheduled_ids: tuple
-    scheme: SchedulingScheme
-    r_max_scheduled: float
-    k_in: int
-
-    @property
-    def empty(self) -> bool:
-        return len(self.scheduled_ids) == 0
-
-
 def sample_radii(k_devices: int, r_cell: float, rng, size: int | None = None) -> np.ndarray:
     """Distances of uniformly dropped devices: r = R * sqrt(U).
 
@@ -133,23 +101,14 @@ def sample_topology(k_devices: int, r_cell: float, rng_seed) -> NetworkRealizati
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     if r_cell <= 0:
         raise ValueError(f"r_cell must be positive, got {r_cell}")
-    rng = as_rng(rng_seed)
-    radii = sample_radii(k_devices, r_cell, rng)
-    angles = rng.random(k_devices) * 2.0 * np.pi
-    return NetworkRealization(radii=radii, angles=angles, r_cell=r_cell)
+    return NetworkRealization(radii=sample_radii(k_devices, r_cell, rng_seed), r_cell=r_cell)
 
 
 def advance_round(net: NetworkRealization, rng) -> NetworkRealization:
-    """Step to the next round: keep positions (static) or redrop them."""
+    """Step to the next round: keep the devices (static) or redrop them."""
     if net.mobility == "static":
-        return replace(net, round_index=net.round_index + 1)
-    rng = as_rng(rng)
-    fresh = sample_topology(net.k_devices, net.r_cell, rng)
-    return replace(
-        fresh,
-        round_index=net.round_index + 1,
-        mobility=net.mobility,
-    )
+        return net
+    return replace(sample_topology(net.k_devices, net.r_cell, rng), mobility=net.mobility)
 
 
 def _interior_active(scheme: SchedulingScheme, round_index: int) -> bool:
@@ -160,29 +119,13 @@ def _interior_active(scheme: SchedulingScheme, round_index: int) -> bool:
     return False
 
 
-def schedule(net: NetworkRealization, scheme: SchedulingScheme, round_index: int) -> ScheduleDecision:
-    """Pick the transmitting set for the given round.
+def schedule(net: NetworkRealization, scheme: SchedulingScheme, round_index: int) -> np.ndarray:
+    """Indices of the devices that transmit in the given round.
 
-    A pure function of (positions, scheme, round_index); an empty interior
-    is reported via ``ScheduleDecision.empty`` rather than raised, so long
-    simulations can skip the round.
+    A pure function of (distances, scheme, round_index); an empty interior
+    gives an empty array rather than an error, so long simulations can skip
+    the round.
     """
-    r_in = scheme.r_in if scheme.r_in is not None else net.r_cell
-    k_in = int(np.count_nonzero(net.radii <= r_in))
     if _interior_active(scheme, round_index):
-        ids = np.flatnonzero(net.radii <= scheme.r_in)
-    else:
-        ids = np.arange(net.k_devices)
-    r_max = float(net.radii[ids].max()) if ids.size else float("nan")
-    return ScheduleDecision(
-        scheduled_ids=tuple(int(i) for i in ids),
-        scheme=scheme,
-        r_max_scheduled=r_max,
-        k_in=k_in,
-    )
-
-
-def topology_csv(net: NetworkRealization) -> str:
-    """Snapshot as CSV text with columns device_id, radius, angle."""
-    rows = [(pos.device_id, pos.radius, pos.angle) for pos in net.positions]
-    return Table(("device_id", "radius_m", "angle_rad"), rows).render("csv")
+        return np.flatnonzero(net.radii <= scheme.r_in)
+    return np.arange(net.k_devices)

@@ -11,15 +11,16 @@ Conventions:
 * Entry j of an update rides sub-channel j mod M of OFDM symbol j // M.
   Truncated inversion needs only the power gain |h|^2 of each Rayleigh
   sub-channel, so gains are drawn directly as Exp(1), i.i.d. across
-  devices, sub-channels and OFDM symbols.  The analog round walks the
+  devices, sub-channels and OFDM symbols.  Only the sub-channels an update
+  uses are drawn: a final OFDM symbol that the update fills in part draws
+  just the gains of its occupied sub-channels.  The analog round walks the
   update matrix one OFDM symbol at a time, so its working memory is
   O(K M) beyond the (K, q) input and the boolean truncation mask.
 * Transmitted symbols are real amplitudes; the receiver keeps the real part
   of the complex noise, so each aggregated entry sees noise of variance
   n0 / 2 before the 1/sqrt(rho0) and 1/K scalings.
 * The server divides by the scheduled count even when truncation removed
-  some contributions; ``genie_counts`` switches to dividing by the true
-  per-entry contributor count for bias studies.
+  some contributions.
 * Aggregation is a fixed-order reduction over device index, so results are
   bit-reproducible.
 """
@@ -52,10 +53,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerPolicy:
-    """Aligned receive power and cutoff threshold for one scheduled set."""
+    """Aligned receive power for one scheduled set and the distance of its
+    furthest device, which sets it."""
 
     rho0: float
-    g_th: float
     r_max: float
 
 
@@ -115,7 +116,7 @@ def align_rho0(distances, params: SystemParams) -> PowerPolicy:
     if params.g_th <= 0:
         raise ValueError("align_rho0 requires g_th > 0 (inversion cost diverges at 0)")
     r_max = float(distances.max())
-    return PowerPolicy(rho0=aligned_receive_power(params, r_max), g_th=params.g_th, r_max=r_max)
+    return PowerPolicy(rho0=aligned_receive_power(params, r_max), r_max=r_max)
 
 
 def _as_update_matrix(updates) -> np.ndarray:
@@ -134,7 +135,6 @@ def baa_round(
     *,
     fading: bool = True,
     noise: bool = True,
-    genie_counts: bool = False,
 ):
     """One analog over-the-air aggregation round.
 
@@ -147,8 +147,6 @@ def baa_round(
         fading: with False, all sub-channel gains are 1 and nothing is
             truncated (noiseless-oracle mode keeps amplitude alignment).
         noise: with False, no receiver noise is injected.
-        genie_counts: divide each entry by its true contributor count
-            instead of the scheduled count.
 
     Returns:
         (aggregate, BaaDiagnostics): the q-vector estimate of the mean
@@ -172,11 +170,10 @@ def baa_round(
     inverse_gain_sum = np.zeros(k)
     # numpy sums a single column pairwise, not in device order, so the terms
     # sit in rows at least two wide; columns past the last entry stay 0.
-    terms = np.zeros((k, max(m, 2)))
+    terms = np.zeros((k, max(min(m, q), 2)))
     for lo in range(0, q, m):
         width = min(m, q - lo)
-        # The last OFDM symbol's unused sub-channels are drawn and dropped.
-        gains = draw_channels(k, m, 1, rng)[:, :width] if fading else np.ones((k, width))
+        gains = draw_channels(k, width, 1, rng) if fading else np.ones((k, width))
         sent = gains >= g_th
         sent_mask[:, lo : lo + width] = sent
         terms[:, :width] = np.where(sent, mat[:, lo : lo + width], 0.0)
@@ -188,7 +185,7 @@ def baa_round(
     if noise:
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.
         received += rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(policy.rho0)
-    aggregate = received / (np.maximum(counts, 1) if genie_counts else k)
+    aggregate = received / k
 
     # Per-device audit: average per-symbol transmit power sum_m |p|^2, where
     # a sent entry costs rho0 r^alpha / g and a truncated one nothing.

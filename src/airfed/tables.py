@@ -1,6 +1,6 @@
 """The one CSV/JSON renderer behind every table the package writes (CLI
-reports, training traces, topology snapshots, beam patterns): floats at 12
-significant digits, everything else via str."""
+reports and training traces): floats at 12 significant digits, everything
+else via str."""
 
 from __future__ import annotations
 

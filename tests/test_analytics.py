@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from airfed import analytics
@@ -336,8 +338,46 @@ class TestEverScheduledProbability:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+# Physical parameters inside the ranges the config accepts (alpha > 0,
+# g_th > 0, target_ber in (0, 0.2), K >= 1), bounded so that the receive
+# SNR neither underflows nor overflows.
+CONFIG_SYSTEMS = st.builds(
+    SystemParams,
+    alpha=st.floats(1.0, 6.0),
+    g_th=st.floats(0.01, 5.0),
+    ber=st.floats(1e-8, 0.19),
+)
+CONFIG_SCENARIOS = st.builds(
+    ScenarioParams,
+    k_devices=st.integers(1, 1000),
+    r_in=st.just(50.0),
+    n_cr=st.just(50),
+    q_dim=st.integers(1, 582026),
+)
+# Distances on (0, r_cell], kept clear of 0 where r^alpha underflows.
+CELL_DISTANCES = st.floats(1e-3, 100.0)
+
+
 class TestLatency:
     SCENARIO = ScenarioParams(k_devices=200, r_in=50.0, n_cr=50, q_dim=582026)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=CONFIG_SYSTEMS, scenario=CONFIG_SCENARIOS, r=CELL_DISTANCES, r_other=CELL_DISTANCES)
+    def test_digital_rises_with_distance(self, params, scenario, r, r_other):
+        near, far = sorted((r, r_other))
+        assume(far > near * (1.0 + 1e-6))
+        assert latency_digital(params, scenario, near) < latency_digital(params, scenario, far)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=CONFIG_SYSTEMS,
+        scenario=CONFIG_SCENARIOS,
+        r_max=CELL_DISTANCES,
+        bits=st.lists(st.integers(1, 63), min_size=2, max_size=2, unique=True),
+    )
+    def test_digital_rises_with_quant_bits(self, params, scenario, r_max, bits):
+        low, high = (SystemParams(**{**vars(params), "q_bits": b}) for b in sorted(bits))
+        assert latency_digital(low, scenario, r_max) < latency_digital(high, scenario, r_max)
 
     def test_analog_one_symbol_block(self):
         assert latency_baa(1000, FIG_PARAMS) == FIG_PARAMS.t_s

@@ -94,6 +94,40 @@ class TestConfig:
         assert cli.main([command, *args, "--out", str(tmp_path / "out")]) == 2
         assert f"error: trials must be >= 1, got {trials}" in capsys.readouterr().err
 
+    # Each value fails its command with a traceback unless the load-time
+    # range check catches it.  The small training config keeps the runs short.
+    @pytest.mark.parametrize(
+        "line, command",
+        [
+            ("g_th = 0", ["montecarlo"]),
+            ("g_th = 0", ["compare"]),
+            ("zeta_grid = 0.5, 1.0", ["tradeoff"]),
+            ("zeta_grid = 0.3, 0.2", ["tradeoff"]),
+            ("f_dat_grid = 0.0, 0.5", ["tradeoff"]),
+            ("f_dat_grid = 0.5, 0.5", ["tradeoff"]),
+            ("alpha_grid = 3.0, 0.0", ["tradeoff"]),
+            ("r_max_grid = 0", ["tradeoff"]),
+            ("ber_grid = 0.3", ["latency"]),
+            ("k_grid = 0, 10", ["latency"]),
+            ("r_in_grid = 0", ["train", "--grid"]),
+            ("r_in_grid = 0.5, 1.5", ["train", "--grid"]),
+            ("g_th_grid = 0", ["train", "--grid"]),
+            ("gamma_grid = 0", ["extensions"]),
+            ("beam_antennas = 0", ["extensions"]),
+            ("beam_users = 0", ["extensions"]),
+            ("classes = 1", ["compare"]),
+            ("feature_dim = 0", ["compare"]),
+            ("train_samples = 0", ["compare"]),
+            ("test_samples = 0", ["compare"]),
+        ],
+    )
+    def test_out_of_range_value_exits_cleanly(self, tmp_path, capsys, line, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_TRAIN + line + "\n")
+        assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        key = line.split("=")[0].strip()
+        assert f"error: {key} " in capsys.readouterr().err
+
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# comment\nk_grid = 2, 4, 8\np0_watts = 0.5  # inline\n")

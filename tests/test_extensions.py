@@ -9,7 +9,6 @@ from airfed.extensions import (
     adversary_suppression_trial,
     aggregation_beamformer,
     beam_objective,
-    beam_pattern_csv,
     despread,
     pn_code,
     sdma_beamformer,
@@ -232,18 +231,3 @@ class TestSdmaBeamformer:
             sdma = sdma_beamformer(problem)
             assert sdma.feasible
             assert agg.objective >= np.nanmax(sdma.per_user_snr) - 1e-9
-
-
-class TestBeamPatternExport:
-    def test_pattern_csv_shape_and_peak(self):
-        n = 8
-        steering = np.exp(1j * np.pi * np.arange(n) * np.sin(0.3))
-        text = beam_pattern_csv(steering, n_points=181)
-        lines = text.strip().split("\n")
-        assert lines[0] == "angle_rad,gain"
-        assert len(lines) == 182
-        angles = np.array([float(l.split(",")[0]) for l in lines[1:]])
-        gains = np.array([float(l.split(",")[1]) for l in lines[1:]])
-        # Peak response points at the steering angle (up to grid spacing).
-        assert abs(angles[gains.argmax()] - 0.3) < 0.02
-        assert gains.max() > 0.99 * n**2

@@ -366,7 +366,6 @@ class TestDatasets:
         data = load_mnist_idx(tmp_path)
         assert len(data) == 100
         assert data.n_features == 12
-        assert data.provenance == "mnist-idx"
         assert np.array_equal(data.labels, labels)
         assert np.allclose(data.features, images.reshape(100, -1) / 255.0)
         # Loading via the images file directly works too.
