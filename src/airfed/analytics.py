@@ -505,20 +505,23 @@ def _bits_per_symbol(params: SystemParams, snr):
     return np.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
 
 
-def rate_digital_expected(params: SystemParams, k_devices: int, r_k):
+def rate_digital_expected(params: SystemParams, k_devices: int, r_k, *, snr=None):
     """Expected uplink rate (bits/s) of one device in the OFDMA baseline.
 
     The device holds m/k sub-channels (kept real-valued), each delivering
     log2(1 + factor * snr) bits per symbol when not cut off; the cutoff
     survives with probability exp(-g_th).  ``r_k`` may be an array of
     distances, one rate per entry; the cutoff integral is evaluated once.
+    A caller that already holds ``digital_device_snr(params, k_devices,
+    r_k)`` passes it as ``snr`` so the integral is not evaluated again.
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     r_k = np.asarray(r_k, dtype=float)
     if (r_k <= 0).any():
         raise ValueError(f"r_k must be positive, got {r_k}")
-    snr = digital_device_snr(params, k_devices, r_k)
+    if snr is None:
+        snr = digital_device_snr(params, k_devices, r_k)
     return params.m / k_devices * params.b_sub * _bits_per_symbol(params, snr)
 
 

@@ -32,6 +32,8 @@ from .tables import Table
 # With one user both beams are the same MRC beam, so the aggregation
 # objective and the best SDMA SNR tie exactly and differ only by rounding.
 BEAM_TIE_RTOL = 1e-12
+# Monte Carlo topologies are drawn in blocks of about this many radii to bound memory.
+MC_BLOCK_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +88,15 @@ def evaluate_check(name: str, analytic: float, empirical: float, tolerance: floa
     return (name, analytic, empirical, error, tolerance, metric, status)
 
 
+def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
+    """``network.sample_radii(width, r_cell, rng, size=n_rows)`` drawn as
+    consecutive row blocks of about MC_BLOCK_ENTRIES radii; yields (first
+    row, block).  Consecutive draws give the same numbers as one."""
+    step = max(1, MC_BLOCK_ENTRIES // width)
+    for start in range(0, n_rows, step):
+        yield start, network.sample_radii(width, r_cell, rng, size=min(step, n_rows - start))
+
+
 def montecarlo_rows(config: ExperimentConfig):
     params, scenario = config.system, config.scenario
     k, r_cell, r_in = scenario.k_devices, params.r_cell, scenario.r_in
@@ -93,17 +104,25 @@ def montecarlo_rows(config: ExperimentConfig):
     seed = config.seed
     rows = []
 
-    radii = network.sample_radii(k, r_cell, derived_rng(seed, "mc", "topology"), size=trials)
+    # Per-trial reductions of the topology draws: the interior count, the
+    # furthest distance and the furthest interior distance (0 if none).
+    k_in = np.empty(trials, dtype=np.intp)
+    r_max = np.empty(trials)
+    interior_max = np.empty(trials)
+    for start, radii in _radii_blocks(k, r_cell, derived_rng(seed, "mc", "topology"), trials):
+        span = slice(start, start + len(radii))
+        inside = radii <= r_in
+        k_in[span] = inside.sum(axis=1)
+        r_max[span] = radii.max(axis=1)
+        interior_max[span] = np.where(inside, radii, 0.0).max(axis=1)
 
     # Interior-count histogram against the binomial law (total variation).
-    k_in = (radii <= r_in).sum(axis=1)
     pmf = np.array([analytics.k_in_pmf(k, r_in, r_cell, j) for j in range(k + 1)])
     hist = np.bincount(k_in, minlength=k + 1) / trials
     tv = 0.5 * float(np.abs(hist - pmf).sum())
     rows.append(evaluate_check("interior_count_histogram", 0.0, tv, 0.01, "tv"))
 
     # Furthest-device mean distance.
-    r_max = radii.max(axis=1)
     _, mean_expected = analytics.max_distance_moments(k, r_cell)
     rows.append(
         evaluate_check("max_distance_mean", mean_expected, float(r_max.mean()), 0.005, "rel")
@@ -123,7 +142,6 @@ def montecarlo_rows(config: ExperimentConfig):
 
     # Expected receive SNR, cell-interior, a joint expectation: a trial adds its
     # furthest interior SNR when k_in >= 2 and 2 k_in > alpha, else 0.
-    interior_max = np.where(radii <= r_in, radii, 0.0).max(axis=1)
     usable = (k_in >= 2) & (2 * k_in > params.alpha)
     snr_interior = analytics.receive_snr(params, 1.0) * interior_max[usable] ** (-params.alpha)
     expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
@@ -137,14 +155,16 @@ def montecarlo_rows(config: ExperimentConfig):
         )
     )
 
-    # Probability that every device is ever scheduled under i.i.d. mobility.
+    # Probability that every device is ever scheduled under i.i.d. mobility;
+    # a run is one row of n_cr consecutive topologies.
     runs = min(trials, 2000)
+    n_cr = scenario.n_cr
     p_in = analytics.fraction_exploited(r_in, r_cell)
-    run_radii = network.sample_radii(
-        k, r_cell, derived_rng(seed, "mc", "mobility"), size=runs * scenario.n_cr
-    ).reshape(runs, scenario.n_cr, k)
-    ever_in = (run_radii <= r_in).any(axis=1).all(axis=1)
-    exact, _ = analytics.p_all_exploited(k, scenario.n_cr, p_in)
+    ever_in = np.empty(runs, dtype=bool)
+    for start, radii in _radii_blocks(n_cr * k, r_cell, derived_rng(seed, "mc", "mobility"), runs):
+        inside = radii.reshape(len(radii), n_cr, k) <= r_in
+        ever_in[start : start + len(radii)] = inside.any(axis=1).all(axis=1)
+    exact, _ = analytics.p_all_exploited(k, n_cr, p_in)
     rows.append(
         evaluate_check("all_data_exploited_prob", exact, float(ever_in.mean()), 0.02, "abs")
     )

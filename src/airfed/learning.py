@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import network, phy
-from .analytics import ScenarioParams, SystemParams, digital_device_snr
+from .analytics import ScenarioParams, SystemParams
 from .datasets import LabeledDataset
 from .rng import as_rng, derived_rng
 from .tables import Table
@@ -343,7 +343,7 @@ def federated_train(
                 )
                 weights = result.aggregate
                 latency_s = result.round_latency_s
-                rho0_db = _snr_db(digital_device_snr(params, ids.size, float(radii.max())))
+                rho0_db = _snr_db(result.per_device_snr[radii.argmax()])
 
         records.append(
             RoundRecord(

@@ -4,7 +4,10 @@ Covers the analog path (Rayleigh sub-channel gain draws, truncated channel
 inversion with amplitude alignment, superposition with receiver noise) and
 the digital OFDMA baseline (uniform quantization, per-device expected rate,
 straggler-bound round latency).  The digital rate is evaluated once on the
-vector of scheduled radii, not device by device.
+vector of scheduled radii, not device by device.  The digital round finds
+the global min/max of the update matrix, then quantizes, dequantizes and
+averages one block of M columns at a time, drawing any bit flips per
+block, so its working memory is O(K M) beyond the (K, q) input.
 
 Conventions:
 
@@ -33,7 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ScenarioParams, SystemParams, aligned_receive_power, rate_digital_expected
+from .analytics import (
+    ScenarioParams,
+    SystemParams,
+    aligned_receive_power,
+    digital_device_snr,
+    rate_digital_expected,
+)
 from .rng import as_rng
 
 __all__ = [
@@ -90,6 +99,7 @@ class BaaDiagnostics:
 @dataclass(frozen=True)
 class DigitalRoundResult:
     aggregate: np.ndarray
+    per_device_snr: np.ndarray
     per_device_latency_s: np.ndarray
     round_latency_s: float
 
@@ -244,18 +254,41 @@ def denormalize(aggregate, spec: NormalizationSpec, count: int = 1) -> np.ndarra
 # Digital OFDMA baseline
 # ---------------------------------------------------------------------------
 
-def _quantize(mat: np.ndarray, q_bits: int, rng, bit_flip_prob: float) -> np.ndarray:
+def _quantized_mean(mat: np.ndarray, q_bits: int, m: int, rng, bit_flip_prob: float) -> np.ndarray:
+    """Device mean of ``mat`` after uniform quantization over its global
+    [min, max] and dequantization, taken one block of m columns at a time."""
+    k, q = mat.shape
     lo = float(mat.min())
     hi = float(mat.max())
+    # numpy sums a lone column pairwise rather than in device order, so blocks
+    # are at least two wide unless q is 1: each column then sums as it would
+    # in a mean over the whole (k, q) matrix.
+    width = min(max(m, 2), q)
+    block = np.empty((k, width))
     if hi == lo:
-        return np.full_like(mat, lo)
+        block.fill(lo)
+        return np.full(q, block.mean(axis=0)[0])
     levels = (1 << q_bits) - 1
-    codes = np.rint((mat - lo) / (hi - lo) * levels).astype(np.uint64)
-    if bit_flip_prob > 0.0:
-        for bit in range(q_bits):
-            flips = rng.random(codes.shape) < bit_flip_prob
-            codes ^= flips.astype(np.uint64) << np.uint64(bit)
-    return lo + codes.astype(float) / levels * (hi - lo)
+    aggregate = np.empty(q)
+    for start in range(0, q, width):
+        # A final short block fills the leading columns; the rest are stale.
+        n = min(width, q - start)
+        part = block[:, :n]
+        np.subtract(mat[:, start : start + n], lo, out=part)
+        part /= hi - lo
+        part *= levels
+        np.rint(part, out=part)
+        if bit_flip_prob > 0.0:
+            codes = part.astype(np.uint64)
+            for bit in range(q_bits):
+                flips = rng.random(codes.shape) < bit_flip_prob
+                codes ^= flips.astype(np.uint64) << np.uint64(bit)
+            part[...] = codes
+        part /= levels
+        part *= hi - lo
+        part += lo
+        aggregate[start : start + n] = block.mean(axis=0)[:n]
+    return aggregate
 
 
 def digital_round(
@@ -271,10 +304,14 @@ def digital_round(
 
     Updates are quantized to ``params.q_bits`` per parameter with a uniform
     quantizer spanning the round's global min/max (the two range scalars
-    travel as side information and are excluded from the latency).  Delivery
-    is error-free at the target BER by default; ``bit_flip_prob`` injects
-    per-bit flips for sensitivity studies.  The round latency is the
-    straggler's: the maximum of the per-device expected latencies.
+    travel as side information and are excluded from the latency).  After
+    that min/max pass, the round quantizes, dequantizes and averages one
+    block of ``params.m`` columns at a time, so its working memory is
+    O(K M) beyond the (k, q) input.  Delivery is error-free at the target
+    BER by default; ``bit_flip_prob`` injects per-bit flips for sensitivity
+    studies, drawn block by block.  The round latency is the straggler's:
+    the maximum of the per-device expected latencies.  The result also
+    carries each device's receive SNR, from which those latencies follow.
     """
     rng = as_rng(rng)
     mat = _as_update_matrix(updates)
@@ -285,13 +322,13 @@ def digital_round(
     if q != scenario.q_dim:
         raise ValueError(f"updates have dimension {q}, scenario expects {scenario.q_dim}")
 
-    dequantized = _quantize(mat, params.q_bits, rng, bit_flip_prob)
-    aggregate = dequantized.mean(axis=0)
+    aggregate = _quantized_mean(mat, params.q_bits, params.m, rng, bit_flip_prob)
 
-    bits = q * params.q_bits
-    latencies = bits / rate_digital_expected(params, k, radii)
+    snr = digital_device_snr(params, k, radii)
+    latencies = q * params.q_bits / rate_digital_expected(params, k, radii, snr=snr)
     return DigitalRoundResult(
         aggregate=aggregate,
+        per_device_snr=snr,
         per_device_latency_s=latencies,
         round_latency_s=float(latencies.max()),
     )

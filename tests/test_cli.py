@@ -16,6 +16,7 @@ from airfed.cli import (
     write_outputs,
 )
 from airfed.config import ConfigError, DEFAULTS, dbm_to_watts, load_config, parse_config_text
+from conftest import traced_peak
 
 SMALL_TRAIN = """
 k_devices = 4
@@ -234,6 +235,22 @@ class TestMonteCarloCommand:
         config = load_config(None, overrides={**overrides, "trials": 100000})
         rows = {row[0]: row for row in cmd_montecarlo(config)["validation"].rows}
         assert rows["snr_cell_interior"][-1] == "pass"
+
+    @pytest.mark.parametrize("block_entries", [1, 31, 211])
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch, block_entries):
+        # Blocks of 10 devices split unevenly into 20,011 trials and into the
+        # 70-radius mobility runs; blocks smaller than a row still hold one.
+        overrides = {"k_devices": 10, "r_in_frac": 0.4, "n_rounds": 7, "trials": 20011}
+        config = load_config(None, overrides=overrides)
+        default = cli.montecarlo_rows(config)
+        monkeypatch.setattr(cli, "MC_BLOCK_ENTRIES", block_entries)
+        assert cli.montecarlo_rows(config) == default
+
+    def test_working_memory_below_half_a_topology_matrix(self):
+        # Topologies are drawn in blocks and reduced per trial: the traced
+        # peak stays below half of one float64 (trials, K) matrix.
+        config = load_config(None)
+        assert traced_peak(cli.montecarlo_rows, config) < 4 * config.trials * config.scenario.k_devices
 
 
 class TestExtensionsCommand:

@@ -6,7 +6,6 @@ empirically; normalization is checked by composition.
 """
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from airfed.phy import (
     normalize_updates,
 )
 from airfed.rng import derived_rng
+from conftest import traced_peak
 
 PARAMS = SystemParams(p0=0.1, m=1000, b=1e6, alpha=3.0, r_cell=100.0, g_th=0.5, n0=1e-11)
 
@@ -186,13 +186,7 @@ class TestBaaRound:
         k, q = 50, 20000
         updates = derived_rng(23, "updates").normal(0.0, 1.0, size=(k, q))
         radii = np.linspace(25.0, 95.0, k)
-        tracemalloc.start()
-        try:
-            baa_round(updates, radii, PARAMS, derived_rng(23, "round"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * k * q
+        assert traced_peak(baa_round, updates, radii, PARAMS, derived_rng(23, "round")) < 8 * k * q
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -334,6 +328,54 @@ class TestDigitalRound:
         )
         assert not np.array_equal(clean.aggregate, noisy.aggregate)
         assert np.array_equal(clean.per_device_latency_s, noisy.per_device_latency_s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        m=st.integers(1, 64),
+        q_frac=st.floats(0.0, 1.0),
+        q_bits=st.integers(1, 63),
+        spread=st.sampled_from([0.0, 1e-9, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=40, m=64, q_frac=64 / 208, q_bits=16, spread=1.0, seed=0)  # q = m + 1
+    @example(k=40, m=64, q_frac=62 / 208, q_bits=16, spread=1.0, seed=0)  # q < m
+    @example(k=40, m=1000, q_frac=1000 / 3016, q_bits=63, spread=1.0, seed=0)  # q = M + 1
+    def test_blockwise_aggregate_equals_full_matrix_quantizer(self, k, m, q_frac, q_bits, spread, seed):
+        # q spans [1, 3 m + 17]: one column, short final blocks of every
+        # width (a single column included), constant and near-constant input.
+        q = 1 + round(q_frac * (3 * m + 16))
+        mat = 0.1 + spread * derived_rng(seed, "dig").normal(0.0, 1.0, size=(k, q))
+        params = replace(PARAMS, m=m, q_bits=q_bits)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        result = digital_round(mat, np.linspace(20.0, 95.0, k), params, scenario, derived_rng(seed, "round"))
+        lo, hi = mat.min(), mat.max()
+        if hi == lo:
+            dequantized = np.full_like(mat, lo)
+        else:
+            levels = (1 << q_bits) - 1
+            codes = np.rint((mat - lo) / (hi - lo) * levels).astype(np.uint64)
+            dequantized = lo + codes.astype(float) / levels * (hi - lo)
+        assert np.array_equal(result.aggregate, dequantized.mean(axis=0))
+
+    def test_working_memory_below_one_float_matrix(self):
+        # Quantization runs one block of M columns at a time: the traced peak
+        # stays below the bytes of one float64 (K, q) array.
+        k, q = 50, 20000
+        updates = derived_rng(24, "updates").normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        peak = traced_peak(digital_round, updates, radii, PARAMS, scenario, derived_rng(24, "round"))
+        assert peak < 8 * k * q
+
+    def test_device_snr_sets_the_latencies(self):
+        k, q = 6, 40
+        radii = np.linspace(20.0, 95.0, k)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        result = digital_round(np.zeros((k, q)), radii, PARAMS, scenario, derived_rng(25, "round"))
+        assert np.array_equal(result.per_device_snr, analytics.digital_device_snr(PARAMS, k, radii))
+        rates = analytics.rate_digital_expected(PARAMS, k, radii)
+        assert np.array_equal(result.per_device_latency_s, q * PARAMS.q_bits / rates)
 
     def test_constant_updates_quantize_exactly(self):
         updates = np.full((3, 50), 1.25)
