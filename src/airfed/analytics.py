@@ -48,9 +48,6 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015328606
 
-# Axis labels allowed on TradeoffCurve
-AXIS_LABELS = ("truncation-ratio", "snr-linear", "snr-db", "data-fraction", "gain")
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -62,7 +59,8 @@ class SystemParams:
         b: total bandwidth (Hz); sub-carrier spacing is b/m.
         alpha: path-loss exponent (typically 2.5 to 4).
         r_cell: cell radius (meters).
-        g_th: power-cutoff threshold on the sub-channel gain (dimensionless).
+        g_th: power-cutoff threshold on the sub-channel gain (dimensionless),
+            positive: at 0 the expected inversion power diverges.
         n0: noise power (watts).  Set n0 = 1.0 to work in noise-normalized
             units; CLI configs ingest it from dBm.
         q_bits: quantization resolution of the digital baseline (bits/param),
@@ -91,8 +89,8 @@ class SystemParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.r_cell <= 0:
             raise ValueError(f"r_cell must be positive, got {self.r_cell}")
-        if self.g_th < 0:
-            raise ValueError(f"g_th must be >= 0, got {self.g_th}")
+        if self.g_th <= 0:
+            raise ValueError(f"g_th must be positive, got {self.g_th}")
         if self.n0 <= 0:
             raise ValueError(f"n0 must be positive, got {self.n0}")
         if not 1 <= self.q_bits <= 63:
@@ -113,14 +111,14 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Deployment scenario: device count, interior radius, round budget.
+    """Deployment scenario: device count, interior radius, model dimension.
 
     r_in is the cell-interior radius in meters; q_dim the model dimension.
+    The round count belongs to the training configuration.
     """
 
     k_devices: int
     r_in: float
-    n_cr: int
     q_dim: int
 
     def __post_init__(self):
@@ -128,32 +126,21 @@ class ScenarioParams:
             raise ValueError(f"k_devices must be >= 1, got {self.k_devices}")
         if self.r_in <= 0:
             raise ValueError(f"r_in must be positive, got {self.r_in}")
-        if self.n_cr < 1:
-            raise ValueError(f"n_cr must be >= 1, got {self.n_cr}")
         if self.q_dim < 1:
             raise ValueError(f"q_dim must be >= 1, got {self.q_dim}")
 
 
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """Ordered (abscissa, ordinate) pairs with labelled axes."""
+    """Ordered (abscissa, ordinate) pairs."""
 
     points: tuple
-    x_label: str = "truncation-ratio"
-    y_label: str = "snr-linear"
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple((float(x), float(y)) for x, y in self.points))
         xs = [x for x, _ in self.points]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("curve abscissae must be strictly increasing")
-        for label in (self.x_label, self.y_label):
-            if label not in AXIS_LABELS:
-                raise ValueError(f"unknown axis label {label!r}; expected one of {AXIS_LABELS}")
-
-    @property
-    def xs(self):
-        return tuple(x for x, _ in self.points)
 
     @property
     def ys(self):
@@ -248,23 +235,15 @@ def aligned_receive_power(params: SystemParams, r_max, g_th: float | None = None
     This is the common amplitude-squared at which every scheduled device's
     symbols arrive when the furthest device (distance r_max) transmits at
     its full power budget under truncated channel inversion.  ``r_max`` may
-    be an array of distances; the result then has its shape.
-
-    Returns 0.0 with a warning when g_th == 0: full inversion of a Rayleigh
-    channel has infinite expected power cost, so the feasible aligned power
-    collapses.
+    be an array of distances; the result then has its shape.  An explicit
+    ``g_th`` overrides ``params.g_th`` and must be positive, as
+    :func:`exp_integral` checks: at 0 full inversion of a Rayleigh channel
+    has infinite expected power cost.
     """
     r_max = np.asarray(r_max, dtype=float)
     if (r_max <= 0).any():
         raise ValueError(f"r_max must be positive, got {r_max}")
     g = params.g_th if g_th is None else g_th
-    if g == 0.0:
-        warnings.warn(
-            "g_th = 0: expected inversion power diverges, aligned receive power is 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
     return params.p0 / (params.m * r_max**params.alpha * exp_integral(g))
 
 
@@ -284,7 +263,7 @@ def snr_truncation_curve(params: SystemParams, r_max: float, zeta_grid) -> Trade
         if not 0.0 < zeta < 1.0:
             raise ValueError(f"zeta grid values must lie strictly in (0, 1), got {zeta}")
         points.append((float(zeta), receive_snr(params, r_max, cutoff_for_ratio(zeta))))
-    return TradeoffCurve(tuple(points), x_label="truncation-ratio", y_label="snr-linear")
+    return TradeoffCurve(tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +380,9 @@ def expected_snr_cell_interior(params: SystemParams, scenario: ScenarioParams):
     devices contribute nothing).
     """
     if scenario.k_devices < 2:
-        raise ValueError("cell-interior expectation needs k_devices >= 2")
+        raise ValueError(
+            f"cell-interior expectation needs k_devices >= 2 (k_devices={scenario.k_devices})"
+        )
     if scenario.r_in > params.r_cell:
         raise ValueError(f"r_in must not exceed r_cell ({scenario.r_in} > {params.r_cell})")
     p_in = fraction_exploited(scenario.r_in, params.r_cell)
@@ -434,14 +415,9 @@ def reliability_quantity_curve(params: SystemParams, k_devices: int, f_dat_grid)
     for f_dat in f_dat_grid:
         if not 0.0 < f_dat <= 1.0:
             raise ValueError(f"data fractions must lie in (0, 1], got {f_dat}")
-        scenario = ScenarioParams(
-            k_devices=k_devices,
-            r_in=params.r_cell * math.sqrt(f_dat),
-            n_cr=1,
-            q_dim=1,
-        )
+        scenario = ScenarioParams(k_devices=k_devices, r_in=params.r_cell * math.sqrt(f_dat), q_dim=1)
         points.append((float(f_dat), snr_gain(params, scenario)))
-    return TradeoffCurve(tuple(points), x_label="data-fraction", y_label="gain")
+    return TradeoffCurve(tuple(points))
 
 
 def p_all_exploited(k_devices: int, n_cr: int, p_in: float):
@@ -494,8 +470,6 @@ def digital_device_snr(params: SystemParams, k_devices: int, r):
     """Per-device OFDMA receive SNR (linear): the device spends its whole
     budget on m/k sub-channels, which scales :func:`receive_snr` by k.
     ``r`` may be an array of distances."""
-    if params.g_th <= 0:
-        raise ValueError("digital rate model requires g_th > 0")
     return k_devices * receive_snr(params, r)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +35,17 @@ from .tables import Table
 BEAM_TIE_RTOL = 1e-12
 # Monte Carlo topologies are drawn in blocks of about this many radii to bound memory.
 MC_BLOCK_ENTRIES = 1 << 20
+
+
+@contextmanager
+def _closed_form_domain():
+    """Report a closed form evaluated outside its domain as a config error:
+    the expected receive SNRs need K >= 2 under cell-interior scheduling
+    and 2K - alpha - 1 >= 0, which the config range does not guarantee."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +73,10 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
     gain_rows = []
     for alpha in values["alpha_grid"]:
         params = replace(config.system, alpha=alpha)
-        curve = analytics.reliability_quantity_curve(params, config.scenario.k_devices, values["f_dat_grid"])
+        with _closed_form_domain():
+            curve = analytics.reliability_quantity_curve(
+                params, config.scenario.k_devices, values["f_dat_grid"]
+            )
         for f_dat, gain in curve.points:
             gain_rows.append((alpha, config.scenario.k_devices, f_dat, gain))
     return {
@@ -103,6 +118,9 @@ def montecarlo_rows(config: ExperimentConfig):
     trials = config.trials
     seed = config.seed
     rows = []
+    with _closed_form_domain():
+        expected_all = analytics.expected_snr_all_inclusive(params, k)
+        expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
 
     # Per-trial reductions of the topology draws: the interior count, the
     # furthest distance and the furthest interior distance (0 if none).
@@ -133,7 +151,7 @@ def montecarlo_rows(config: ExperimentConfig):
     rows.append(
         evaluate_check(
             "snr_all_inclusive",
-            analytics.expected_snr_all_inclusive(params, k),
+            expected_all,
             float(snr_all.mean()),
             0.02,
             "rel",
@@ -144,7 +162,6 @@ def montecarlo_rows(config: ExperimentConfig):
     # furthest interior SNR when k_in >= 2 and 2 k_in > alpha, else 0.
     usable = (k_in >= 2) & (2 * k_in > params.alpha)
     snr_interior = analytics.receive_snr(params, 1.0) * interior_max[usable] ** (-params.alpha)
-    expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
     rows.append(
         evaluate_check(
             "snr_cell_interior",
@@ -158,7 +175,7 @@ def montecarlo_rows(config: ExperimentConfig):
     # Probability that every device is ever scheduled under i.i.d. mobility;
     # a run is one row of n_cr consecutive topologies.
     runs = min(trials, 2000)
-    n_cr = scenario.n_cr
+    n_cr = config.train.n_cr
     p_in = analytics.fraction_exploited(r_in, r_cell)
     ever_in = np.empty(runs, dtype=bool)
     for start, radii in _radii_blocks(n_cr * k, r_cell, derived_rng(seed, "mc", "mobility"), runs):
@@ -256,9 +273,7 @@ def _build_datasets(config: ExperimentConfig):
 def _run_once(config: ExperimentConfig, train_set, test_set, aggregation=None,
               r_in=None, g_th=None) -> learning.TrainResult:
     params = config.system if g_th is None else replace(config.system, g_th=g_th)
-    scheme = config.scheme
-    if r_in is not None and scheme.kind != "all-inclusive":
-        scheme = replace(scheme, r_in=r_in)
+    scheme = config.scheme if r_in is None else replace(config.scheme, r_in=r_in)
     train_cfg = config.train if aggregation is None else replace(config.train, aggregation=aggregation)
     return learning.federated_train(
         train_set,
@@ -274,6 +289,11 @@ def _run_once(config: ExperimentConfig, train_set, test_set, aggregation=None,
 
 
 def cmd_train(config: ExperimentConfig, grid: bool = False) -> dict:
+    if grid and config.scheme.kind == "all-inclusive":
+        raise ConfigError(
+            "train --grid sweeps r_in, which scheme = all-inclusive ignores; use "
+            "scheme = cell-interior (r_in_frac = 1 schedules every device)"
+        )
     train_set, test_set = _build_datasets(config)
     result = _run_once(config, train_set, test_set)
     out = {

@@ -229,7 +229,6 @@ def _build(values: dict) -> ExperimentConfig:
     scenario = ScenarioParams(
         k_devices=values["k_devices"],
         r_in=values["r_in_frac"] * system.r_cell,
-        n_cr=values["n_rounds"],
         q_dim=values["model_dim"],
     )
     train = TrainConfig(
@@ -254,12 +253,7 @@ def _build(values: dict) -> ExperimentConfig:
     if values["partition_mode"] == "noniid-shards":
         if shard_size is None:
             shard_size = values["train_samples"] // (values["k_devices"] * spd)
-        partition = PartitionSpec(
-            mode="noniid-shards",
-            shards_total=values["k_devices"] * spd,
-            shard_size=shard_size,
-            shards_per_device=spd,
-        )
+        partition = PartitionSpec(mode="noniid-shards", shard_size=shard_size, shards_per_device=spd)
     else:
         partition = PartitionSpec(mode="iid", shard_size=shard_size, shards_per_device=spd if shard_size else None)
 

@@ -35,13 +35,13 @@ class PartitionSpec:
     """How the training corpus is split across devices.
 
     ``iid`` ignores the shard fields unless given (they then fix the
-    per-device size); ``noniid-shards`` sorts by label, cuts the corpus
-    into ``shards_total`` runs of ``shard_size`` samples and deals
-    ``shards_per_device`` runs to each device.
+    per-device size); ``noniid-shards`` sorts by label, cuts the head of
+    the corpus into K * ``shards_per_device`` runs of ``shard_size``
+    samples, K being the device count, and deals ``shards_per_device``
+    runs to each device.
     """
 
     mode: str = "iid"
-    shards_total: int | None = None
     shard_size: int | None = None
     shards_per_device: int | None = None
 
@@ -49,9 +49,9 @@ class PartitionSpec:
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"mode must be one of {PARTITION_MODES}, got {self.mode!r}")
         if self.mode == "noniid-shards":
-            if None in (self.shards_total, self.shard_size, self.shards_per_device):
-                raise ValueError("noniid-shards partitioning needs all three shard fields")
-        for name in ("shards_total", "shard_size", "shards_per_device"):
+            if None in (self.shard_size, self.shards_per_device):
+                raise ValueError("noniid-shards partitioning needs both shard fields")
+        for name in ("shard_size", "shards_per_device"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -225,8 +225,12 @@ def global_average(local_models) -> np.ndarray:
 # Data partitioning
 # ---------------------------------------------------------------------------
 
-def partition(dataset: LabeledDataset, spec: PartitionSpec, k_devices: int, rng):
-    """Split the corpus into k equal-sized device shards."""
+def partition(dataset: LabeledDataset, spec: PartitionSpec, k_devices: int, rng) -> np.ndarray:
+    """Split the corpus into k equal-sized device shards.
+
+    Returns the (k, n) matrix of sample indices, one row per device, so
+    ``dataset.features[rows]`` stacks every shard in one gather.
+    """
     rng = as_rng(rng)
     n = len(dataset)
     if spec.mode == "iid":
@@ -238,26 +242,19 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec, k_devices: int, rng)
             raise ValueError(
                 f"cannot give {k_devices} devices {per_device} samples each from {n}"
             )
-        order = rng.permutation(n)[: per_device * k_devices]
-        chunks = order.reshape(k_devices, per_device)
-        return [dataset.subset(chunk) for chunk in chunks]
+        return rng.permutation(n)[: per_device * k_devices].reshape(k_devices, per_device)
 
     # noniid-shards: label-sorted corpus cut into equal runs, dealt at random
-    shards_total, shard_size = spec.shards_total, spec.shard_size
-    per_device_shards = spec.shards_per_device
+    shard_size = spec.shard_size
+    shards_total = k_devices * spec.shards_per_device
     if shards_total * shard_size > n:
         raise ValueError(
             f"{shards_total} shards of {shard_size} need {shards_total * shard_size} samples, have {n}"
         )
-    if k_devices * per_device_shards > shards_total:
-        raise ValueError(
-            f"{k_devices} devices x {per_device_shards} shards exceed the {shards_total} available"
-        )
     by_label = np.argsort(dataset.labels, kind="stable")[: shards_total * shard_size]
     shard_indices = by_label.reshape(shards_total, shard_size)
-    dealt = rng.permutation(shards_total)[: k_devices * per_device_shards]
-    dealt = dealt.reshape(k_devices, per_device_shards)
-    return [dataset.subset(np.concatenate(shard_indices[rows])) for rows in dealt]
+    dealt = rng.permutation(shards_total).reshape(k_devices, spec.shards_per_device)
+    return shard_indices[dealt].reshape(k_devices, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +286,9 @@ def federated_train(
     sweeps that hold one deployment fixed.
     """
     k = scenario.k_devices
-    shards = partition(dataset, partition_spec, k, derived_rng(seed, "partition"))
-    features = np.stack([shard.features for shard in shards])
-    labels = np.stack([shard.labels for shard in shards])
+    rows = partition(dataset, partition_spec, k, derived_rng(seed, "partition"))
+    features = dataset.features[rows]
+    labels = dataset.labels[rows]
     d, n_classes = dataset.n_features, dataset.n_classes
     q = model_dim(d, n_classes)
     scenario = replace(scenario, q_dim=q)

@@ -19,6 +19,9 @@ Conventions:
   just the gains of its occupied sub-channels.  The analog round walks the
   update matrix one OFDM symbol at a time, so its working memory is
   O(K M) beyond the (K, q) input and the boolean truncation mask.
+* The analog round takes its aligned receive power rho0 from
+  :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
+  from :func:`analytics.latency_baa`.
 * Transmitted symbols are real amplitudes; the receiver keeps the real part
   of the complex noise, so each aggregated entry sees noise of variance
   n0 / 2 before the 1/sqrt(rho0) and 1/K scalings.
@@ -41,12 +44,12 @@ from .analytics import (
     SystemParams,
     aligned_receive_power,
     digital_device_snr,
+    latency_baa,
     rate_digital_expected,
 )
 from .rng import as_rng
 
 __all__ = [
-    "PowerPolicy",
     "NormalizationSpec",
     "BaaDiagnostics",
     "DigitalRoundResult",
@@ -58,15 +61,6 @@ __all__ = [
     "normalize_updates",
     "denormalize",
 ]
-
-
-@dataclass(frozen=True)
-class PowerPolicy:
-    """Aligned receive power for one scheduled set and the distance of its
-    furthest device, which sets it."""
-
-    rho0: float
-    r_max: float
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,6 @@ class BaaDiagnostics:
     is the (k, q) inversion mask, True where a device's entry was sent."""
 
     rho0: float
-    r_max: float
-    n_symbols: int
     latency_s: float
     truncation_fraction: np.ndarray
     tx_power: np.ndarray
@@ -104,29 +96,27 @@ class DigitalRoundResult:
     round_latency_s: float
 
 
-def draw_channels(k_devices: int, m: int, n_symbols: int, rng) -> np.ndarray:
-    """I.i.d. Rayleigh power gains |h|^2 ~ Exp(1), shape (k, n_symbols * m);
-    column j is sub-channel j mod m of OFDM symbol j // m."""
-    if min(k_devices, m, n_symbols) < 1:
-        raise ValueError("k_devices, m and n_symbols must all be >= 1")
-    return as_rng(rng).standard_exponential((k_devices, n_symbols * m))
+def draw_channels(k_devices: int, width: int, rng) -> np.ndarray:
+    """I.i.d. Rayleigh power gains |h|^2 ~ Exp(1), shape (k_devices, width):
+    one gain per device and sub-channel of one OFDM symbol."""
+    if min(k_devices, width) < 1:
+        raise ValueError("k_devices and width must both be >= 1")
+    return as_rng(rng).standard_exponential((k_devices, width))
 
 
-def align_rho0(distances, params: SystemParams) -> PowerPolicy:
-    """Aligned receive power for a scheduled set of device distances.
+def align_rho0(distances, params: SystemParams) -> float:
+    """Aligned receive power rho0 for a scheduled set of device distances.
 
     The furthest device transmits at its full average-power budget; everyone
-    nearer backs off so all updates arrive with the same amplitude.
+    nearer backs off so all updates arrive with the same amplitude.  Every
+    distance is checked here, since rho0 depends on the furthest alone.
     """
     distances = np.asarray(distances, dtype=float)
     if distances.size == 0:
         raise ValueError("scheduled set must be nonempty")
     if np.any(distances <= 0):
         raise ValueError("distances must be positive")
-    if params.g_th <= 0:
-        raise ValueError("align_rho0 requires g_th > 0 (inversion cost diverges at 0)")
-    r_max = float(distances.max())
-    return PowerPolicy(rho0=aligned_receive_power(params, r_max), r_max=r_max)
+    return aligned_receive_power(params, float(distances.max()))
 
 
 def _as_update_matrix(updates) -> np.ndarray:
@@ -168,10 +158,9 @@ def baa_round(
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (k,):
         raise ValueError(f"radii must have shape ({k},), got {radii.shape}")
-    policy = align_rho0(radii, params)
+    rho0 = align_rho0(radii, params)
 
     m = params.m
-    n_symbols = math.ceil(q / m)
     # Unit gains pass a zero threshold, so nothing is truncated without fading.
     g_th = params.g_th if fading else 0.0
     received = np.empty(q)
@@ -183,7 +172,7 @@ def baa_round(
     terms = np.zeros((k, max(min(m, q), 2)))
     for lo in range(0, q, m):
         width = min(m, q - lo)
-        gains = draw_channels(k, width, 1, rng) if fading else np.ones((k, width))
+        gains = draw_channels(k, width, rng) if fading else np.ones((k, width))
         sent = gains >= g_th
         sent_mask[:, lo : lo + width] = sent
         terms[:, :width] = np.where(sent, mat[:, lo : lo + width], 0.0)
@@ -194,18 +183,16 @@ def baa_round(
 
     if noise:
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.
-        received += rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(policy.rho0)
+        received += rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(rho0)
     aggregate = received / k
 
     # Per-device audit: average per-symbol transmit power sum_m |p|^2, where
     # a sent entry costs rho0 r^alpha / g and a truncated one nothing.
-    tx_power = m * policy.rho0 * radii**params.alpha * inverse_gain_sum / q
+    tx_power = m * rho0 * radii**params.alpha * inverse_gain_sum / q
 
     diag = BaaDiagnostics(
-        rho0=policy.rho0,
-        r_max=policy.r_max,
-        n_symbols=n_symbols,
-        latency_s=n_symbols * params.t_s,
+        rho0=rho0,
+        latency_s=latency_baa(q, params),
         truncation_fraction=1.0 - sent_mask.mean(axis=1),
         tx_power=tx_power,
         contributor_counts=counts,

@@ -71,7 +71,7 @@ def test_criterion_02_expected_snr_validation():
     # The closed form drops 0/1-device rounds, so the conditional mean runs
     # systematically high by 1/P(K_in >= 2) - 1 (2.5% at K=20, ratio 0.5).
     for k, ratio in ((20, 0.5), (10, 0.8), (20, 0.8)):
-        scenario = ScenarioParams(k_devices=k, r_in=ratio * R_CELL, n_cr=1, q_dim=1)
+        scenario = ScenarioParams(k_devices=k, r_in=ratio * R_CELL, q_dim=1)
         expected, _ = analytics.expected_snr_cell_interior(REFERENCE, scenario)
         radii = network.sample_radii(
             k, R_CELL, derived_rng(ROOT_SEED, "c2int", k, ratio), size=trials
@@ -92,7 +92,7 @@ def test_criterion_02_expected_snr_validation():
         + [(10, 0.1 * i) for i in range(5, 10)] + [(10, 1.0)]
     )
     for k, ratio in grid:
-        scenario = ScenarioParams(k_devices=k, r_in=ratio * R_CELL, n_cr=1, q_dim=1)
+        scenario = ScenarioParams(k_devices=k, r_in=ratio * R_CELL, q_dim=1)
         _, c = analytics.expected_snr_cell_interior(REFERENCE, scenario)
         assert 1.0 <= c <= 4.0, (k, ratio, c)
 
@@ -188,7 +188,7 @@ def test_criterion_06_latency_formulas():
     k, q = 8, 3000
     updates = rng.normal(0.0, 1.0, size=(k, q))
     radii = np.linspace(20.0, 95.0, k)
-    scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+    scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
     result = phy.digital_round(updates, radii, params, scenario, rng)
     closed = analytics.latency_digital(params, scenario, float(radii.max()))
     assert abs(result.round_latency_s - closed) / closed < 1e-9
@@ -196,14 +196,14 @@ def test_criterion_06_latency_formulas():
     # gamma * log2(K)/K within a 25% band over K = 64, 256, 1024.
     values = []
     for k in (64, 256, 1024):
-        scen = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=582026)
+        scen = ScenarioParams(k_devices=k, r_in=50.0, q_dim=582026)
         gamma = analytics.latency_reduction_ratio(SystemParams(g_th=0.1), scen, 100.0)
         values.append(gamma * math.log2(k) / k)
     assert (max(values) - min(values)) / min(values) < 0.25
 
     # Reference parameters (K = 200, Q = 16, BER = 1e-3, M = 1000,
     # P0 = 0.1 W, -80 dBm, alpha = 3, r_max = 50): ratio in the 10x-1000x band.
-    scen = ScenarioParams(k_devices=200, r_in=50.0, n_cr=1, q_dim=582026)
+    scen = ScenarioParams(k_devices=200, r_in=50.0, q_dim=582026)
     gamma = analytics.latency_reduction_ratio(REFERENCE, scen, 50.0)
     assert 10.0 <= gamma <= 1000.0, gamma
 
@@ -222,7 +222,7 @@ def corpus():
 class TestCriterion07LearningDeskScale:
     """Desk-scale training phenomena (K = 20, softmax regression, synthetic)."""
 
-    NONIID = PartitionSpec(mode="noniid-shards", shards_total=40, shard_size=50, shards_per_device=2)
+    NONIID = PartitionSpec(mode="noniid-shards", shard_size=50, shards_per_device=2)
     SEEDS = (11, 22, 33, 44, 55)
 
     def test_a_interior_maximum(self, corpus):
@@ -236,7 +236,7 @@ class TestCriterion07LearningDeskScale:
             finals = []
             for seed in self.SEEDS:
                 params = SystemParams(p0=3e-4, alpha=3.5, g_th=0.2)
-                scen = ScenarioParams(k_devices=20, r_in=frac * R_CELL, n_cr=60, q_dim=1)
+                scen = ScenarioParams(k_devices=20, r_in=frac * R_CELL, q_dim=1)
                 cfg = TrainConfig(eta=0.3, tau=1, n_cr=60, batch_size=None, aggregation="baa")
                 result = federated_train(
                     train, self.NONIID, cfg, params, scen,
@@ -256,7 +256,7 @@ class TestCriterion07LearningDeskScale:
         # Moderate SNR, matched settings: final accuracies within 3 points.
         train, test = corpus
         params = SystemParams(p0=0.1, alpha=3.0, g_th=0.05)
-        scen = ScenarioParams(k_devices=20, r_in=50.0, n_cr=40, q_dim=1)
+        scen = ScenarioParams(k_devices=20, r_in=50.0, q_dim=1)
         gaps = []
         for seed in (11, 22, 33):
             finals = {}
@@ -276,7 +276,7 @@ class TestCriterion07LearningDeskScale:
         # cell-edge data that pure interior scheduling never sees.
         train, test = corpus
         params = SystemParams(p0=0.1, alpha=3.0, g_th=0.2)
-        scen = ScenarioParams(k_devices=20, r_in=50.0, n_cr=40, q_dim=1)
+        scen = ScenarioParams(k_devices=20, r_in=50.0, q_dim=1)
         cfg = TrainConfig(eta=0.5, tau=1, n_cr=40, batch_size=None, aggregation="baa")
         interior, alternating = [], []
         for seed in self.SEEDS:

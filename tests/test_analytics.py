@@ -112,10 +112,9 @@ class TestReceiveSnr:
         )
         assert receive_snr(doubled, 80.0) == 2.0 * receive_snr(FIG_PARAMS, 80.0)
 
-    def test_zero_threshold_collapses_with_warning(self):
-        params = SystemParams(g_th=0.0)
-        with pytest.warns(RuntimeWarning):
-            assert receive_snr(params, 50.0) == 0.0
+    def test_zero_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            SystemParams(g_th=0.0)
 
     def test_reference_point_curve_increasing(self):
         # 0.1 W, 1000 sub-channels, 100 m, -80 dBm: SNR rises monotonically
@@ -146,10 +145,6 @@ class TestTradeoffCurveType:
     def test_rejects_non_increasing_abscissae(self):
         with pytest.raises(ValueError):
             TradeoffCurve(((0.2, 1.0), (0.2, 2.0)))
-
-    def test_rejects_unknown_labels(self):
-        with pytest.raises(ValueError):
-            TradeoffCurve(((0.1, 1.0),), x_label="bogus")
 
 
 class TestInteriorFraction:
@@ -237,7 +232,7 @@ class TestExpectedSnr:
     def test_interior_degenerate_full_cell(self):
         # r_in = r_cell puts all binomial mass at k = K.
         for k in [5, 20, 200]:
-            scenario = ScenarioParams(k_devices=k, r_in=100.0, n_cr=1, q_dim=1)
+            scenario = ScenarioParams(k_devices=k, r_in=100.0, q_dim=1)
             _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
             assert c == pytest.approx(2.0 * k / (2.0 * k - 3.0), rel=1e-12)
 
@@ -251,7 +246,7 @@ class TestExpectedSnr:
             + [(5, 0.1 * i) for i in range(5, 10)] + [(5, 1.0)]
         )
         for k, ratio in grid:
-            scenario = ScenarioParams(k_devices=k, r_in=float(ratio) * 100.0, n_cr=1, q_dim=1)
+            scenario = ScenarioParams(k_devices=k, r_in=float(ratio) * 100.0, q_dim=1)
             _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
             assert 1.0 <= c <= 4.0, (k, ratio, c)
 
@@ -259,31 +254,31 @@ class TestExpectedSnr:
         # Outside the large-count regime the dropped 0/1-device rounds pull
         # the factor below 1; the implementation warns instead of lying.
         for k, ratio in [(5, 0.1), (10, 0.3), (20, 0.2)]:
-            scenario = ScenarioParams(k_devices=k, r_in=ratio * 100.0, n_cr=1, q_dim=1)
+            scenario = ScenarioParams(k_devices=k, r_in=ratio * 100.0, q_dim=1)
             with pytest.warns(RuntimeWarning):
                 _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
             assert c < 1.0
 
     def test_interior_needs_two_devices(self):
         with pytest.raises(ValueError):
-            expected_snr_cell_interior(FIG_PARAMS, ScenarioParams(k_devices=1, r_in=50.0, n_cr=1, q_dim=1))
+            expected_snr_cell_interior(FIG_PARAMS, ScenarioParams(k_devices=1, r_in=50.0, q_dim=1))
 
 
 class TestSnrGain:
     def test_identity_at_full_cell(self):
-        scenario = ScenarioParams(k_devices=20, r_in=100.0, n_cr=1, q_dim=1)
+        scenario = ScenarioParams(k_devices=20, r_in=100.0, q_dim=1)
         assert snr_gain(FIG_PARAMS, scenario) == 1.0
 
     def test_increasing_as_interior_shrinks(self):
         gains = [
-            snr_gain(FIG_PARAMS, ScenarioParams(k_devices=20, r_in=r, n_cr=1, q_dim=1))
+            snr_gain(FIG_PARAMS, ScenarioParams(k_devices=20, r_in=r, q_dim=1))
             for r in [100.0, 80.0, 60.0, 40.0]
         ]
         assert all(b > a for a, b in zip(gains, gains[1:]))
 
     def test_matches_power_law_form(self):
         for ratio in [0.4, 0.6, 0.9]:
-            scenario = ScenarioParams(k_devices=50, r_in=ratio * 100.0, n_cr=1, q_dim=1)
+            scenario = ScenarioParams(k_devices=50, r_in=ratio * 100.0, q_dim=1)
             gain = snr_gain(FIG_PARAMS, scenario)
             _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
             a = (2 * 50 - 3.0) / (2 * 50) * c
@@ -306,7 +301,7 @@ class TestReliabilityQuantityCurve:
         for f_dat in [0.2, 0.5, 0.8]:
             curve = reliability_quantity_curve(FIG_PARAMS, 30, [f_dat])
             scenario = ScenarioParams(
-                k_devices=30, r_in=100.0 * math.sqrt(f_dat), n_cr=1, q_dim=1
+                k_devices=30, r_in=100.0 * math.sqrt(f_dat), q_dim=1
             )
             assert abs(curve.ys[0] - snr_gain(FIG_PARAMS, scenario)) < 1e-9
 
@@ -351,7 +346,6 @@ CONFIG_SCENARIOS = st.builds(
     ScenarioParams,
     k_devices=st.integers(1, 1000),
     r_in=st.just(50.0),
-    n_cr=st.just(50),
     q_dim=st.integers(1, 582026),
 )
 # Distances on (0, r_cell], kept clear of 0 where r^alpha underflows.
@@ -359,7 +353,7 @@ CELL_DISTANCES = st.floats(1e-3, 100.0)
 
 
 class TestLatency:
-    SCENARIO = ScenarioParams(k_devices=200, r_in=50.0, n_cr=50, q_dim=582026)
+    SCENARIO = ScenarioParams(k_devices=200, r_in=50.0, q_dim=582026)
 
     @settings(max_examples=200, deadline=None)
     @given(params=CONFIG_SYSTEMS, scenario=CONFIG_SCENARIOS, r=CELL_DISTANCES, r_other=CELL_DISTANCES)
@@ -405,8 +399,8 @@ class TestLatency:
 
     def test_digital_approximately_linear_in_devices(self):
         for k in [50, 100, 200, 500]:
-            t1 = latency_digital(FIG_PARAMS, ScenarioParams(k, 50.0, 50, 582026), 100.0)
-            t2 = latency_digital(FIG_PARAMS, ScenarioParams(2 * k, 50.0, 50, 582026), 100.0)
+            t1 = latency_digital(FIG_PARAMS, ScenarioParams(k, 50.0, 582026), 100.0)
+            t2 = latency_digital(FIG_PARAMS, ScenarioParams(2 * k, 50.0, 582026), 100.0)
             assert 1.6 <= t2 / t1 <= 2.0
 
     def test_ratio_linear_in_quant_bits(self):
@@ -417,7 +411,7 @@ class TestLatency:
         assert r16 == pytest.approx(2.0 * r8, rel=1e-12)
 
     def test_ratio_matches_quotient_when_q_divides(self):
-        scenario = ScenarioParams(k_devices=100, r_in=50.0, n_cr=50, q_dim=5000)
+        scenario = ScenarioParams(k_devices=100, r_in=50.0, q_dim=5000)
         quotient = latency_digital(FIG_PARAMS, scenario, 70.0) / latency_baa(5000, FIG_PARAMS)
         closed = latency_reduction_ratio(FIG_PARAMS, scenario, 70.0)
         assert abs(quotient - closed) / closed < 1e-9
@@ -426,7 +420,7 @@ class TestLatency:
         # gamma * log2(K) / K drifts by < 25% across K = 64, 256, 1024.
         values = []
         for k in [64, 256, 1024]:
-            scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=50, q_dim=582026)
+            scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=582026)
             gamma = latency_reduction_ratio(SystemParams(g_th=0.1), scenario, 100.0)
             values.append(gamma * math.log2(k) / k)
         assert (max(values) - min(values)) / min(values) < 0.25
@@ -438,7 +432,7 @@ class TestLatency:
         for g_th in [0.1, 0.2, 0.5]:
             params = SystemParams(g_th=g_th)
             for k in [10, 20, 50, 100, 200]:
-                scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=50, q_dim=582026)
+                scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=582026)
                 gamma = latency_reduction_ratio(params, scenario, 50.0)
                 assert 10.0 <= gamma <= 1000.0, (g_th, k, gamma)
 
@@ -521,6 +515,6 @@ class TestSystemParamsInvariants:
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
-            ScenarioParams(k_devices=0, r_in=10.0, n_cr=1, q_dim=1)
+            ScenarioParams(k_devices=0, r_in=10.0, q_dim=1)
         with pytest.raises(ValueError):
-            ScenarioParams(k_devices=1, r_in=-1.0, n_cr=1, q_dim=1)
+            ScenarioParams(k_devices=1, r_in=-1.0, q_dim=1)

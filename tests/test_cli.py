@@ -129,6 +129,41 @@ class TestConfig:
         key = line.split("=")[0].strip()
         assert f"error: {key} " in capsys.readouterr().err
 
+    # The reports' closed forms need K >= 2 (cell-interior scheduling) and
+    # 2K - alpha - 1 >= 0 (expected receive SNR).
+    @pytest.mark.parametrize(
+        "lines, command",
+        [
+            ("k_devices = 1", "tradeoff"),
+            ("k_devices = 1", "montecarlo"),
+            ("k_devices = 2", "tradeoff"),
+            ("k_devices = 3\npath_loss_exponent = 6.5", "montecarlo"),
+        ],
+        ids=["k1-tradeoff", "k1-montecarlo", "k2-tradeoff", "k3-alpha6.5-montecarlo"],
+    )
+    def test_closed_form_outside_its_domain_exits_cleanly(self, tmp_path, capsys, lines, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(lines + "\ntrials = 2000\n")
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "k_devices" in err
+
+    @pytest.mark.parametrize("command", ["latency", "train", "compare", "extensions"])
+    def test_single_device_runs_where_no_closed_form_is_undefined(self, tmp_path, command):
+        path = tmp_path / "one.cfg"
+        path.write_text(SMALL_TRAIN + "k_devices = 1\n")
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_grid_under_all_inclusive_is_rejected(self, tmp_path, capsys):
+        # All-inclusive scheduling ignores r_in, so every grid row would repeat one run.
+        path = tmp_path / "grid.cfg"
+        path.write_text(SMALL_TRAIN)
+        assert cli.main(["train", "--grid", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "scheme" in err and "cell-interior" in err
+
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("# comment\nk_grid = 2, 4, 8\np0_watts = 0.5  # inline\n")
@@ -278,10 +313,10 @@ class TestExtensionsCommand:
 class TestTrainCompareCommands:
     def test_train_trace_and_grid(self, tmp_path):
         path = tmp_path / "train.cfg"
-        path.write_text(SMALL_TRAIN)
+        path.write_text(SMALL_TRAIN + "scheme = cell-interior\n")
         config = load_config(path)
         tables = run_command("train", config, grid=True)
-        trace = tables["trace_all-inclusive_baa"]
+        trace = tables["trace_cell-interior_baa"]
         assert trace.columns == (
             "round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac", "k_scheduled"
         )

@@ -60,11 +60,11 @@ class TestLossAndGradient:
 
     def test_global_loss_is_mean_of_local(self):
         data = toy_dataset(n=60)
-        shards = partition(data, PartitionSpec(mode="iid"), 6, derived_rng(1, "p"))
+        rows = partition(data, PartitionSpec(mode="iid"), 6, derived_rng(1, "p"))
         weights = init_weights(data.n_features, data.n_classes, derived_rng(1, "w"))
-        mean_local = np.mean([local_loss(weights, s) for s in shards])
-        features = np.stack([s.features for s in shards])
-        labels = np.stack([s.labels for s in shards])
+        mean_local = np.mean([local_loss(weights, data.subset(row)) for row in rows])
+        features = data.features[rows]
+        labels = data.labels[rows]
         assert global_loss(weights, features, labels, data.n_classes) == pytest.approx(mean_local, abs=1e-12)
 
     def test_gradient_matches_central_differences(self):
@@ -204,41 +204,40 @@ class TestPartition:
         # 2000 samples, 10 balanced classes, 40 shards of 50: shards align
         # with class boundaries, so two shards mean at most two labels.
         data = synth_gaussian_mixture(10, 12, 2000, seed=21)
-        spec = PartitionSpec(mode="noniid-shards", shards_total=40, shard_size=50, shards_per_device=2)
-        shards = partition(data, spec, 20, derived_rng(8, "p"))
-        assert len(shards) == 20
-        for shard in shards:
-            assert len(shard) == 100
-            assert len(np.unique(shard.labels)) <= 2
+        spec = PartitionSpec(mode="noniid-shards", shard_size=50, shards_per_device=2)
+        rows = partition(data, spec, 20, derived_rng(8, "p"))
+        assert rows.shape == (20, 100)
+        for row in rows:
+            assert len(np.unique(data.labels[row])) <= 2
 
     def test_iid_label_histogram_concentrates(self):
         data = synth_gaussian_mixture(10, 8, 2000, seed=22)
-        shards = partition(data, PartitionSpec(mode="iid"), 20, derived_rng(9, "p"))
-        n_per = len(shards[0])
-        for shard in shards:
-            hist = np.bincount(shard.labels, minlength=10) / n_per
+        rows = partition(data, PartitionSpec(mode="iid"), 20, derived_rng(9, "p"))
+        n_per = rows.shape[1]
+        for row in rows:
+            hist = np.bincount(data.labels[row], minlength=10) / n_per
             # 3 sigma for a multinomial cell at p = 0.1.
             sigma = np.sqrt(0.1 * 0.9 / n_per)
             assert np.all(np.abs(hist - 0.1) <= 3 * sigma + 1e-9)
 
     def test_union_covers_selection_exactly(self):
         data = synth_gaussian_mixture(10, 8, 2000, seed=23)
-        spec = PartitionSpec(mode="noniid-shards", shards_total=40, shard_size=50, shards_per_device=2)
-        shards = partition(data, spec, 20, derived_rng(10, "p"))
-        all_features = np.vstack([s.features for s in shards])
+        spec = PartitionSpec(mode="noniid-shards", shard_size=50, shards_per_device=2)
+        rows = partition(data, spec, 20, derived_rng(10, "p"))
+        all_features = np.vstack([data.subset(row).features for row in rows])
         assert all_features.shape[0] == 2000
         # No duplication: feature rows are distinct with probability one.
         assert len(np.unique(all_features, axis=0)) == 2000
 
     def test_equal_shard_sizes(self):
         data = synth_gaussian_mixture(10, 8, 1995, seed=24)
-        shards = partition(data, PartitionSpec(mode="iid"), 20, derived_rng(11, "p"))
-        sizes = {len(s) for s in shards}
+        rows = partition(data, PartitionSpec(mode="iid"), 20, derived_rng(11, "p"))
+        sizes = {len(data.subset(row)) for row in rows}
         assert sizes == {1995 // 20}
 
     def test_insufficient_samples_rejected(self):
         data = synth_gaussian_mixture(10, 8, 100, seed=25)
-        spec = PartitionSpec(mode="noniid-shards", shards_total=40, shard_size=50, shards_per_device=2)
+        spec = PartitionSpec(mode="noniid-shards", shard_size=50, shards_per_device=2)
         with pytest.raises(ValueError):
             partition(data, spec, 20, derived_rng(12, "p"))
 
@@ -250,23 +249,24 @@ class TestPartition:
 
 
 class TestFederatedTrain:
-    def scenario(self, k, n_cr=10):
-        return ScenarioParams(k_devices=k, r_in=50.0, n_cr=n_cr, q_dim=1)
+    def scenario(self, k):
+        return ScenarioParams(k_devices=k, r_in=50.0, q_dim=1)
 
     def test_single_device_ideal_equals_centralized(self):
         data = toy_dataset(n=50, seed=31)
         cfg = TrainConfig(eta=0.3, tau=2, n_cr=8, batch_size=16, aggregation="ideal")
         seed = 99
         result = federated_train(
-            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(1, 8),
+            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(1),
             SchedulingScheme.all_inclusive(), seed, data,
         )
         # Centralized replay with the same derived streams.
-        shards = partition(data, PartitionSpec(mode="iid"), 1, derived_rng(seed, "partition"))
+        rows = partition(data, PartitionSpec(mode="iid"), 1, derived_rng(seed, "partition"))
+        shard = data.subset(rows[0])
         w = init_weights(data.n_features, data.n_classes, derived_rng(seed, "init"))
         for rnd in range(8):
             w = local_sgd(
-                w, shards[0].features, shards[0].labels, shards[0].n_classes,
+                w, shard.features, shard.labels, shard.n_classes,
                 0.3, 2, 16, derived_rng(seed, "sgd", rnd),
             )
         assert np.array_equal(result.final_weights, w)
@@ -283,7 +283,7 @@ class TestFederatedTrain:
         for aggregation in ("ideal", "baa", "digital"):
             cfg = TrainConfig(eta=0.3, tau=1, n_cr=10, batch_size=None, aggregation=aggregation)
             result = federated_train(
-                data, PartitionSpec(mode="iid"), cfg, quiet, self.scenario(5, 10),
+                data, PartitionSpec(mode="iid"), cfg, quiet, self.scenario(5),
                 SchedulingScheme.all_inclusive(), 777, data,
             )
             finals[aggregation] = result.final_weights
@@ -295,7 +295,7 @@ class TestFederatedTrain:
         cfg = TrainConfig(eta=0.4, tau=1, n_cr=6, batch_size=None, aggregation="baa")
         runs = [
             federated_train(
-                data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4, 6),
+                data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4),
                 SchedulingScheme.cell_interior(70.0), 1234, data, mobility="iid-resample",
             )
             for _ in range(2)
@@ -309,7 +309,7 @@ class TestFederatedTrain:
         cfg = TrainConfig(eta=0.3, tau=1, n_cr=4, batch_size=None, aggregation="ideal")
         # Interior radius so small that no device qualifies.
         result = federated_train(
-            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4, 4),
+            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4),
             SchedulingScheme.cell_interior(1e-6), 55, data,
         )
         assert all(r.k_scheduled == 0 for r in result.records)
@@ -324,7 +324,7 @@ class TestFederatedTrain:
         train = synth_gaussian_mixture(10, 16, 2000, seed=101, separation=6.0)
         test = synth_gaussian_mixture(10, 16, 5000, seed=102, separation=6.0)
         cfg = TrainConfig(eta=0.5, tau=1, n_cr=50, batch_size=None, aggregation="ideal")
-        scen = ScenarioParams(k_devices=20, r_in=50.0, n_cr=50, q_dim=1)
+        scen = ScenarioParams(k_devices=20, r_in=50.0, q_dim=1)
         result = federated_train(
             train, PartitionSpec(mode="iid"), cfg, PARAMS, scen,
             SchedulingScheme.all_inclusive(), 424242, test,
@@ -336,11 +336,29 @@ class TestFederatedTrain:
             assert trace[rnd] == pytest.approx(value, abs=1e-9)
         assert result.records[-1].loss == pytest.approx(0.10092623807905192, abs=1e-9)
 
+    def test_noniid_alternating_mobile_minibatch_golden_trace(self):
+        # Fixed-seed regression baseline for the non-default path: label
+        # shards, alternating scheduling, i.i.d. mobility and minibatches.
+        train = synth_gaussian_mixture(10, 16, 2000, seed=101)
+        test = synth_gaussian_mixture(10, 16, 5000, seed=102)
+        cfg = TrainConfig(eta=0.5, tau=2, n_cr=12, batch_size=16, aggregation="ideal")
+        scen = ScenarioParams(k_devices=20, r_in=50.0, q_dim=1)
+        result = federated_train(
+            train, PartitionSpec(mode="noniid-shards", shard_size=50, shards_per_device=2),
+            cfg, PARAMS, scen, SchedulingScheme.alternating(50.0, 1), 7, test,
+            mobility="iid-resample",
+        )
+        golden = {0: (0.4032, 2), 5: (0.9722, 20), 11: (0.989, 20)}
+        for rnd, (acc, k_scheduled) in golden.items():
+            assert result.records[rnd].accuracy == pytest.approx(acc, abs=1e-9)
+            assert result.records[rnd].k_scheduled == k_scheduled
+        assert result.records[-1].loss == pytest.approx(0.19534096851497157, abs=1e-9)
+
     def test_trace_schema(self):
         data = toy_dataset(n=40, seed=35)
         cfg = TrainConfig(eta=0.3, tau=1, n_cr=3, batch_size=None, aggregation="baa")
         result = federated_train(
-            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4, 3),
+            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4),
             SchedulingScheme.all_inclusive(), 66, data,
         )
         text = trace_csv(result)

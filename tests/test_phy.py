@@ -42,22 +42,22 @@ def masked_mean_oracle(updates, masks, divisor):
 
 class TestDrawChannels:
     def test_unit_mean_power(self):
-        gains = draw_channels(10, 1000, 100, derived_rng(1, "pw"))
+        gains = draw_channels(10, 100_000, derived_rng(1, "pw"))
         assert np.mean(gains) == pytest.approx(1.0, rel=0.005)
 
     def test_cutoff_probability(self):
-        gains = draw_channels(10, 1000, 100, derived_rng(1, "cut"))
+        gains = draw_channels(10, 100_000, derived_rng(1, "cut"))
         empirical = np.mean(gains < 0.5)
         assert empirical == pytest.approx(truncation_ratio(0.5), abs=0.005)
 
     def test_same_seed_identical(self):
-        a = draw_channels(3, 16, 4, derived_rng(2, "det"))
-        b = draw_channels(3, 16, 4, derived_rng(2, "det"))
+        a = draw_channels(3, 64, derived_rng(2, "det"))
+        b = draw_channels(3, 64, derived_rng(2, "det"))
         assert np.array_equal(a, b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            draw_channels(0, 10, 1, derived_rng(0))
+            draw_channels(0, 10, derived_rng(0))
 
 
 class TestAlignRho0:
@@ -65,20 +65,19 @@ class TestAlignRho0:
         # Alone, the device transmits at full budget: rho0 equals the
         # per-distance maximum p0 / (m r^alpha E1(g_th)).
         r = 42.0
-        policy = align_rho0([r], PARAMS)
+        rho0 = align_rho0([r], PARAMS)
         bound = PARAMS.p0 / (PARAMS.m * r**PARAMS.alpha * exp_integral(PARAMS.g_th))
-        assert policy.rho0 == pytest.approx(bound, rel=1e-12)
-        assert policy.r_max == r
+        assert rho0 == pytest.approx(bound, rel=1e-12)
 
     def test_furthest_device_at_equality_near_at_margin(self):
         # Two devices: the near one backs off, the far one averages to its
         # full budget (checked over many channel draws).
         radii = np.array([30.0, 90.0])
-        policy = align_rho0(radii, PARAMS)
+        rho0 = align_rho0(radii, PARAMS)
         rng = derived_rng(3, "audit")
         gains = rng.exponential(1.0, size=(2, 100000))
         per_entry = np.where(
-            gains >= PARAMS.g_th, policy.rho0 * radii[:, None] ** PARAMS.alpha / gains, 0.0
+            gains >= PARAMS.g_th, rho0 * radii[:, None] ** PARAMS.alpha / gains, 0.0
         )
         avg_power = PARAMS.m * per_entry.mean(axis=1)
         assert avg_power[0] < PARAMS.p0
@@ -88,7 +87,7 @@ class TestAlignRho0:
         radii = np.array([20.0, 50.0, 95.0])
         all_in = align_rho0(radii, PARAMS)
         interior = align_rho0(radii[:2], PARAMS)
-        assert interior.rho0 > all_in.rho0
+        assert interior > all_in
 
     def test_zero_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +139,6 @@ class TestBaaRound:
     def test_latency_matches_closed_form(self):
         updates = np.zeros((2, 2500))
         _, diag = baa_round(updates, [40.0, 80.0], PARAMS, derived_rng(10, "lat"), noise=False)
-        assert diag.n_symbols == 3
         assert diag.latency_s == analytics.latency_baa(2500, PARAMS)
 
     def test_noise_scale(self):
@@ -245,7 +243,7 @@ class TestDigitalRound:
         updates = rng.normal(0.0, 1.0, size=(6, 4000))
         radii = np.linspace(20.0, 95.0, 6)
         params = SystemParams(q_bits=32, g_th=0.5)
-        scenario = ScenarioParams(k_devices=6, r_in=50.0, n_cr=1, q_dim=4000)
+        scenario = ScenarioParams(k_devices=6, r_in=50.0, q_dim=4000)
         result = digital_round(updates, radii, params, scenario, derived_rng(15, "round"))
         exact = updates.mean(axis=0)
         scale = np.abs(exact).max()
@@ -256,7 +254,7 @@ class TestDigitalRound:
         k, q = 8, 3000
         updates = rng.normal(0.0, 1.0, size=(k, q))
         radii = np.linspace(20.0, 95.0, k)
-        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
         result = digital_round(updates, radii, PARAMS, scenario, derived_rng(16, "round"))
         closed = analytics.latency_digital(PARAMS, scenario, float(radii.max()))
         assert abs(result.round_latency_s - closed) / closed < 1e-9
@@ -266,7 +264,7 @@ class TestDigitalRound:
         # radius are one expression, so they agree bit for bit.
         k, q = 200, 4
         updates = derived_rng(20, "dig").normal(0.0, 1.0, size=(k, q))
-        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
         for draw in range(120):
             radii = 100.0 * np.sqrt(derived_rng(20, "radii", draw).random(k))
             result = digital_round(updates, radii, PARAMS, scenario, derived_rng(20, "round", draw))
@@ -284,7 +282,7 @@ class TestDigitalRound:
         # near 0 give an infinite SNR, which both sides must agree on too.
         params = replace(PARAMS, alpha=alpha, g_th=g_th, ber=ber)
         k, q = len(radii), 2
-        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
         vector = np.array(radii)
         with np.errstate(divide="ignore", over="ignore"):
             rates = analytics.rate_digital_expected(params, k, vector)
@@ -298,7 +296,7 @@ class TestDigitalRound:
         rng = derived_rng(21, "dig")
         updates = rng.normal(0.0, 1.0, size=(4, 2000))
         params = SystemParams(q_bits=63, g_th=0.5)
-        scenario = ScenarioParams(k_devices=4, r_in=50.0, n_cr=1, q_dim=2000)
+        scenario = ScenarioParams(k_devices=4, r_in=50.0, q_dim=2000)
         radii = np.linspace(30.0, 90.0, 4)
         result = digital_round(updates, radii, params, scenario, derived_rng(21, "round"))
         span = updates.max() - updates.min()
@@ -312,7 +310,7 @@ class TestDigitalRound:
         k = 5
         updates = rng.normal(0.0, 1.0, size=(k, 100))
         radii = np.array([20.0, 35.0, 50.0, 70.0, 95.0])
-        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=100)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=100)
         result = digital_round(updates, radii, PARAMS, scenario, derived_rng(17, "round"))
         assert np.all(np.diff(result.per_device_latency_s) > 0)
         assert result.round_latency_s == result.per_device_latency_s[-1]
@@ -321,7 +319,7 @@ class TestDigitalRound:
         rng = derived_rng(18, "dig")
         updates = rng.normal(0.0, 1.0, size=(4, 500))
         radii = np.linspace(30.0, 90.0, 4)
-        scenario = ScenarioParams(k_devices=4, r_in=50.0, n_cr=1, q_dim=500)
+        scenario = ScenarioParams(k_devices=4, r_in=50.0, q_dim=500)
         clean = digital_round(updates, radii, PARAMS, scenario, derived_rng(18, "round"))
         noisy = digital_round(
             updates, radii, PARAMS, scenario, derived_rng(18, "round"), bit_flip_prob=0.01
@@ -347,7 +345,7 @@ class TestDigitalRound:
         q = 1 + round(q_frac * (3 * m + 16))
         mat = 0.1 + spread * derived_rng(seed, "dig").normal(0.0, 1.0, size=(k, q))
         params = replace(PARAMS, m=m, q_bits=q_bits)
-        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
         result = digital_round(mat, np.linspace(20.0, 95.0, k), params, scenario, derived_rng(seed, "round"))
         lo, hi = mat.min(), mat.max()
         if hi == lo:
@@ -364,14 +362,14 @@ class TestDigitalRound:
         k, q = 50, 20000
         updates = derived_rng(24, "updates").normal(0.0, 1.0, size=(k, q))
         radii = np.linspace(25.0, 95.0, k)
-        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
         peak = traced_peak(digital_round, updates, radii, PARAMS, scenario, derived_rng(24, "round"))
         assert peak < 8 * k * q
 
     def test_device_snr_sets_the_latencies(self):
         k, q = 6, 40
         radii = np.linspace(20.0, 95.0, k)
-        scenario = ScenarioParams(k_devices=k, r_in=50.0, n_cr=1, q_dim=q)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
         result = digital_round(np.zeros((k, q)), radii, PARAMS, scenario, derived_rng(25, "round"))
         assert np.array_equal(result.per_device_snr, analytics.digital_device_snr(PARAMS, k, radii))
         rates = analytics.rate_digital_expected(PARAMS, k, radii)
@@ -380,6 +378,6 @@ class TestDigitalRound:
     def test_constant_updates_quantize_exactly(self):
         updates = np.full((3, 50), 1.25)
         radii = np.array([30.0, 60.0, 90.0])
-        scenario = ScenarioParams(k_devices=3, r_in=50.0, n_cr=1, q_dim=50)
+        scenario = ScenarioParams(k_devices=3, r_in=50.0, q_dim=50)
         result = digital_round(updates, radii, PARAMS, scenario, derived_rng(19, "round"))
         assert np.all(result.aggregate == 1.25)
