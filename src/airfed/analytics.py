@@ -487,13 +487,11 @@ def rate_digital_expected(params: SystemParams, k_devices: int, r_k, *, snr=None
     survives with probability exp(-g_th).  ``r_k`` may be an array of
     distances, one rate per entry; the cutoff integral is evaluated once.
     A caller that already holds ``digital_device_snr(params, k_devices,
-    r_k)`` passes it as ``snr`` so the integral is not evaluated again.
+    r_k)`` passes it as ``snr`` so the integral is not evaluated again;
+    otherwise :func:`aligned_receive_power` checks that ``r_k`` is positive.
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    r_k = np.asarray(r_k, dtype=float)
-    if (r_k <= 0).any():
-        raise ValueError(f"r_k must be positive, got {r_k}")
     if snr is None:
         snr = digital_device_snr(params, k_devices, r_k)
     return params.m / k_devices * params.b_sub * _bits_per_symbol(params, snr)

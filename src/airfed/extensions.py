@@ -18,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_rng
+from .rng import as_rng, row_blocks
 
 SYMBOLS_PER_TRIAL = 64
-# Suppression trials are drawn in blocks of about this many chips to bound memory.
-CHIPS_PER_BLOCK = 1 << 20
 
 __all__ = [
     "SpreadingCode",
@@ -124,16 +122,17 @@ def suppression_ratio(gamma: int, trials: int, rng) -> float:
     """Suppression of unit white interference by despreading, pooled over
     trials of ``SYMBOLS_PER_TRIAL`` symbols: total chip power over gamma
     divided by total despread power, which concentrates on gamma.  One code
-    serves every trial, since white interference does not depend on it."""
+    serves every trial, since white interference does not depend on it.
+    The interference is drawn and despread in the row blocks of
+    :func:`rng.row_blocks`, so memory stays bounded at any ``trials``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = as_rng(rng)
     code = pn_code(gamma, rng)
     chips = SYMBOLS_PER_TRIAL * gamma
-    rows = max(1, CHIPS_PER_BLOCK // chips)
     raw_power = despread_power = 0.0
-    for start in range(0, trials, rows):
-        interference = rng.standard_normal((min(rows, trials - start), chips))
+    for start, stop in row_blocks(trials, chips):
+        interference = rng.standard_normal((stop - start, chips))
         raw_power += float(np.square(interference).sum())
         despread_power += float(np.square(despread(interference, code)).sum())
     return raw_power / gamma / despread_power

@@ -193,15 +193,17 @@ def local_sgd(
     Features ``(..., n, d)`` and labels ``(..., n)`` stack one shard per
     leading index; the ``(q,)`` model is broadcast over those axes and the
     result has shape ``(..., q)``.  Each step draws every shard's minibatch
-    without replacement in one call.
+    without replacement in one call; full-batch steps draw nothing, so
+    ``rng`` is then unused and may be None.
     """
     n = features.shape[-2]
     if n == 0:
         raise ValueError("cannot train on an empty shard")
-    rng = as_rng(rng)
     lead = features.shape[:-2]
     w = np.broadcast_to(weights, lead + weights.shape).copy()
     full_batch = batch_size is None or batch_size >= n
+    if not full_batch:
+        rng = as_rng(rng)
     for _ in range(tau):
         if full_batch:
             batch_x, batch_y = features, labels
@@ -299,10 +301,14 @@ def federated_train(
     )
     net = replace(net, mobility=mobility)
 
+    # Derive only the streams a round draws from: static devices never
+    # move and full-batch SGD never samples.
+    static = mobility == "static"
+    minibatch = train_cfg.batch_size is not None and train_cfg.batch_size < features.shape[1]
     records = []
     for rnd in range(train_cfg.n_cr):
         if rnd > 0:
-            net = network.advance_round(net, derived_rng(seed, "mobility", rnd))
+            net = network.advance_round(net, None if static else derived_rng(seed, "mobility", rnd))
         ids = network.schedule(net, scheme, rnd)
         latency_s = 0.0
         rho0_db = float("nan")
@@ -320,7 +326,7 @@ def federated_train(
                 train_cfg.eta,
                 train_cfg.tau,
                 train_cfg.batch_size,
-                derived_rng(seed, "sgd", rnd),
+                derived_rng(seed, "sgd", rnd) if minibatch else None,
             )
             if train_cfg.aggregation == "ideal":
                 weights = global_average(locals_)

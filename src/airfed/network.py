@@ -105,7 +105,8 @@ def sample_topology(k_devices: int, r_cell: float, rng_seed) -> NetworkRealizati
 
 
 def advance_round(net: NetworkRealization, rng) -> NetworkRealization:
-    """Step to the next round: keep the devices (static) or redrop them."""
+    """Step to the next round: keep the devices (static) or redrop them.
+    Static devices draw nothing, so ``rng`` may then be None."""
     if net.mobility == "static":
         return net
     return replace(sample_topology(net.k_devices, net.r_cell, rng), mobility=net.mobility)

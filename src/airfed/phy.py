@@ -18,7 +18,11 @@ Conventions:
   uses are drawn: a final OFDM symbol that the update fills in part draws
   just the gains of its occupied sub-channels.  The analog round walks the
   update matrix one OFDM symbol at a time, so its working memory is
-  O(K M) beyond the (K, q) input and the boolean truncation mask.
+  O(K M) beyond the (K, q) input and the boolean truncation mask.  Each
+  symbol writes its truncation decisions straight into that mask and does
+  its masking and gain inversion in place, in the gain draw and in buffers
+  allocated once per round; the contributor counts and truncation
+  fractions are counted from the mask after the last symbol.
 * The analog round takes its aligned receive power rho0 from
   :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
   from :func:`analytics.latency_baa`.
@@ -127,6 +131,10 @@ def _as_update_matrix(updates) -> np.ndarray:
     return mat
 
 
+# A float64's 64 bits, all set: ANDed with an entry, they keep it whole.
+_ALL_BITS = np.uint64(np.iinfo(np.uint64).max)
+
+
 def baa_round(
     updates,
     radii,
@@ -164,22 +172,31 @@ def baa_round(
     # Unit gains pass a zero threshold, so nothing is truncated without fading.
     g_th = params.g_th if fading else 0.0
     received = np.empty(q)
-    counts = np.empty(q, dtype=np.intp)
     sent_mask = np.empty((k, q), dtype=bool)
     inverse_gain_sum = np.zeros(k)
     # numpy sums a single column pairwise, not in device order, so the terms
     # sit in rows at least two wide; columns past the last entry stay 0.
     terms = np.zeros((k, max(min(m, q), 2)))
+    column_sums = np.empty(terms.shape[1])
     for lo in range(0, q, m):
-        width = min(m, q - lo)
+        hi = min(lo + m, q)
+        width = hi - lo
         gains = draw_channels(k, width, rng) if fading else np.ones((k, width))
-        sent = gains >= g_th
-        sent_mask[:, lo : lo + width] = sent
-        terms[:, :width] = np.where(sent, mat[:, lo : lo + width], 0.0)
-        received[lo : lo + width] = terms.sum(axis=0)[:width]
-        counts[lo : lo + width] = sent.sum(axis=0)
-        # Truncated entries divide 0 by at least g_th > 0, never 0 by 0.
-        inverse_gain_sum += (sent / np.maximum(gains, g_th)).sum(axis=1)
+        sent = np.greater_equal(gains, g_th, out=sent_mask[:, lo:hi])
+        # terms = np.where(sent, updates, 0.0) bit for bit, without a
+        # temporary: AND each entry's bits with all ones if sent, else 0.
+        # A product with the mask would turn a truncated inf or nan into nan
+        # and a truncated negative entry into -0.0.
+        bits = terms[:, :width].view(np.uint64)
+        np.multiply(sent, _ALL_BITS, out=bits)
+        np.bitwise_and(bits, mat[:, lo:hi].view(np.uint64), out=bits)
+        np.sum(terms, axis=0, out=column_sums)
+        received[lo:hi] = column_sums[:width]
+        # Inverse gains in place; a truncated entry divides 0 by at least
+        # g_th > 0, never 0 by 0.
+        np.maximum(gains, g_th, out=gains)
+        np.divide(sent, gains, out=gains)
+        inverse_gain_sum += gains.sum(axis=1)
 
     if noise:
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.
@@ -193,9 +210,9 @@ def baa_round(
     diag = BaaDiagnostics(
         rho0=rho0,
         latency_s=latency_baa(q, params),
-        truncation_fraction=1.0 - sent_mask.mean(axis=1),
+        truncation_fraction=1.0 - np.count_nonzero(sent_mask, axis=1) / q,
         tx_power=tx_power,
-        contributor_counts=counts,
+        contributor_counts=np.count_nonzero(sent_mask, axis=0),
         truncation_mask=sent_mask,
     )
     return aggregate, diag

@@ -4,6 +4,9 @@ Every experiment hangs off a single 64-bit root seed.  Sub-streams (per
 trial, per round, per device, per module) are derived by hashing the root
 seed together with a tuple of string/int labels, so adding more trials or
 reordering work never perturbs the draws of existing streams.
+Large Monte Carlo draws are split by :func:`row_blocks` into blocks of
+about ``BLOCK_ENTRIES`` entries; consecutive draws from one stream give
+the same numbers as one.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+# Monte Carlo draws are taken in blocks of about this many float64 entries
+# (512 KB), so a block and the temporaries reduced from it stay in cache.
+BLOCK_ENTRIES = 1 << 16
 
 
 def derive_seed(root_seed: int, *labels) -> int:
@@ -33,3 +40,12 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
+
+
+def row_blocks(n_rows: int, row_entries: int):
+    """Consecutive ``(start, stop)`` row ranges covering ``n_rows`` rows of
+    ``row_entries`` entries each, about ``BLOCK_ENTRIES`` entries (and at
+    least one row) per range."""
+    step = max(1, BLOCK_ENTRIES // row_entries)
+    for start in range(0, n_rows, step):
+        yield start, min(start + step, n_rows)

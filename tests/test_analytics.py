@@ -460,6 +460,12 @@ class TestDigitalRate:
         rates = [rate_digital_expected(FIG_PARAMS, 20, r) for r in [20.0, 50.0, 90.0]]
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
+    # Without ``snr=``, the receive-power closed form checks every radius.
+    @pytest.mark.parametrize("r_k", [0.0, -5.0, [30.0, 0.0], [30.0, -5.0]])
+    def test_nonpositive_radius_rejected(self, r_k):
+        with pytest.raises(ValueError, match="must be positive"):
+            rate_digital_expected(FIG_PARAMS, 20, r_k)
+
     def test_mqam_factor_value(self):
         # -1.5 / ln(5 * 1e-3), direct arithmetic.
         assert mqam_snr_factor(1e-3) == pytest.approx(0.2831087487266323, rel=1e-12)

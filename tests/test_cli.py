@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from airfed import cli
+from airfed import cli, rng
 from airfed.cli import (
     Table,
     cmd_extensions,
@@ -278,7 +278,7 @@ class TestMonteCarloCommand:
         overrides = {"k_devices": 10, "r_in_frac": 0.4, "n_rounds": 7, "trials": 20011}
         config = load_config(None, overrides=overrides)
         default = cli.montecarlo_rows(config)
-        monkeypatch.setattr(cli, "MC_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(rng, "BLOCK_ENTRIES", block_entries)
         assert cli.montecarlo_rows(config) == default
 
     def test_working_memory_below_half_a_topology_matrix(self):
@@ -286,6 +286,23 @@ class TestMonteCarloCommand:
         # peak stays below half of one float64 (trials, K) matrix.
         config = load_config(None)
         assert traced_peak(cli.montecarlo_rows, config) < 4 * config.trials * config.scenario.k_devices
+
+    def test_working_memory_is_a_few_blocks_beyond_the_per_trial_vectors(self):
+        # At the defaults the report keeps at most six float64 values per
+        # trial; the block draws and their temporaries add a few blocks.
+        config = load_config(None)
+        per_trial = 6 * 8 * config.trials
+        assert traced_peak(cli.montecarlo_rows, config) < per_trial + 6 * 8 * rng.BLOCK_ENTRIES
+
+    # The per-trial SNR ~ r_max^-alpha has infinite variance unless K > alpha.
+    @pytest.mark.parametrize("k, statuses", [(2, {"heavy-tailed"}), (3, {"heavy-tailed"}), (4, {"pass", "fail"})])
+    def test_all_inclusive_snr_with_infinite_variance_is_not_graded(self, k, statuses):
+        config = load_config(None, overrides={"k_devices": k, "trials": 20011})
+        rows = {row[0]: row for row in cli.montecarlo_rows(config)}
+        _, analytic, empirical, error, tolerance, metric, status = rows["snr_all_inclusive"]
+        assert status in statuses
+        assert error == abs(empirical - analytic) / abs(analytic)
+        assert (tolerance, metric) == (0.02, "rel")
 
 
 class TestExtensionsCommand:
@@ -300,6 +317,22 @@ class TestExtensionsCommand:
         beams = tables["beamforming"].rows
         assert any(row[4] == "infeasible" for row in beams)
         assert all(row[6] == "yes" for row in beams)
+
+    @pytest.mark.parametrize("block_entries", [1, 31, 4097])
+    def test_suppression_table_does_not_depend_on_block_size(self, monkeypatch, block_entries):
+        # One-row blocks, and blocks that split the trials unevenly.
+        config = load_config(None, overrides={"trials": 2000})
+        default = cmd_extensions(config)["dsss_suppression"]
+        monkeypatch.setattr(rng, "BLOCK_ENTRIES", block_entries)
+        blocked = cmd_extensions(config)["dsss_suppression"]
+        assert blocked.render("csv") == default.render("csv")
+        for row, default_row in zip(blocked.rows, default.rows):
+            assert row[2] == pytest.approx(default_row[2], rel=1e-12)
+
+    def test_working_memory_is_a_few_blocks(self):
+        # Interference is drawn and despread one block at a time.
+        config = load_config(None)
+        assert traced_peak(cmd_extensions, config) < 5 * 8 * rng.BLOCK_ENTRIES
 
     def test_single_user_tie_reports_dominance(self):
         # The 8 x 1 instance gives both strategies the same MRC beam; the

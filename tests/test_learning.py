@@ -174,6 +174,28 @@ class TestLocalSgd:
         assert np.array_equal(loss_gradient(models, features, labels, 3), np.stack(gradients))
 
 
+    def test_full_batch_builds_no_generator(self, monkeypatch):
+        # Full-batch steps draw nothing: no stream is built, since
+        # as_rng(None) would seed one from OS entropy.
+        data = toy_dataset()
+        w0 = init_weights(data.n_features, data.n_classes, derived_rng(3, "w"))
+        expected = local_sgd(
+            w0, data.features, data.labels, data.n_classes,
+            eta=0.5, tau=2, batch_size=None, rng=derived_rng(3, "s"),
+        )
+
+        def no_generator(seed_or_rng):
+            raise AssertionError("full-batch SGD built a generator")
+
+        monkeypatch.setattr(learning, "as_rng", no_generator)
+        for batch_size in (None, len(data)):
+            stepped = local_sgd(
+                w0, data.features, data.labels, data.n_classes,
+                eta=0.5, tau=2, batch_size=batch_size, rng=None,
+            )
+            assert np.array_equal(stepped, expected)
+
+
 class TestGlobalAverage:
     def test_identical_inputs_fixed_point(self):
         w = np.array([1.0, 2.0, 3.0])
@@ -251,6 +273,34 @@ class TestPartition:
 class TestFederatedTrain:
     def scenario(self, k):
         return ScenarioParams(k_devices=k, r_in=50.0, q_dim=1)
+
+    # Static devices never move and full-batch SGD never samples, so neither
+    # derives its stream; a round that draws from one still derives it.
+    @pytest.mark.parametrize(
+        "mobility, batch_size, unused",
+        [
+            ("static", None, {"mobility", "sgd"}),
+            ("iid-resample", None, {"sgd"}),
+            ("static", 5, {"mobility"}),
+            ("iid-resample", 5, set()),
+        ],
+    )
+    def test_derives_only_the_streams_a_round_draws_from(self, monkeypatch, mobility, batch_size, unused):
+        derived = []
+
+        def recording_rng(seed, *labels):
+            derived.append(labels[0])
+            return derived_rng(seed, *labels)
+
+        monkeypatch.setattr(learning, "derived_rng", recording_rng)
+        data = toy_dataset(n=40, seed=36)
+        cfg = TrainConfig(eta=0.3, tau=1, n_cr=4, batch_size=batch_size, aggregation="baa")
+        federated_train(
+            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4),
+            SchedulingScheme.all_inclusive(), 67, data, mobility=mobility,
+        )
+        assert unused.isdisjoint(derived)
+        assert {"mobility", "sgd"} - unused <= set(derived)
 
     def test_single_device_ideal_equals_centralized(self):
         data = toy_dataset(n=50, seed=31)

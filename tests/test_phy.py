@@ -40,6 +40,35 @@ def masked_mean_oracle(updates, masks, divisor):
     return total / divisor
 
 
+def allocating_baa_round(updates, radii, params, rng, fading, noise):
+    """The analog round as first streamed: fresh arrays every OFDM symbol,
+    np.where masking and counts taken per symbol.  Returns the aggregate,
+    tx_power, truncation_fraction, contributor_counts and truncation_mask
+    that :func:`baa_round` must reproduce byte for byte."""
+    k, q = updates.shape
+    rho0 = align_rho0(radii, params)
+    m = params.m
+    g_th = params.g_th if fading else 0.0
+    received = np.empty(q)
+    counts = np.empty(q, dtype=np.intp)
+    sent_mask = np.empty((k, q), dtype=bool)
+    inverse_gain_sum = np.zeros(k)
+    terms = np.zeros((k, max(min(m, q), 2)))
+    for lo in range(0, q, m):
+        width = min(m, q - lo)
+        gains = draw_channels(k, width, rng) if fading else np.ones((k, width))
+        sent = gains >= g_th
+        sent_mask[:, lo : lo + width] = sent
+        terms[:, :width] = np.where(sent, updates[:, lo : lo + width], 0.0)
+        received[lo : lo + width] = terms.sum(axis=0)[:width]
+        counts[lo : lo + width] = sent.sum(axis=0)
+        inverse_gain_sum += (sent / np.maximum(gains, g_th)).sum(axis=1)
+    if noise:
+        received += rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(rho0)
+    tx_power = m * rho0 * radii**params.alpha * inverse_gain_sum / q
+    return received / k, tx_power, 1.0 - sent_mask.mean(axis=1), counts, sent_mask
+
+
 class TestDrawChannels:
     def test_unit_mean_power(self):
         gains = draw_channels(10, 100_000, derived_rng(1, "pw"))
@@ -89,9 +118,12 @@ class TestAlignRho0:
         interior = align_rho0(radii[:2], PARAMS)
         assert interior > all_in
 
-    def test_zero_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            align_rho0([10.0], SystemParams(g_th=0.0))
+    # rho0 depends on the furthest device alone, so a bad distance beside a
+    # valid furthest one is caught by align_rho0's own check.
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -5.0])
+    def test_nonpositive_distance_rejected(self, bad):
+        with pytest.raises(ValueError, match="distances must be positive"):
+            align_rho0([10.0, bad], PARAMS)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +209,57 @@ class TestBaaRound:
         assert np.array_equal(diag.contributor_counts, mask.sum(axis=0))
         assert np.array_equal(diag.truncation_fraction, 1.0 - mask.mean(axis=1))
         assert np.array_equal(aggregate, masked_mean_oracle(updates, mask, k))
+
+    # q = 1, q < M, q = M + 1 and several symbols, some ragged; signed zeros
+    # check that a truncated entry adds +0.0 whatever its sign, as np.where
+    # gives, and that a sent -0.0 stays -0.0 when noise is off.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        q=st.integers(1, 3 * PARAMS.m + 17),
+        seed=st.integers(0, 2**32 - 1),
+        fading=st.booleans(),
+        noise=st.booleans(),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @example(k=1, q=1, seed=0, fading=True, noise=False, zero_frac=1.0)
+    @example(k=40, q=1, seed=1, fading=True, noise=True, zero_frac=0.3)
+    @example(k=3, q=PARAMS.m // 2, seed=2, fading=False, noise=False, zero_frac=1.0)
+    @example(k=7, q=PARAMS.m + 1, seed=3, fading=True, noise=False, zero_frac=1.0)
+    @example(k=2, q=3 * PARAMS.m, seed=4, fading=True, noise=False, zero_frac=0.3)
+    def test_in_place_round_equals_allocating_round_bytewise(self, k, q, seed, fading, noise, zero_frac):
+        rng = derived_rng(seed, "updates")
+        updates = rng.normal(0.0, 1.0, size=(k, q))
+        zeroed = rng.random((k, q)) < zero_frac
+        updates[zeroed] = np.copysign(0.0, updates[zeroed])
+        radii = np.linspace(25.0, 95.0, k)
+        aggregate, diag = baa_round(
+            updates, radii, PARAMS, derived_rng(seed, "round"), fading=fading, noise=noise
+        )
+        got = (
+            aggregate,
+            diag.tx_power,
+            diag.truncation_fraction,
+            diag.contributor_counts,
+            diag.truncation_mask,
+        )
+        expected = allocating_baa_round(
+            updates, radii, PARAMS, derived_rng(seed, "round"), fading, noise
+        )
+        for actual, oracle in zip(got, expected):
+            assert actual.dtype == oracle.dtype and actual.shape == oracle.shape
+            assert actual.tobytes() == oracle.tobytes()
+
+    def test_truncated_entry_adds_nothing_whatever_it_holds(self):
+        # A truncated device sends nothing, so an inf it holds reaches the
+        # aggregate only where it was sent.
+        updates = derived_rng(24, "updates").normal(0.0, 1.0, size=(3, 2500))
+        updates[0] = np.inf
+        radii = np.array([30.0, 60.0, 90.0])
+        aggregate, diag = baa_round(updates, radii, PARAMS, derived_rng(24, "round"), noise=False)
+        expected = allocating_baa_round(updates, radii, PARAMS, derived_rng(24, "round"), True, False)
+        assert aggregate.tobytes() == expected[0].tobytes()
+        assert np.array_equal(np.isinf(aggregate), diag.truncation_mask[0])
 
     def test_working_memory_below_one_float_matrix(self):
         # The round streams one OFDM symbol at a time: its traced peak stays
