@@ -142,10 +142,6 @@ class TradeoffCurve:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("curve abscissae must be strictly increasing")
 
-    @property
-    def ys(self):
-        return tuple(y for _, y in self.points)
-
 
 @dataclass(frozen=True)
 class LatencyReport:

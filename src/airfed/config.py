@@ -5,12 +5,23 @@ comments) so that result manifests diff cleanly.  Unknown keys are rejected
 on load.  Every value has a default mirroring the reference deployment:
 100 m cell, path-loss exponent 3, 1000 sub-channels, 0.1 W per-device power
 budget, -80 dBm noise, 200 devices, 16-bit quantization at target BER 1e-3.
+
+Loading checks each value once.  This module rejects non-finite numbers,
+values outside ``RANGES``, grids that must increase but do not, and an
+unknown ``mobility``.  Every other key goes straight to the type that owns
+it: ``SystemParams``, ``ScenarioParams``, ``TrainConfig``,
+``SchedulingScheme`` (``scheme``, ``alternation_period``) and
+``PartitionSpec`` (``partition_mode``, ``shard_size``,
+``shards_per_device``).  Those types check every field they are given, so an
+unknown mode, or a bad period or shard count, is rejected even under a
+scheme or partition mode that does not read it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,7 +91,6 @@ DEFAULTS: dict = {
 # every entry of a grid.  Values outside would otherwise fail mid-command
 # or yield meaningless tables.
 RANGES = {
-    "g_th": "> 0",
     "target_ber": "(0, 0.2)",
     "r_in_frac": "(0, 1]",
     "classes": ">= 2",
@@ -116,25 +126,14 @@ class ConfigError(ValueError):
 
 def _parse_scalar(key: str, text: str, template):
     try:
-        if isinstance(template, bool):
-            raise TypeError("no boolean keys")
-        if isinstance(template, int):
-            return int(text)
-        if isinstance(template, float):
-            return float(text)
-        if isinstance(template, str):
-            return text
         if isinstance(template, tuple):
-            element = template[0]
             parts = [p.strip() for p in text.split(",") if p.strip()]
             if not parts:
                 raise ValueError("empty list")
-            if isinstance(element, int) and not isinstance(element, bool):
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
+            return tuple(map(type(template[0]), parts))
+        return type(template)(text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {text!r} ({exc})") from exc
-    raise ConfigError(f"config key {key!r}: unsupported template type")
 
 
 def parse_config_text(text: str) -> dict:
@@ -203,9 +202,14 @@ def _within(value, bound: str) -> bool:
 
 
 def _build(values: dict) -> ExperimentConfig:
-    for key, bound in RANGES.items():
-        value = values[key]
-        if not all(_within(v, bound) for v in (value if isinstance(value, tuple) else (value,))):
+    for key, value in values.items():
+        if isinstance(value, str):
+            continue
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        bound = RANGES.get(key)
+        if bound and not all(_within(v, bound) for v in entries):
             verb = "be" if bound.startswith(">") else "lie in"
             raise ConfigError(f"{key} must {verb} {bound}, got {value}")
     for key in INCREASING_GRIDS:
@@ -238,39 +242,26 @@ def _build(values: dict) -> ExperimentConfig:
         batch_size=values["batch_size"] or None,
         aggregation=values["aggregation"],
     )
-    kind = values["scheme"]
-    if kind == "all-inclusive":
-        scheme = SchedulingScheme.all_inclusive()
-    elif kind == "cell-interior":
-        scheme = SchedulingScheme.cell_interior(scenario.r_in)
-    elif kind == "alternating":
-        scheme = SchedulingScheme.alternating(scenario.r_in, values["alternation_period"])
-    else:
-        raise ConfigError(f"unknown scheduling scheme {kind!r}")
-
-    shard_size = values["shard_size"] or None
+    scheme = SchedulingScheme(values["scheme"], r_in=scenario.r_in, period=values["alternation_period"])
     spd = values["shards_per_device"]
-    if values["partition_mode"] == "noniid-shards":
-        if shard_size is None:
-            shard_size = values["train_samples"] // (values["k_devices"] * spd)
-        partition = PartitionSpec(mode="noniid-shards", shard_size=shard_size, shards_per_device=spd)
-    else:
-        partition = PartitionSpec(mode="iid", shard_size=shard_size, shards_per_device=spd if shard_size else None)
+    shard_size = values["shard_size"] or None
+    if shard_size is None and values["partition_mode"] == "noniid-shards" and spd >= 1:
+        # Non-IID default: the corpus cut into K * shards_per_device shards.
+        # A count below 1 is left to PartitionSpec, whose error names it.
+        shard_size = values["train_samples"] // (values["k_devices"] * spd)
+    partition = PartitionSpec(values["partition_mode"], shard_size, spd)
 
-    try:
-        return ExperimentConfig(
-            system=system,
-            scenario=scenario,
-            train=train,
-            partition=partition,
-            scheme=scheme,
-            mobility=values["mobility"],
-            seed=values["seed"],
-            trials=values["trials"],
-            values=values,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        system=system,
+        scenario=scenario,
+        train=train,
+        partition=partition,
+        scheme=scheme,
+        mobility=values["mobility"],
+        seed=values["seed"],
+        trials=values["trials"],
+        values=values,
+    )
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

@@ -190,7 +190,9 @@ class SdmaBeamResult:
 def beam_objective(problem: BeamProblem, f_matrix: np.ndarray) -> float:
     """Sum-SNR objective tr(F^H A F) / (n0 tr(F^H F)) of a candidate F.
 
-    Homogeneous of degree zero in F (scaling F leaves it unchanged).
+    Homogeneous of degree zero in F (scaling F leaves it unchanged).  No
+    report calls it: it stays as the independent reference that the tests
+    hold the beam solvers' objectives to.
     """
     f = np.atleast_2d(np.asarray(f_matrix, dtype=complex))
     if f.shape[0] != problem.n_antennas:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,8 +26,6 @@ logger = logging.getLogger(__name__)
 
 AGGREGATIONS = ("ideal", "baa", "digital")
 PARTITION_MODES = ("iid", "noniid-shards")
-
-TRACE_COLUMNS = ("round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac", "k_scheduled")
 
 
 @dataclass(frozen=True)
@@ -48,13 +46,12 @@ class PartitionSpec:
     def __post_init__(self):
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"mode must be one of {PARTITION_MODES}, got {self.mode!r}")
-        if self.mode == "noniid-shards":
-            if None in (self.shard_size, self.shards_per_device):
-                raise ValueError("noniid-shards partitioning needs both shard fields")
         for name in ("shard_size", "shards_per_device"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.mode == "noniid-shards" and None in (self.shard_size, self.shards_per_device):
+            raise ValueError("noniid-shards partitioning needs both shard fields")
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ class TrainConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+            raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,10 @@ class RoundRecord:
     rho0_db: float
     truncation_frac: float
     k_scheduled: int
+
+
+# The trace schema: one column per RoundRecord field, in field order.
+TRACE_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
 @dataclass(frozen=True)

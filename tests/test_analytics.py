@@ -121,18 +121,19 @@ class TestReceiveSnr:
         # with the tolerated truncation ratio.
         curve = snr_truncation_curve(FIG_PARAMS, 100.0, np.arange(0.1, 0.91, 0.1))
         assert len(curve.points) == 9
-        assert all(b > a for a, b in zip(curve.ys, curve.ys[1:]))
+        ys = tuple(y for _, y in curve.points)
+        assert all(b > a for a, b in zip(ys, ys[1:]))
 
     def test_curve_roundtrip_matches_threshold_form(self):
         for g_th in [0.1, 0.5, 1.2]:
             zeta = truncation_ratio(g_th)
             curve = snr_truncation_curve(FIG_PARAMS, 100.0, [zeta])
             direct = receive_snr(FIG_PARAMS, 100.0, cutoff_for_ratio(zeta))
-            assert curve.ys[0] == direct
+            assert curve.points[0][1] == direct
 
     def test_unbounded_growth_near_full_truncation(self):
-        low = snr_truncation_curve(FIG_PARAMS, 100.0, [0.5]).ys[0]
-        high = snr_truncation_curve(FIG_PARAMS, 100.0, [1 - 1e-9]).ys[0]
+        low = snr_truncation_curve(FIG_PARAMS, 100.0, [0.5]).points[0][1]
+        high = snr_truncation_curve(FIG_PARAMS, 100.0, [1 - 1e-9]).points[0][1]
         assert high > 1e6 * low
 
     @pytest.mark.parametrize("zeta", [0.0, 1.0, -0.2, 1.4])
@@ -288,14 +289,14 @@ class TestSnrGain:
 class TestReliabilityQuantityCurve:
     def test_unit_gain_at_full_data(self):
         curve = reliability_quantity_curve(FIG_PARAMS, 20, [0.5, 1.0])
-        assert curve.ys[-1] == 1.0
+        assert curve.points[-1][1] == 1.0
 
     def test_larger_alpha_costs_more(self):
         f_grid = np.arange(0.1, 0.91, 0.1)
         k = 200
         curve3 = reliability_quantity_curve(SystemParams(alpha=3.0), k, f_grid)
         curve4 = reliability_quantity_curve(SystemParams(alpha=4.0), k, f_grid)
-        assert all(y4 > y3 for y3, y4 in zip(curve3.ys, curve4.ys))
+        assert all(y4 > y3 for (_, y3), (_, y4) in zip(curve3.points, curve4.points))
 
     def test_consistent_with_snr_gain(self):
         for f_dat in [0.2, 0.5, 0.8]:
@@ -303,7 +304,7 @@ class TestReliabilityQuantityCurve:
             scenario = ScenarioParams(
                 k_devices=30, r_in=100.0 * math.sqrt(f_dat), q_dim=1
             )
-            assert abs(curve.ys[0] - snr_gain(FIG_PARAMS, scenario)) < 1e-9
+            assert abs(curve.points[0][1] - snr_gain(FIG_PARAMS, scenario)) < 1e-9
 
     def test_rejects_nonpositive_fraction(self):
         with pytest.raises(ValueError):

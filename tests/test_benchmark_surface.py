@@ -1,16 +1,24 @@
-"""Every function the benchmark traces exists in airfed.
+"""The benchmark still runs against airfed.
 
 The traced benchmark run rebinds the names listed in
-``benchmarks/layers.py`` and fails when one is missing; this catches a
-deleted or renamed function in the test suite instead.
+``benchmarks/layers.py`` and fails when one is missing.  Its workloads
+also call airfed beyond those names (``learning.trace_csv``,
+``phy.denormalize``'s count, ``digital_round``'s positional rng,
+``ScenarioParams.q_dim``).  These tests catch a deleted or renamed name,
+or a changed call, in the test suite instead.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-LAYERS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+LAYERS_PATH = BENCHMARKS / "layers.py"
 
 
 def _layers():
@@ -36,3 +44,17 @@ def test_every_traced_name_is_an_airfed_callable():
         if not callable(found):
             missing.append(qualname)
     assert not missing
+
+
+# A few ops of each workload: one of every op kind, except the two slow
+# cli-reports ones (tradeoff and latency run, montecarlo and extensions not).
+@pytest.mark.parametrize("workload, ops", [("fl-desk", 3), ("phy-paper", 2), ("cli-reports", 2)])
+def test_workload_ops_run_and_pass_their_checks(workload, ops):
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "worker.py"), "--workload", workload, "--seed", "1", "--ops", str(ops)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert len(result["ops"]) == ops
+    assert [op["problems"] for op in result["ops"]] == [[]] * ops

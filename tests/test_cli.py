@@ -120,6 +120,11 @@ class TestConfig:
             ("feature_dim = 0", ["compare"]),
             ("train_samples = 0", ["compare"]),
             ("test_samples = 0", ["compare"]),
+            ("scheme = round-robin", ["compare"]),
+            ("mobility = walking", ["compare"]),
+            ("aggregation = analogue", ["compare"]),
+            ("shards_per_device = 0\npartition_mode = noniid-shards", ["latency"]),
+            ("shards_per_device = -1\npartition_mode = noniid-shards", ["compare"]),
         ],
     )
     def test_out_of_range_value_exits_cleanly(self, tmp_path, capsys, line, command):
@@ -128,6 +133,42 @@ class TestConfig:
         assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         key = line.split("=")[0].strip()
         assert f"error: {key} " in capsys.readouterr().err
+
+    # The owning type names its own field, not the config key, so the
+    # message is matched on the bad value.  SMALL_TRAIN schedules
+    # all-inclusive, which reads no alternation period.
+    @pytest.mark.parametrize(
+        "line, shown",
+        [("partition_mode = noniid", "got 'noniid'"), ("alternation_period = 0", "got 0")],
+    )
+    def test_value_its_owner_rejects_exits_cleanly(self, tmp_path, capsys, line, shown):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_TRAIN + line + "\n")
+        assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert shown in err
+
+    # A range check written as x <= 0 passes NaN, so finiteness is checked
+    # on its own, before any range.
+    @pytest.mark.parametrize(
+        "line, command",
+        [
+            ("noise_dbm = nan", ["tradeoff"]),
+            ("path_loss_exponent = inf", ["latency"]),
+            ("zeta_grid = 0.1, nan", ["tradeoff"]),
+        ],
+    )
+    def test_non_finite_value_exits_cleanly(self, tmp_path, capsys, line, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_TRAIN + line + "\n")
+        assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        key = line.split("=")[0].strip()
+        assert f"error: {key} must be finite, got " in capsys.readouterr().err
+
+    def test_non_finite_override_rejected(self):
+        with pytest.raises(ConfigError, match="noise_dbm must be finite, got nan"):
+            load_config(None, {"noise_dbm": float("nan")})
 
     # The reports' closed forms need K >= 2 (cell-interior scheduling) and
     # 2K - alpha - 1 >= 0 (expected receive SNR).
