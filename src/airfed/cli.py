@@ -262,10 +262,20 @@ def _build_datasets(config: ExperimentConfig):
         )
         return train, test
     full = load_mnist_idx(values["dataset"])
+    # The training set is what the corpus holds beyond the test set, up to
+    # train_samples; the partition must fit that set, not train_samples.
+    n_test, k = values["test_samples"], config.scenario.k_devices
+    n_train = max(0, min(values["train_samples"], len(full) - n_test))
+    try:
+        config.partition.per_device(n_train, k)
+    except ValueError as exc:
+        raise ConfigError(
+            f"test_samples = {n_test} leaves {n_train} training samples in the "
+            f"{len(full)}-sample corpus, k_devices = {k}: {exc}"
+        ) from exc
     order = derived_rng(config.seed, "data", "subset").permutation(len(full))
-    n_train = min(values["train_samples"], len(full) - values["test_samples"])
     train = full.subset(order[:n_train])
-    test = full.subset(order[n_train : n_train + values["test_samples"]])
+    test = full.subset(order[n_train : n_train + n_test])
     return train, test
 
 

@@ -7,14 +7,16 @@ on load.  Every value has a default mirroring the reference deployment:
 budget, -80 dBm noise, 200 devices, 16-bit quantization at target BER 1e-3.
 
 Loading checks each value once.  This module rejects non-finite numbers,
-values outside ``RANGES``, grids that must increase but do not, and an
-unknown ``mobility``.  Every other key goes straight to the type that owns
-it: ``SystemParams``, ``ScenarioParams``, ``TrainConfig``,
-``SchedulingScheme`` (``scheme``, ``alternation_period``) and
-``PartitionSpec`` (``partition_mode``, ``shard_size``,
+values outside ``RANGES``, grids that must increase but do not, and a
+``mobility`` outside ``learning.MOBILITY_MODES``.  Every other key goes
+straight to the type that owns it: ``SystemParams``, ``ScenarioParams``,
+``TrainConfig``, ``SchedulingScheme`` (``scheme``, ``alternation_period``)
+and ``PartitionSpec`` (``partition_mode``, ``shard_size``,
 ``shards_per_device``).  Those types check every field they are given, so an
 unknown mode, or a bad period or shard count, is rejected even under a
-scheme or partition mode that does not read it.
+scheme or partition mode that does not read it.  ``PartitionSpec.per_device``
+then checks that the partition fits ``train_samples`` samples on
+``k_devices`` devices.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import ScenarioParams, SystemParams
-from .learning import PartitionSpec, TrainConfig
-from .network import MOBILITY_MODES, SchedulingScheme
+from .learning import MOBILITY_MODES, PartitionSpec, TrainConfig
+from .network import SchedulingScheme
 
 SCHEMA_VERSION = 1
 
@@ -67,7 +69,7 @@ DEFAULTS: dict = {
     "class_separation": 6.0,
     "partition_mode": "iid",
     "shards_per_device": 2,
-    "shard_size": 0,  # 0 = derived from the corpus size
+    "shard_size": 0,  # 0 = the corpus split evenly
     # experiment control
     "seed": 12345,
     "trials": 100000,
@@ -243,13 +245,14 @@ def _build(values: dict) -> ExperimentConfig:
         aggregation=values["aggregation"],
     )
     scheme = SchedulingScheme(values["scheme"], r_in=scenario.r_in, period=values["alternation_period"])
-    spd = values["shards_per_device"]
-    shard_size = values["shard_size"] or None
-    if shard_size is None and values["partition_mode"] == "noniid-shards" and spd >= 1:
-        # Non-IID default: the corpus cut into K * shards_per_device shards.
-        # A count below 1 is left to PartitionSpec, whose error names it.
-        shard_size = values["train_samples"] // (values["k_devices"] * spd)
-    partition = PartitionSpec(values["partition_mode"], shard_size, spd)
+    partition = PartitionSpec(
+        values["partition_mode"], values["shard_size"] or None, values["shards_per_device"]
+    )
+    n_train, k = values["train_samples"], values["k_devices"]
+    try:
+        partition.per_device(n_train, k)
+    except ValueError as exc:
+        raise ConfigError(f"train_samples = {n_train}, k_devices = {k}: {exc}") from exc
 
     return ExperimentConfig(
         system=system,

@@ -18,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_rng, row_blocks
+from .rng import row_blocks
 
 SYMBOLS_PER_TRIAL = 64
+# A zero-forcing projection shorter than this share of the user's channel
+# norm means the other users' channels span it: the user is infeasible.
+COLINEAR_TOL = 1e-10
 
 __all__ = [
     "SpreadingCode",
@@ -61,7 +64,6 @@ def pn_code(gamma: int, rng) -> SpreadingCode:
     """Pseudorandom +/-1 code of the given spreading factor."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    rng = as_rng(rng)
     return SpreadingCode(np.where(rng.random(gamma) < 0.5, -1.0, 1.0))
 
 
@@ -104,7 +106,6 @@ def adversary_suppression_trial(legit_updates, adversary_power: float, gamma: in
     """
     if adversary_power < 0:
         raise ValueError(f"adversary_power must be >= 0, got {adversary_power}")
-    rng = as_rng(rng)
     mat = np.atleast_2d(np.asarray(legit_updates, dtype=float))
     code = pn_code(gamma, rng)
     superposed = spread(mat.sum(axis=0), code)
@@ -127,7 +128,6 @@ def suppression_ratio(gamma: int, trials: int, rng) -> float:
     :func:`rng.row_blocks`, so memory stays bounded at any ``trials``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = as_rng(rng)
     code = pn_code(gamma, rng)
     chips = SYMBOLS_PER_TRIAL * gamma
     raw_power = despread_power = 0.0
@@ -233,7 +233,7 @@ def aggregation_beamformer(problem: BeamProblem, rank: int = 1) -> AggregationBe
     )
 
 
-def sdma_beamformer(problem: BeamProblem, tol: float = 1e-10) -> SdmaBeamResult:
+def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:
     """Per-user zero-forcing beams, or a structured infeasibility result.
 
     Each beam is the unit-norm projection of the user's channel onto the
@@ -265,7 +265,7 @@ def sdma_beamformer(problem: BeamProblem, tol: float = 1e-10) -> SdmaBeamResult:
         else:
             projection = h[:, user].copy()
         norm = np.linalg.norm(projection)
-        if norm <= tol * max(np.linalg.norm(h[:, user]), 1e-300):
+        if norm <= COLINEAR_TOL * max(np.linalg.norm(h[:, user]), 1e-300):
             bad_users.append(user)
             continue
         beam = projection / norm

@@ -4,8 +4,13 @@ The trainable model is multinomial logistic regression on flat weight
 vectors (d * C weights plus C biases), which keeps every update a plain
 q-vector as the channel layer expects.  Each round: broadcast the global
 model, schedule devices, run local minibatch SGD, aggregate through one of
-{ideal, baa, digital}, and evaluate on a held-out set.  Everything is
-deterministic given the root seed.
+{ideal, baa, digital}, and evaluate on a held-out set.
+
+The topology is the array of device distances.  Mobility is one of the two
+analyzed extremes: ``static`` keeps the first drop for every round, and
+``iid-resample`` redrops every device each round.  Each draw takes a
+Generator derived from the root seed, so everything is deterministic
+given that seed.
 """
 
 from __future__ import annotations
@@ -19,24 +24,25 @@ import numpy as np
 from . import network, phy
 from .analytics import ScenarioParams, SystemParams
 from .datasets import LabeledDataset
-from .rng import as_rng, derived_rng
+from .rng import derived_rng
 from .tables import Table
 
 logger = logging.getLogger(__name__)
 
 AGGREGATIONS = ("ideal", "baa", "digital")
 PARTITION_MODES = ("iid", "noniid-shards")
+MOBILITY_MODES = ("static", "iid-resample")
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
     """How the training corpus is split across devices.
 
-    ``iid`` ignores the shard fields unless given (they then fix the
-    per-device size); ``noniid-shards`` sorts by label, cuts the head of
-    the corpus into K * ``shards_per_device`` runs of ``shard_size``
-    samples, K being the device count, and deals ``shards_per_device``
-    runs to each device.
+    Every device gets the same number of samples, :meth:`per_device`.
+    ``iid`` deals a random subset of the corpus; ``noniid-shards`` sorts it
+    by label, cuts its head into K * ``shards_per_device`` runs of equal
+    size, K being the device count, and deals ``shards_per_device`` runs to
+    each device.
     """
 
     mode: str = "iid"
@@ -50,8 +56,28 @@ class PartitionSpec:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.mode == "noniid-shards" and None in (self.shard_size, self.shards_per_device):
-            raise ValueError("noniid-shards partitioning needs both shard fields")
+        if self.mode == "noniid-shards" and self.shards_per_device is None:
+            raise ValueError("noniid-shards partitioning needs shards_per_device")
+
+    def per_device(self, n_samples: int, k_devices: int) -> int:
+        """Samples each of ``k_devices`` devices gets from a corpus of
+        ``n_samples``: ``shard_size * shards_per_device`` when both are set,
+        else the corpus split evenly (into whole runs under
+        ``noniid-shards``).  Raises ValueError unless every device gets at
+        least one sample and all of them fit in the corpus."""
+        spd = self.shards_per_device
+        if self.shard_size is not None and spd is not None:
+            per = self.shard_size * spd
+        elif self.mode == "iid":
+            per = n_samples // k_devices
+        else:
+            per = n_samples // (k_devices * spd) * spd
+        if per < 1 or per * k_devices > n_samples:
+            raise ValueError(
+                f"cannot give {k_devices} devices {per} samples each from {n_samples} "
+                f"(shard_size = {self.shard_size or 'unset'}, shards_per_device = {spd})"
+            )
+        return per
 
 
 @dataclass(frozen=True)
@@ -122,7 +148,6 @@ def model_dim(n_features: int, n_classes: int) -> int:
 
 def init_weights(n_features: int, n_classes: int, rng) -> np.ndarray:
     """Small N(0, 0.01^2) init; keeps the broadcast normalization non-degenerate."""
-    rng = as_rng(rng)
     return rng.normal(0.0, 1e-2, size=model_dim(n_features, n_classes))
 
 
@@ -203,8 +228,6 @@ def local_sgd(
     lead = features.shape[:-2]
     w = np.broadcast_to(weights, lead + weights.shape).copy()
     full_batch = batch_size is None or batch_size >= n
-    if not full_batch:
-        rng = as_rng(rng)
     for _ in range(tau):
         if full_batch:
             batch_x, batch_y = features, labels
@@ -234,28 +257,15 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec, k_devices: int, rng)
     Returns the (k, n) matrix of sample indices, one row per device, so
     ``dataset.features[rows]`` stacks every shard in one gather.
     """
-    rng = as_rng(rng)
     n = len(dataset)
+    per_device = spec.per_device(n, k_devices)
     if spec.mode == "iid":
-        if spec.shard_size is not None and spec.shards_per_device is not None:
-            per_device = spec.shard_size * spec.shards_per_device
-        else:
-            per_device = n // k_devices
-        if per_device < 1 or per_device * k_devices > n:
-            raise ValueError(
-                f"cannot give {k_devices} devices {per_device} samples each from {n}"
-            )
         return rng.permutation(n)[: per_device * k_devices].reshape(k_devices, per_device)
 
     # noniid-shards: label-sorted corpus cut into equal runs, dealt at random
-    shard_size = spec.shard_size
     shards_total = k_devices * spec.shards_per_device
-    if shards_total * shard_size > n:
-        raise ValueError(
-            f"{shards_total} shards of {shard_size} need {shards_total * shard_size} samples, have {n}"
-        )
-    by_label = np.argsort(dataset.labels, kind="stable")[: shards_total * shard_size]
-    shard_indices = by_label.reshape(shards_total, shard_size)
+    by_label = np.argsort(dataset.labels, kind="stable")[: per_device * k_devices]
+    shard_indices = by_label.reshape(shards_total, -1)
     dealt = rng.permutation(shards_total).reshape(k_devices, spec.shards_per_device)
     return shard_indices[dealt].reshape(k_devices, -1)
 
@@ -284,10 +294,12 @@ def federated_train(
 
     Rounds whose scheduled set is empty leave the model untouched and are
     recorded with zero latency.  The scenario's model dimension is replaced
-    by the actual model size derived from the data.  ``topology_seed`` pins
-    the network realization independently of the training randomness, for
-    sweeps that hold one deployment fixed.
+    by the actual model size derived from the data.  ``mobility`` is one of
+    ``MOBILITY_MODES``.  ``topology_seed`` pins the first drop independently
+    of the training randomness, for sweeps that hold one deployment fixed.
     """
+    if mobility not in MOBILITY_MODES:
+        raise ValueError(f"mobility must be one of {MOBILITY_MODES}, got {mobility!r}")
     k = scenario.k_devices
     rows = partition(dataset, partition_spec, k, derived_rng(seed, "partition"))
     features = dataset.features[rows]
@@ -297,10 +309,9 @@ def federated_train(
     scenario = replace(scenario, q_dim=q)
 
     weights = init_weights(d, n_classes, derived_rng(seed, "init"))
-    net = network.sample_topology(
+    radii = network.sample_topology(
         k, params.r_cell, derived_rng(seed if topology_seed is None else topology_seed, "topology")
     )
-    net = replace(net, mobility=mobility)
 
     # Derive only the streams a round draws from: static devices never
     # move and full-batch SGD never samples.
@@ -309,8 +320,10 @@ def federated_train(
     records = []
     for rnd in range(train_cfg.n_cr):
         if rnd > 0:
-            net = network.advance_round(net, None if static else derived_rng(seed, "mobility", rnd))
-        ids = network.schedule(net, scheme, rnd)
+            radii = network.advance_round(
+                radii, params.r_cell, None if static else derived_rng(seed, "mobility", rnd)
+            )
+        ids = network.schedule(radii, scheme, rnd)
         latency_s = 0.0
         rho0_db = float("nan")
         truncation_frac = float("nan")
@@ -318,7 +331,7 @@ def federated_train(
         if ids.size == 0:
             logger.info("round %d: no device inside r_in, skipping aggregation", rnd)
         else:
-            radii = net.radii[ids]
+            scheduled = radii[ids]
             locals_ = local_sgd(
                 weights,
                 features[ids],
@@ -335,7 +348,7 @@ def federated_train(
                 norm_spec = phy.normalization_from_values(weights)
                 symbols = phy.normalize_updates(locals_, norm_spec)
                 aggregate, diag = phy.baa_round(
-                    symbols, radii, params, derived_rng(seed, "channel", rnd)
+                    symbols, scheduled, params, derived_rng(seed, "channel", rnd)
                 )
                 weights = phy.denormalize(aggregate, norm_spec, 1)
                 latency_s = diag.latency_s
@@ -343,11 +356,11 @@ def federated_train(
                 truncation_frac = float(diag.truncation_fraction.mean())
             else:  # digital
                 result = phy.digital_round(
-                    locals_, radii, params, scenario, derived_rng(seed, "channel", rnd)
+                    locals_, scheduled, params, scenario, derived_rng(seed, "channel", rnd)
                 )
                 weights = result.aggregate
                 latency_s = result.round_latency_s
-                rho0_db = _snr_db(result.per_device_snr[radii.argmax()])
+                rho0_db = _snr_db(result.per_device_snr[scheduled.argmax()])
 
         records.append(
             RoundRecord(

@@ -1,52 +1,26 @@
-"""Random disk topology, device mobility, and scheduling schemes.
+"""Random disk topology and scheduling schemes.
 
 Devices are dropped i.i.d. uniformly over a disk of radius ``r_cell`` around
 the edge server, which makes the distance density 2r/R^2 (sampled by inverse
-CDF as R * sqrt(U)).  Three schemes decide who transmits in a round:
+CDF as R * sqrt(U)).  A topology is the array of device distances: path loss
+and scheduling depend on nothing else.  Three schemes decide who transmits
+in a round:
 
 * ``all-inclusive``: every device.
 * ``cell-interior``: devices within radius ``r_in``.
 * ``alternating``: cell-interior on one block of rounds, all-inclusive on
   the next, with a configurable half-period.
 
-Mobility covers the two analyzed extremes only: ``static`` distances and
-``iid-resample`` (fresh uniform drop every round).
+Every draw takes the ``np.random.Generator`` it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_rng
-
-MOBILITY_MODES = ("static", "iid-resample")
 SCHEME_KINDS = ("all-inclusive", "cell-interior", "alternating")
-
-
-@dataclass(frozen=True)
-class NetworkRealization:
-    """Distances of all devices to the edge server in one round; path loss
-    and scheduling depend on nothing else."""
-
-    radii: np.ndarray
-    r_cell: float
-    mobility: str = "static"
-
-    def __post_init__(self):
-        if self.mobility not in MOBILITY_MODES:
-            raise ValueError(f"mobility must be one of {MOBILITY_MODES}, got {self.mobility!r}")
-        radii = np.asarray(self.radii, dtype=float)
-        if radii.ndim != 1:
-            raise ValueError("radii must be a 1-d array")
-        if radii.size and radii.max() > self.r_cell * (1 + 1e-12):
-            raise ValueError("device radius exceeds the cell radius")
-        object.__setattr__(self, "radii", radii)
-
-    @property
-    def k_devices(self) -> int:
-        return self.radii.size
 
 
 @dataclass(frozen=True)
@@ -90,26 +64,25 @@ def sample_radii(k_devices: int, r_cell: float, rng, size: int | None = None) ->
     With ``size`` set, returns a (size, k_devices) matrix of independent
     topology draws for Monte Carlo use.
     """
-    rng = as_rng(rng)
     shape = (k_devices,) if size is None else (size, k_devices)
     return r_cell * np.sqrt(rng.random(shape))
 
 
-def sample_topology(k_devices: int, r_cell: float, rng_seed) -> NetworkRealization:
-    """Drop k_devices uniformly on the disk; deterministic given the seed."""
+def sample_topology(k_devices: int, r_cell: float, rng) -> np.ndarray:
+    """Distances of k_devices dropped uniformly on the disk."""
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     if r_cell <= 0:
         raise ValueError(f"r_cell must be positive, got {r_cell}")
-    return NetworkRealization(radii=sample_radii(k_devices, r_cell, rng_seed), r_cell=r_cell)
+    return sample_radii(k_devices, r_cell, rng)
 
 
-def advance_round(net: NetworkRealization, rng) -> NetworkRealization:
-    """Step to the next round: keep the devices (static) or redrop them.
-    Static devices draw nothing, so ``rng`` may then be None."""
-    if net.mobility == "static":
-        return net
-    return replace(sample_topology(net.k_devices, net.r_cell, rng), mobility=net.mobility)
+def advance_round(radii: np.ndarray, r_cell: float, rng) -> np.ndarray:
+    """Distances in the next round: the same devices when ``rng`` is None
+    (static), else a fresh uniform drop of as many devices."""
+    if rng is None:
+        return radii
+    return sample_topology(radii.size, r_cell, rng)
 
 
 def _interior_active(scheme: SchedulingScheme, round_index: int) -> bool:
@@ -120,7 +93,7 @@ def _interior_active(scheme: SchedulingScheme, round_index: int) -> bool:
     return False
 
 
-def schedule(net: NetworkRealization, scheme: SchedulingScheme, round_index: int) -> np.ndarray:
+def schedule(radii: np.ndarray, scheme: SchedulingScheme, round_index: int) -> np.ndarray:
     """Indices of the devices that transmit in the given round.
 
     A pure function of (distances, scheme, round_index); an empty interior
@@ -128,5 +101,5 @@ def schedule(net: NetworkRealization, scheme: SchedulingScheme, round_index: int
     the round.
     """
     if _interior_active(scheme, round_index):
-        return np.flatnonzero(net.radii <= scheme.r_in)
-    return np.arange(net.k_devices)
+        return np.flatnonzero(radii <= scheme.r_in)
+    return np.arange(radii.size)

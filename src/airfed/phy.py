@@ -51,7 +51,6 @@ from .analytics import (
     latency_baa,
     rate_digital_expected,
 )
-from .rng import as_rng
 
 __all__ = [
     "NormalizationSpec",
@@ -105,7 +104,7 @@ def draw_channels(k_devices: int, width: int, rng) -> np.ndarray:
     one gain per device and sub-channel of one OFDM symbol."""
     if min(k_devices, width) < 1:
         raise ValueError("k_devices and width must both be >= 1")
-    return as_rng(rng).standard_exponential((k_devices, width))
+    return rng.standard_exponential((k_devices, width))
 
 
 def align_rho0(distances, params: SystemParams) -> float:
@@ -160,7 +159,6 @@ def baa_round(
         (aggregate, BaaDiagnostics): the q-vector estimate of the mean
         update, still in normalized symbol space, plus diagnostics.
     """
-    rng = as_rng(rng)
     mat = _as_update_matrix(updates)
     k, q = mat.shape
     radii = np.asarray(radii, dtype=float)
@@ -317,7 +315,6 @@ def digital_round(
     the maximum of the per-device expected latencies.  The result also
     carries each device's receive SNR, from which those latencies follow.
     """
-    rng = as_rng(rng)
     mat = _as_update_matrix(updates)
     k, q = mat.shape
     radii = np.asarray(radii, dtype=float)

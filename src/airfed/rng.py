@@ -3,7 +3,10 @@
 Every experiment hangs off a single 64-bit root seed.  Sub-streams (per
 trial, per round, per device, per module) are derived by hashing the root
 seed together with a tuple of string/int labels, so adding more trials or
-reordering work never perturbs the draws of existing streams.
+reordering work never perturbs the draws of existing streams.  Every
+stochastic function draws from the ``np.random.Generator`` it is given
+(the synthetic dataset takes an int seed), so nothing seeds a stream from
+OS entropy.
 Large Monte Carlo draws are split by :func:`row_blocks` into blocks of
 about ``BLOCK_ENTRIES`` entries; consecutive draws from one stream give
 the same numbers as one.
@@ -33,13 +36,6 @@ def derive_seed(root_seed: int, *labels) -> int:
 def derived_rng(root_seed: int, *labels) -> np.random.Generator:
     """Generator seeded from ``derive_seed(root_seed, *labels)``."""
     return np.random.default_rng(derive_seed(root_seed, *labels))
-
-
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def row_blocks(n_rows: int, row_entries: int):

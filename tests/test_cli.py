@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from airfed import cli, rng
@@ -16,7 +17,7 @@ from airfed.cli import (
     write_outputs,
 )
 from airfed.config import ConfigError, DEFAULTS, dbm_to_watts, load_config, parse_config_text
-from conftest import traced_peak
+from conftest import traced_peak, write_idx_pair
 
 SMALL_TRAIN = """
 k_devices = 4
@@ -189,6 +190,28 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "k_devices" in err
+
+    # A partition that does not fit train_samples at k_devices fails every
+    # command at load, not only those that train.
+    @pytest.mark.parametrize(
+        "command", ["tradeoff", "montecarlo", "latency", "train", "compare", "extensions"]
+    )
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "shard_size = 100",
+            "train_samples = 150",
+            "partition_mode = noniid-shards\nshards_per_device = 11",
+        ],
+    )
+    def test_partition_that_does_not_fit_exits_cleanly(self, tmp_path, capsys, line, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: train_samples = " in err
+        for key in ("k_devices = 200", "shard_size = ", "shards_per_device = "):
+            assert key in err
 
     @pytest.mark.parametrize("command", ["latency", "train", "compare", "extensions"])
     def test_single_device_runs_where_no_closed_form_is_undefined(self, tmp_path, command):
@@ -410,6 +433,47 @@ class TestTrainCompareCommands:
         assert summary["ideal"][2] == 0.0  # no channel, no latency
         assert summary["baa"][2] > 0.0
         assert summary["digital"][2] > 0.0
+
+
+class TestIdxCorpus:
+    @staticmethod
+    def write_pair(directory, n):
+        """A 2x2-pixel IDX image/label pair of n samples, labels cycling 0-9.
+        Each image's four bytes spell its index, so no two are equal."""
+        directory.mkdir()
+        images = np.arange(n, dtype=">u4").view(np.uint8).reshape(n, 2, 2)
+        write_idx_pair(directory, images, (np.arange(n) % 10).astype(np.uint8))
+        return directory
+
+    def run_compare(self, tmp_path, n) -> int:
+        path = tmp_path / "idx.cfg"
+        path.write_text(f"dataset = {self.write_pair(tmp_path / 'corpus', n)}\n")
+        return cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+
+    # At the default test_samples = 5000 these corpora leave no training set.
+    @pytest.mark.parametrize("n", [300, 4000, 5000])
+    def test_corpus_no_larger_than_the_test_set_exits_cleanly(self, tmp_path, capsys, n):
+        assert self.run_compare(tmp_path, n) == 2
+        err = capsys.readouterr().err
+        assert f"error: test_samples = 5000 leaves 0 training samples in the {n}-sample corpus" in err
+
+    def test_partition_is_checked_on_the_real_training_set(self, tmp_path, capsys):
+        # 100 samples beyond the test set cannot give 200 devices one each.
+        assert self.run_compare(tmp_path, 5100) == 2
+        err = capsys.readouterr().err
+        assert "error: test_samples = 5000 leaves 100 training samples in the 5100-sample corpus" in err
+        assert "k_devices = 200" in err
+
+    @pytest.mark.parametrize("n, n_train", [(300, 150), (220, 120)])
+    def test_training_set_is_the_corpus_beyond_the_test_set(self, tmp_path, n, n_train):
+        corpus = self.write_pair(tmp_path / "corpus", n)
+        config = load_config(
+            None, {"dataset": str(corpus), "train_samples": 150, "test_samples": 100, "k_devices": 4}
+        )
+        train, test = cli._build_datasets(config)
+        assert (len(train), len(test)) == (n_train, 100)
+        pixels = {tuple(row) for row in np.vstack([train.features, test.features])}
+        assert len(pixels) == n_train + 100
 
 
 class TestDeterminism:

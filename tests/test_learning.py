@@ -31,6 +31,7 @@ from airfed.learning import (
 )
 from airfed.network import SchedulingScheme
 from airfed.rng import derived_rng
+from conftest import write_idx_pair
 
 PARAMS = SystemParams(p0=0.1, m=1000, b=1e6, alpha=3.0, r_cell=100.0, g_th=0.2, n0=1e-11)
 
@@ -174,20 +175,15 @@ class TestLocalSgd:
         assert np.array_equal(loss_gradient(models, features, labels, 3), np.stack(gradients))
 
 
-    def test_full_batch_builds_no_generator(self, monkeypatch):
-        # Full-batch steps draw nothing: no stream is built, since
-        # as_rng(None) would seed one from OS entropy.
+    def test_full_batch_builds_no_generator(self):
+        # Full-batch steps draw nothing, so they need no stream and give
+        # the same model with rng=None as with a Generator.
         data = toy_dataset()
         w0 = init_weights(data.n_features, data.n_classes, derived_rng(3, "w"))
         expected = local_sgd(
             w0, data.features, data.labels, data.n_classes,
             eta=0.5, tau=2, batch_size=None, rng=derived_rng(3, "s"),
         )
-
-        def no_generator(seed_or_rng):
-            raise AssertionError("full-batch SGD built a generator")
-
-        monkeypatch.setattr(learning, "as_rng", no_generator)
         for batch_size in (None, len(data)):
             stepped = local_sgd(
                 w0, data.features, data.labels, data.n_classes,
@@ -269,6 +265,31 @@ class TestPartition:
         with pytest.raises(ValueError):
             PartitionSpec(mode="striped")
 
+    @pytest.mark.parametrize(
+        "mode, shard_size, shards_per_device, n, k, expected",
+        [
+            ("iid", None, None, 1995, 20, 99),
+            ("iid", 10, 3, 2000, 37, 30),
+            ("noniid-shards", None, 3, 2000, 7, 285),
+            ("noniid-shards", 50, 2, 2000, 20, 100),
+        ],
+    )
+    def test_per_device_sizes(self, mode, shard_size, shards_per_device, n, k, expected):
+        spec = PartitionSpec(mode, shard_size, shards_per_device)
+        assert spec.per_device(n, k) == expected
+        data = synth_gaussian_mixture(10, 4, n, seed=26)
+        assert partition(data, spec, k, derived_rng(13, "p")).shape == (k, expected)
+
+    @pytest.mark.parametrize(
+        "mode, shard_size, shards_per_device, n",
+        [("iid", 100, 2, 2000), ("iid", None, 2, 150), ("noniid-shards", None, 11, 2000)],
+        ids=["shards-overflow", "fewer-samples-than-devices", "shards-below-one-sample"],
+    )
+    def test_per_device_rejects_a_partition_that_does_not_fit(self, mode, shard_size, shards_per_device, n):
+        spec = PartitionSpec(mode, shard_size, shards_per_device)
+        with pytest.raises(ValueError, match=f"from {n} .*shard_size = .*shards_per_device = "):
+            spec.per_device(n, 200)
+
 
 class TestFederatedTrain:
     def scenario(self, k):
@@ -301,6 +322,14 @@ class TestFederatedTrain:
         )
         assert unused.isdisjoint(derived)
         assert {"mobility", "sgd"} - unused <= set(derived)
+
+    def test_unknown_mobility_rejected(self):
+        data = toy_dataset(n=40, seed=36)
+        with pytest.raises(ValueError, match="mobility must be one of .*got 'walk'"):
+            federated_train(
+                data, PartitionSpec(mode="iid"), TrainConfig(n_cr=1), PARAMS, self.scenario(4),
+                SchedulingScheme.all_inclusive(), 67, data, mobility="walk",
+            )
 
     def test_single_device_ideal_equals_centralized(self):
         data = toy_dataset(n=50, seed=31)
@@ -419,18 +448,11 @@ class TestFederatedTrain:
 
 
 class TestDatasets:
-    def _write_idx_pair(self, tmp_path, n=100, rows=4, cols=3):
-        rng = np.random.default_rng(0)
-        images = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
-        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        img_path = tmp_path / "train-images-idx3-ubyte"
-        lbl_path = tmp_path / "train-labels-idx1-ubyte"
-        img_path.write_bytes(struct.pack(">iiii", 0x803, n, rows, cols) + images.tobytes())
-        lbl_path.write_bytes(struct.pack(">ii", 0x801, n) + labels.tobytes())
-        return img_path, lbl_path, images, labels
-
     def test_idx_pair_loads(self, tmp_path):
-        img_path, _, images, labels = self._write_idx_pair(tmp_path)
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(100, 4, 3), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=100, dtype=np.uint8)
+        img_path = write_idx_pair(tmp_path, images, labels)
         data = load_mnist_idx(tmp_path)
         assert len(data) == 100
         assert data.n_features == 12

@@ -1,11 +1,12 @@
-"""Topology sampling, mobility, and scheduling against the closed forms."""
+"""Topology sampling, mobility, and scheduling against the closed forms.
+
+A topology is the array of device distances."""
 
 import numpy as np
 import pytest
 
 from airfed import analytics, network
 from airfed.network import (
-    NetworkRealization,
     SchedulingScheme,
     advance_round,
     sample_radii,
@@ -29,31 +30,29 @@ class TestSampleTopology:
         assert radii.mean() == pytest.approx(2.0 / 3.0 * R_CELL, rel=0.01)
 
     def test_same_seed_bit_identical(self):
-        net_a = sample_topology(50, R_CELL, 123)
-        net_b = sample_topology(50, R_CELL, 123)
-        assert np.array_equal(net_a.radii, net_b.radii)
+        radii_a = sample_topology(50, R_CELL, derived_rng(123, "topology"))
+        radii_b = sample_topology(50, R_CELL, derived_rng(123, "topology"))
+        assert radii_a.shape == (50,)
+        assert np.array_equal(radii_a, radii_b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sample_topology(0, R_CELL, 1)
+            sample_topology(0, R_CELL, derived_rng(1, "topology"))
         with pytest.raises(ValueError):
-            NetworkRealization(radii=np.array([150.0]), r_cell=R_CELL)
-        with pytest.raises(ValueError):
-            NetworkRealization(radii=np.array([10.0]), r_cell=R_CELL, mobility="walk")
+            sample_topology(5, 0.0, derived_rng(1, "topology"))
 
 
 class TestAdvanceRound:
     def test_static_keeps_positions(self):
-        net = sample_topology(20, R_CELL, 5)
-        stepped = advance_round(net, derived_rng(5, "step"))
-        assert stepped is net
+        radii = sample_topology(20, R_CELL, derived_rng(5, "topology"))
+        assert advance_round(radii, R_CELL, None) is radii
 
     def test_resample_draws_fresh_positions(self):
-        net = sample_topology(20, R_CELL, 5)
-        net = NetworkRealization(net.radii, R_CELL, mobility="iid-resample")
-        stepped = advance_round(net, derived_rng(5, "step"))
-        assert stepped.mobility == "iid-resample"
-        assert not np.array_equal(stepped.radii, net.radii)
+        radii = sample_topology(20, R_CELL, derived_rng(5, "topology"))
+        stepped = advance_round(radii, R_CELL, derived_rng(5, "step"))
+        assert stepped.shape == radii.shape
+        assert not np.array_equal(stepped, radii)
+        assert np.array_equal(stepped, sample_radii(20, R_CELL, derived_rng(5, "step")))
 
     def test_mobility_covers_all_devices_at_predicted_rate(self):
         # 2000 independent training periods of 31 rounds with 200 devices
@@ -66,22 +65,21 @@ class TestAdvanceRound:
         hits = 0
         for run in range(runs):
             rng = derived_rng(31337, "mobility-run", run)
-            net = sample_topology(k, R_CELL, rng)
-            net = NetworkRealization(net.radii, R_CELL, mobility="iid-resample")
+            radii = sample_topology(k, R_CELL, rng)
             ever = np.zeros(k, dtype=bool)
             for rnd in range(n_cr):
                 if rnd > 0:
-                    net = advance_round(net, rng)
-                ever[schedule(net, scheme, rnd)] = True
+                    radii = advance_round(radii, R_CELL, rng)
+                ever[schedule(radii, scheme, rnd)] = True
             hits += bool(ever.all())
         assert hits / runs == pytest.approx(exact, abs=0.02)
 
 
 class TestSchedule:
     def test_full_interior_equals_all_inclusive(self):
-        net = sample_topology(30, R_CELL, 11)
-        interior = schedule(net, SchedulingScheme.cell_interior(R_CELL), 0)
-        everyone = schedule(net, SchedulingScheme.all_inclusive(), 0)
+        radii = sample_topology(30, R_CELL, derived_rng(11, "topology"))
+        interior = schedule(radii, SchedulingScheme.cell_interior(R_CELL), 0)
+        everyone = schedule(radii, SchedulingScheme.all_inclusive(), 0)
         assert np.array_equal(interior, everyone)
 
     def test_interior_mean_count(self):
@@ -91,38 +89,38 @@ class TestSchedule:
         assert counts.mean() == pytest.approx(5.0, abs=0.5)
 
     def test_interior_members_within_radius(self):
-        net = sample_topology(50, R_CELL, 2)
-        ids = schedule(net, SchedulingScheme.cell_interior(40.0), 0)
+        radii = sample_topology(50, R_CELL, derived_rng(2, "topology"))
+        ids = schedule(radii, SchedulingScheme.cell_interior(40.0), 0)
         assert ids.size
-        assert all(net.radii[i] <= 40.0 for i in ids)
+        assert all(radii[i] <= 40.0 for i in ids)
 
     def test_alternating_pattern(self):
-        net = sample_topology(30, R_CELL, 11)
+        radii = sample_topology(30, R_CELL, derived_rng(11, "topology"))
         scheme = SchedulingScheme.alternating(50.0, period=1)
-        interior = schedule(net, SchedulingScheme.cell_interior(50.0), 0)
+        interior = schedule(radii, SchedulingScheme.cell_interior(50.0), 0)
         for rnd in range(6):
-            ids = schedule(net, scheme, rnd)
+            ids = schedule(radii, scheme, rnd)
             if rnd % 2 == 0:
                 assert np.array_equal(ids, interior)
             else:
                 assert len(ids) == 30
 
     def test_alternating_longer_period(self):
-        net = sample_topology(10, R_CELL, 4)
+        radii = sample_topology(10, R_CELL, derived_rng(4, "topology"))
         scheme = SchedulingScheme.alternating(50.0, period=3)
-        kinds = ["interior" if len(schedule(net, scheme, r)) < 10 else "all"
+        kinds = ["interior" if len(schedule(radii, scheme, r)) < 10 else "all"
                  for r in range(12)]
         assert kinds == ["interior"] * 3 + ["all"] * 3 + ["interior"] * 3 + ["all"] * 3
 
     def test_empty_round_flagged(self):
-        net = NetworkRealization(radii=np.array([60.0, 80.0]), r_cell=R_CELL)
-        assert schedule(net, SchedulingScheme.cell_interior(10.0), 0).size == 0
+        radii = np.array([60.0, 80.0])
+        assert schedule(radii, SchedulingScheme.cell_interior(10.0), 0).size == 0
 
     def test_replay_is_identical(self):
-        net = sample_topology(25, R_CELL, 8)
+        radii = sample_topology(25, R_CELL, derived_rng(8, "topology"))
         scheme = SchedulingScheme.alternating(55.0, period=2)
-        first = [schedule(net, scheme, r) for r in range(10)]
-        second = [schedule(net, scheme, r) for r in range(10)]
+        first = [schedule(radii, scheme, r) for r in range(10)]
+        second = [schedule(radii, scheme, r) for r in range(10)]
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_scheme_validation(self):
