@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -225,40 +225,39 @@ def cutoff_for_ratio(zeta: float) -> float:
     return -math.log1p(-zeta)
 
 
-def aligned_receive_power(params: SystemParams, r_max, g_th: float | None = None):
+def aligned_receive_power(params: SystemParams, r_max):
     """Aligned per-sub-channel receive power rho0 (watts).
 
     This is the common amplitude-squared at which every scheduled device's
     symbols arrive when the furthest device (distance r_max) transmits at
-    its full power budget under truncated channel inversion.  ``r_max`` may
-    be an array of distances; the result then has its shape.  An explicit
-    ``g_th`` overrides ``params.g_th`` and must be positive, as
-    :func:`exp_integral` checks: at 0 full inversion of a Rayleigh channel
-    has infinite expected power cost.
+    its full power budget under truncated channel inversion at the cutoff
+    ``params.g_th``.  ``r_max`` may be an array of distances; the result
+    then has its shape.
     """
     r_max = np.asarray(r_max, dtype=float)
     if (r_max <= 0).any():
         raise ValueError(f"r_max must be positive, got {r_max}")
-    g = params.g_th if g_th is None else g_th
-    return params.p0 / (params.m * r_max**params.alpha * exp_integral(g))
+    return params.p0 / (params.m * r_max**params.alpha * exp_integral(params.g_th))
 
 
-def receive_snr(params: SystemParams, r_max, g_th: float | None = None):
+def receive_snr(params: SystemParams, r_max):
     """Receive SNR (linear) of the aligned aggregation signal: rho0 / n0."""
-    return aligned_receive_power(params, r_max, g_th) / params.n0
+    return aligned_receive_power(params, r_max) / params.n0
 
 
 def snr_truncation_curve(params: SystemParams, r_max: float, zeta_grid) -> TradeoffCurve:
     """Receive SNR as a function of the truncation ratio.
 
     Each grid point zeta in (0, 1) is mapped through the cutoff threshold
-    g = -ln(1 - zeta); the resulting curve is strictly increasing in zeta.
+    g = -ln(1 - zeta), which replaces ``params.g_th``; the resulting curve
+    is strictly increasing in zeta.
     """
     points = []
     for zeta in zeta_grid:
         if not 0.0 < zeta < 1.0:
             raise ValueError(f"zeta grid values must lie strictly in (0, 1), got {zeta}")
-        points.append((float(zeta), receive_snr(params, r_max, cutoff_for_ratio(zeta))))
+        cut = replace(params, g_th=cutoff_for_ratio(zeta))
+        points.append((float(zeta), receive_snr(cut, r_max)))
     return TradeoffCurve(tuple(points))
 
 
@@ -379,8 +378,6 @@ def expected_snr_cell_interior(params: SystemParams, scenario: ScenarioParams):
         raise ValueError(
             f"cell-interior expectation needs k_devices >= 2 (k_devices={scenario.k_devices})"
         )
-    if scenario.r_in > params.r_cell:
-        raise ValueError(f"r_in must not exceed r_cell ({scenario.r_in} > {params.r_cell})")
     p_in = fraction_exploited(scenario.r_in, params.r_cell)
     c = _interior_scaling_factor(scenario.k_devices, p_in, params.alpha)
     if params.alpha == 3.0 and not 1.0 <= c <= 4.0:
@@ -475,21 +472,18 @@ def _bits_per_symbol(params: SystemParams, snr):
     return np.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
 
 
-def rate_digital_expected(params: SystemParams, k_devices: int, r_k, *, snr=None):
+def rate_digital_expected(params: SystemParams, k_devices: int, r_k):
     """Expected uplink rate (bits/s) of one device in the OFDMA baseline.
 
     The device holds m/k sub-channels (kept real-valued), each delivering
-    log2(1 + factor * snr) bits per symbol when not cut off; the cutoff
-    survives with probability exp(-g_th).  ``r_k`` may be an array of
+    log2(1 + factor * snr) bits per symbol, with snr its
+    :func:`digital_device_snr`, when not cut off; the cutoff survives with
+    probability exp(-g_th).  ``r_k`` may be an array of positive
     distances, one rate per entry; the cutoff integral is evaluated once.
-    A caller that already holds ``digital_device_snr(params, k_devices,
-    r_k)`` passes it as ``snr`` so the integral is not evaluated again;
-    otherwise :func:`aligned_receive_power` checks that ``r_k`` is positive.
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    if snr is None:
-        snr = digital_device_snr(params, k_devices, r_k)
+    snr = digital_device_snr(params, k_devices, r_k)
     return params.m / k_devices * params.b_sub * _bits_per_symbol(params, snr)
 
 

@@ -404,20 +404,24 @@ def cmd_extensions(config: ExperimentConfig) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+# Subcommand name -> (config, grid) -> tables.  Each entry looks its cmd_*
+# function up when called, so rebinding that module attribute (as the
+# benchmark's tracer does) takes effect.
+COMMANDS = {
+    "tradeoff": lambda config, grid: cmd_tradeoff(config),
+    "montecarlo": lambda config, grid: cmd_montecarlo(config),
+    "latency": lambda config, grid: cmd_latency(config),
+    "train": lambda config, grid: cmd_train(config, grid=grid),
+    "compare": lambda config, grid: cmd_compare(config),
+    "extensions": lambda config, grid: cmd_extensions(config),
+}
+
+
 def run_command(command: str, config: ExperimentConfig, grid: bool = False) -> dict:
-    if command == "tradeoff":
-        return cmd_tradeoff(config)
-    if command == "montecarlo":
-        return cmd_montecarlo(config)
-    if command == "latency":
-        return cmd_latency(config)
-    if command == "train":
-        return cmd_train(config, grid=grid)
-    if command == "compare":
-        return cmd_compare(config)
-    if command == "extensions":
-        return cmd_extensions(config)
-    raise ValueError(f"unknown command {command!r}")
+    """Tables of one subcommand; ``grid`` is read by ``train`` only."""
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
+    return COMMANDS[command](config, grid)
 
 
 def write_outputs(tables: dict, config: ExperimentConfig, out_dir, fmt: str) -> list:
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Federated edge learning with over-the-air aggregation: experiments and analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("tradeoff", "montecarlo", "latency", "train", "compare", "extensions"):
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=Path, default=None, help="flat key=value config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")

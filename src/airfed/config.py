@@ -93,6 +93,7 @@ DEFAULTS: dict = {
 # every entry of a grid.  Values outside would otherwise fail mid-command
 # or yield meaningless tables.
 RANGES = {
+    "noise_dbm": "(-3000, 3000)",  # n0 in watts stays a normal float
     "target_ber": "(0, 0.2)",
     "r_in_frac": "(0, 1]",
     "classes": ">= 2",

@@ -205,32 +205,28 @@ def beam_objective(problem: BeamProblem, f_matrix: np.ndarray) -> float:
     return num / (problem.n0 * den)
 
 
-def aggregation_beamformer(problem: BeamProblem, rank: int = 1) -> AggregationBeamResult:
-    """Sum-SNR-maximizing receive beams for the weak-user subspace.
+def aggregation_beamformer(problem: BeamProblem) -> AggregationBeamResult:
+    """Sum-SNR-maximizing receive beam for the weak-user subspace.
 
     Maximizes tr(F^H A F) / (n0 tr(F^H F)) with A built from the weak users'
-    channel columns; the optimum spans the principal eigenvectors of A and
-    attains the mean of the top ``rank`` eigenvalues over n0.
+    channel columns over the single aggregation beam F (shape (n, 1)); the
+    optimum is the principal eigenvector of A and attains its largest
+    eigenvalue over n0.
     """
     if not problem.weak_set:
         raise ValueError("aggregation beamforming needs a nonempty weak_set")
-    if not 1 <= rank <= problem.n_antennas:
-        raise ValueError(f"rank must lie in [1, {problem.n_antennas}], got {rank}")
     h_weak = problem.h_matrix[:, list(problem.weak_set)]
     a = h_weak @ h_weak.conj().T
     if not np.any(a):
         warnings.warn("zero channel matrix: beamformer is degenerate", RuntimeWarning, stacklevel=2)
         return AggregationBeamResult(
-            f_matrix=np.zeros((problem.n_antennas, rank), dtype=complex),
+            f_matrix=np.zeros((problem.n_antennas, 1), dtype=complex),
             objective=0.0,
             degenerate=True,
         )
-    # eigh sorts ascending; the last ``rank`` columns span the top eigenspace.
+    # eigh sorts ascending; the last column is the principal eigenvector.
     eigvals, eigvecs = np.linalg.eigh(a)
-    top = slice(-1, -rank - 1, -1)
-    return AggregationBeamResult(
-        f_matrix=eigvecs[:, top], objective=float(np.mean(eigvals[top]) / problem.n0)
-    )
+    return AggregationBeamResult(f_matrix=eigvecs[:, -1:], objective=float(eigvals[-1] / problem.n0))
 
 
 def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:

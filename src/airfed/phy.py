@@ -325,11 +325,10 @@ def digital_round(
 
     aggregate = _quantized_mean(mat, params.q_bits, params.m, rng, bit_flip_prob)
 
-    snr = digital_device_snr(params, k, radii)
-    latencies = q * params.q_bits / rate_digital_expected(params, k, radii, snr=snr)
+    latencies = q * params.q_bits / rate_digital_expected(params, k, radii)
     return DigitalRoundResult(
         aggregate=aggregate,
-        per_device_snr=snr,
+        per_device_snr=digital_device_snr(params, k, radii),
         per_device_latency_s=latencies,
         round_latency_s=float(latencies.max()),
     )

@@ -6,6 +6,7 @@ results; latency and tradeoff identities against direct evaluation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestReceiveSnr:
         for g_th in [0.1, 0.5, 1.2]:
             zeta = truncation_ratio(g_th)
             curve = snr_truncation_curve(FIG_PARAMS, 100.0, [zeta])
-            direct = receive_snr(FIG_PARAMS, 100.0, cutoff_for_ratio(zeta))
+            direct = receive_snr(replace(FIG_PARAMS, g_th=cutoff_for_ratio(zeta)), 100.0)
             assert curve.points[0][1] == direct
 
     def test_unbounded_growth_near_full_truncation(self):

@@ -1,11 +1,12 @@
 """The benchmark still runs against airfed.
 
 The traced benchmark run rebinds the names listed in
-``benchmarks/layers.py`` and fails when one is missing.  Its workloads
-also call airfed beyond those names (``learning.trace_csv``,
-``phy.denormalize``'s count, ``digital_round``'s positional rng,
-``ScenarioParams.q_dim``).  These tests catch a deleted or renamed name,
-or a changed call, in the test suite instead.
+``benchmarks/layers.py`` and fails when one is missing or records no call
+on a workload that must call it.  Its workloads also call airfed beyond
+those names (``learning.trace_csv``, ``phy.denormalize``'s count,
+``digital_round``'s positional rng, ``ScenarioParams.q_dim``).  These
+tests catch a deleted or renamed name, or a changed call, in the test
+suite instead.
 """
 
 import importlib
@@ -46,15 +47,23 @@ def test_every_traced_name_is_an_airfed_callable():
     assert not missing
 
 
-# A few ops of each workload: one of every op kind, except the two slow
-# cli-reports ones (tradeoff and latency run, montecarlo and extensions not).
-@pytest.mark.parametrize("workload, ops", [("fl-desk", 3), ("phy-paper", 2), ("cli-reports", 2)])
+# A few ops of each workload, traced: one of every op kind.  The traced
+# run must record a call for every name ``layers.py`` lists for the
+# workload, which ``benchmarks/run.py`` otherwise checks only at benchmark
+# time.
+@pytest.mark.parametrize("workload, ops", [("fl-desk", 3), ("phy-paper", 2), ("cli-reports", 4)])
 def test_workload_ops_run_and_pass_their_checks(workload, ops):
     proc = subprocess.run(
-        [sys.executable, str(BENCHMARKS / "worker.py"), "--workload", workload, "--seed", "1", "--ops", str(ops)],
+        [
+            sys.executable, str(BENCHMARKS / "worker.py"), "--workload", workload, "--seed", "1",
+            "--ops", str(ops), "--trace", "1",
+        ],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert len(result["ops"]) == ops
     assert [op["problems"] for op in result["ops"]] == [[]] * ops
+    functions = result["trace"]["functions"]
+    uncalled = [name for name in _layers().qualnames(workload) if functions[name]["calls"] == 0]
+    assert not uncalled

@@ -126,6 +126,8 @@ class TestConfig:
             ("aggregation = analogue", ["compare"]),
             ("shards_per_device = 0\npartition_mode = noniid-shards", ["latency"]),
             ("shards_per_device = -1\npartition_mode = noniid-shards", ["compare"]),
+            ("noise_dbm = 5000", ["tradeoff"]),
+            ("noise_dbm = -5000", ["compare"]),
         ],
     )
     def test_out_of_range_value_exits_cleanly(self, tmp_path, capsys, line, command):
