@@ -469,7 +469,9 @@ def digital_device_snr(params: SystemParams, k_devices: int, r):
 def _bits_per_symbol(params: SystemParams, snr):
     # Expected MQAM bits per sub-channel use: log2(1 + factor * snr) when
     # the sub-channel survives the cutoff, which it does w.p. exp(-g_th).
-    return np.log2(1.0 + mqam_snr_factor(params.ber) * snr) * math.exp(-params.g_th)
+    # Taken as log1p(x) / ln 2: 1 + x rounds to 1 once x is below about
+    # 1e-16, which would make the rate 0 and the latency infinite.
+    return np.log1p(mqam_snr_factor(params.ber) * snr) / math.log(2.0) * math.exp(-params.g_th)
 
 
 def rate_digital_expected(params: SystemParams, k_devices: int, r_k):

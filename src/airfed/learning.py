@@ -6,6 +6,13 @@ q-vector as the channel layer expects.  Each round: broadcast the global
 model, schedule devices, run local minibatch SGD, aggregate through one of
 {ideal, baa, digital}, and evaluate on a held-out set.
 
+Evaluation (``accuracy`` and ``local_loss``) runs on class-major (C, n)
+logits, so every step after the matmul loops over the n samples rather
+than over the C classes.  It returns the same bits as the row-major
+formulas on (n, C) logits: the class sum adds its terms in numpy's
+row-sum order, and the accuracy test follows ``ndarray.argmax`` on ties
+and NaN.
+
 The topology is the array of device distances.  Mobility is one of the two
 analyzed extremes: ``static`` keeps the first drop for every round, and
 ``iid-resample`` redrops every device each round.  Each draw takes a
@@ -165,13 +172,64 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _class_major_logits(weights: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
+    """The (C, n) logits, C-contiguous: ``features @ w`` as the row-major
+    formulas compute it, one transposed copy, then the bias in place.  Each
+    entry has the bits of ``features @ w + b``; only the layout differs."""
+    w, b = _unpack(weights, dataset.n_features, dataset.n_classes)
+    logits = (dataset.features @ w).T.copy()
+    logits += b[:, None]
+    return logits
+
+
+def _at_labels(class_major: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``class_major[labels[i], i]`` for every sample i, as one flat take."""
+    n = labels.size
+    return np.take(class_major, labels * n + np.arange(n))
+
+
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of class-major ``terms`` (C, n) with the bits of
+    ``row_major.sum(axis=-1)``, row_major being the same terms as a
+    C-contiguous (n, C) array.
+
+    numpy adds one contiguous row of C < 8 terms in sequence, and up to 128
+    terms into eight strided partial sums that it combines pairwise before
+    adding the tail.  Each step here is that addition, done for all n
+    samples at once.  Longer rows, which numpy splits recursively, take the
+    row-major sum.  numpy also adds the row's sum to a starting 0.0, which
+    changes only a sum of -0.0; the terms here are exp values, never -0.0.
+    """
+    c = terms.shape[0]
+    if c > 128:
+        return np.ascontiguousarray(terms.T).sum(axis=-1)
+    if c < 8:
+        total = terms[0].copy()
+        for row in terms[1:]:
+            total += row
+        return total
+    acc = terms[:8].copy()
+    tail = c - c % 8
+    for start in range(8, tail, 8):
+        acc += terms[start : start + 8]
+    acc[::2] += acc[1::2]
+    acc[::4] += acc[2::4]
+    acc[0] += acc[4]
+    for row in terms[tail:]:
+        acc[0] += row
+    return acc[0]
+
+
 def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
     """Mean cross-entropy of the model on one device's shard."""
     if len(shard) == 0:
         raise ValueError("cannot evaluate the loss of an empty shard")
-    w, b = _unpack(weights, shard.n_features, shard.n_classes)
-    log_p = _log_softmax(shard.features @ w + b)
-    return float(-log_p[np.arange(len(shard)), shard.labels].mean())
+    shifted = _class_major_logits(weights, shard)
+    shifted -= shifted.max(axis=0)
+    label_logit = _at_labels(shifted, shard.labels)
+    # exp overwrites the shifted logits, which nothing reads afterwards.
+    log_norm = np.log(_class_sum(np.exp(shifted, out=shifted)))
+    return float(-(label_logit - log_norm).mean())
 
 
 def global_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
@@ -199,9 +257,20 @@ def loss_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
 
 
 def accuracy(weights: np.ndarray, dataset: LabeledDataset) -> float:
-    w, b = _unpack(weights, dataset.n_features, dataset.n_classes)
-    predicted = (dataset.features @ w + b).argmax(axis=1)
-    return float((predicted == dataset.labels).mean())
+    """Share of samples whose label is the predicted class.
+
+    The prediction is ``ndarray.argmax`` over the class logits: among tied
+    maxima the lowest class wins, and a NaN logit counts as the maximum, so
+    the first NaN wins.  On class-major logits that reads: the label is
+    predicted iff its logit is a column maximum (or a NaN, where the
+    column's maximum is NaN) and no lower class's logit is.
+    """
+    logits = _class_major_logits(weights, dataset)
+    top = (logits == logits.max(axis=0)) | np.isnan(logits)
+    labels = dataset.labels
+    lower = np.arange(dataset.n_classes)[:, None] < labels
+    predicted = _at_labels(top, labels) & ~(top & lower).any(axis=0)
+    return float(predicted.mean())
 
 
 def local_sgd(

@@ -312,6 +312,15 @@ class TestLatencyCommand:
         gammas = [g for _, g in series]
         assert all(b > a for a, b in zip(gammas, gammas[1:]))
 
+    # At noise_dbm = 100 the digital SNR lies far below 1e-16, where
+    # 1 + factor * snr rounds to 1: the rate must stay positive, the
+    # latency finite, and no divide-by-zero warning may be raised.
+    @pytest.mark.parametrize("overrides", [{}, {"noise_dbm": 100.0}], ids=["defaults", "noise_dbm=100"])
+    def test_every_latency_finite(self, overrides):
+        rows = cmd_latency(load_config(None, overrides))["latency"].rows
+        assert len(rows) == 120
+        assert np.isfinite(np.array([row[4:] for row in rows])).all()
+
 
 class TestMonteCarloCommand:
     def test_report_structure_and_passes(self):

@@ -92,6 +92,112 @@ class TestLossAndGradient:
             local_loss(np.zeros(model_dim(3, 2)), empty)
 
 
+# The row-major evaluation formulas that the class-major ones replaced,
+# kept verbatim as the bit-for-bit reference.
+def row_major_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def row_major_local_loss(weights, shard):
+    w, b = learning._unpack(weights, shard.n_features, shard.n_classes)
+    log_p = row_major_log_softmax(shard.features @ w + b)
+    return float(-log_p[np.arange(len(shard)), shard.labels].mean())
+
+
+def row_major_accuracy(weights, dataset):
+    w, b = learning._unpack(weights, dataset.n_features, dataset.n_classes)
+    predicted = (dataset.features @ w + b).argmax(axis=1)
+    return float((predicted == dataset.labels).mean())
+
+
+def assert_same_bits(value, reference):
+    assert value == reference or (np.isnan(value) and np.isnan(reference))
+
+
+class TestClassMajorEvaluation:
+    """``accuracy`` and ``local_loss`` evaluate class-major logits and must
+    return exactly what the row-major formulas return."""
+
+    @staticmethod
+    def random_dataset(n, classes, dim, seed):
+        rng = derived_rng(seed, "eval", n, classes)
+        return LabeledDataset(rng.normal(0.0, 1.0, (n, dim)), rng.integers(0, classes, n), classes)
+
+    @pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 10, 16, 17, 64])
+    def test_random_weights_match_row_major(self, classes):
+        dim = 5
+        for n in (1, 2, 3, 8, 31, 257, 2000):
+            data = self.random_dataset(n, classes, dim, seed=4)
+            rng = derived_rng(4, "weights", n, classes)
+            for scale in (1e-3, 0.1, 1.0, 10.0, 300.0):
+                weights = rng.normal(0.0, scale, model_dim(dim, classes))
+                assert accuracy(weights, data) == row_major_accuracy(weights, data)
+                assert local_loss(weights, data) == row_major_local_loss(weights, data)
+
+    @pytest.mark.parametrize("classes", [2, 3, 10, 17])
+    def test_zero_weights_predict_class_zero(self, classes):
+        # Every logit ties, so argmax picks class 0 for every sample.
+        data = self.random_dataset(500, classes, 4, seed=5)
+        zeros = np.zeros(model_dim(4, classes))
+        assert accuracy(zeros, data) == float((data.labels == 0).mean())
+        assert accuracy(zeros, data) == row_major_accuracy(zeros, data)
+        assert local_loss(zeros, data) == row_major_local_loss(zeros, data)
+
+    @pytest.mark.parametrize(
+        "bias, predicted",
+        [
+            ([0.0, 2.0, 2.0, 1.0], 1),  # tied maxima: the lowest class wins
+            ([1.0, np.nan, 5.0, np.nan], 1),  # a NaN beats every number; the first NaN wins
+            ([-np.inf, -np.inf, -np.inf, -np.inf], 0),
+            ([-np.inf, np.inf, 0.0, np.inf], 1),
+            ([-0.0, 0.0, -1.0, 0.0], 0),  # -0.0 == 0.0
+        ],
+    )
+    def test_ties_and_nan_follow_argmax(self, bias, predicted):
+        dim, classes = 3, 4
+        weights = np.concatenate([np.zeros(dim * classes), bias])
+        for label in range(classes):
+            data = LabeledDataset(np.ones((6, dim)), np.full(6, label), classes)
+            with np.errstate(invalid="ignore"):
+                assert accuracy(weights, data) == float(label == predicted)
+                assert_same_bits(local_loss(weights, data), row_major_local_loss(weights, data))
+
+    @pytest.mark.parametrize("classes", [3, 10, 17])
+    def test_inf_and_nan_logits_match_row_major(self, classes):
+        # Non-finite features give each sample its own mix of finite, +-inf
+        # and NaN logits.
+        dim, n = 4, 400
+        data = self.random_dataset(n, classes, dim, seed=6)
+        rng = derived_rng(6, "non-finite")
+        features = data.features.copy()
+        cells = rng.integers(0, n * dim, n // 2)
+        features.reshape(-1)[cells] = rng.choice([np.inf, -np.inf, np.nan], cells.size)
+        data = LabeledDataset(features, data.labels, classes)
+        weights = rng.normal(0.0, 1.0, model_dim(dim, classes))
+        weights[rng.integers(0, weights.size, 3)] = 0.0  # inf * 0 gives NaN
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert accuracy(weights, data) == row_major_accuracy(weights, data)
+            assert_same_bits(local_loss(weights, data), row_major_local_loss(weights, data))
+            logits = data.features @ learning._unpack(weights, dim, classes)[0]
+        assert np.isnan(logits).any() and np.isinf(logits).any()
+
+    def test_class_sum_adds_in_numpy_row_order(self):
+        # The loss column depends on the class sum adding its terms in the
+        # order numpy's pairwise reduction adds one contiguous row.  A numpy
+        # release that changes that order fails here.
+        rng = derived_rng(7, "class-sum")
+        mismatched = []
+        for classes in range(2, 131):
+            for n in (1, 5, 300):
+                row_major = np.exp(rng.normal(0.0, 20.0, (n, classes)))
+                expected = row_major.sum(axis=-1)
+                got = learning._class_sum(np.ascontiguousarray(row_major.T))
+                if got.tobytes() != expected.tobytes():
+                    mismatched.append((classes, n))
+        assert mismatched == []
+
+
 class TestLocalSgd:
     def test_zero_step_size_is_identity(self):
         data = toy_dataset()
