@@ -7,10 +7,3 @@ training loop, and spread-spectrum/beamforming hardening extensions.
 """
 
 __version__ = "0.1.0"
-
-from .analytics import (  # noqa: F401
-    LatencyReport,
-    ScenarioParams,
-    SystemParams,
-    TradeoffCurve,
-)

@@ -18,34 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = [
-    "SystemParams",
-    "ScenarioParams",
-    "TradeoffCurve",
-    "LatencyReport",
-    "exp_integral",
-    "truncation_ratio",
-    "cutoff_for_ratio",
-    "aligned_receive_power",
-    "receive_snr",
-    "snr_truncation_curve",
-    "fraction_exploited",
-    "k_in_pmf",
-    "max_distance_moments",
-    "expected_snr_all_inclusive",
-    "expected_snr_cell_interior",
-    "snr_gain",
-    "reliability_quantity_curve",
-    "p_all_exploited",
-    "latency_baa",
-    "mqam_snr_factor",
-    "digital_device_snr",
-    "rate_digital_expected",
-    "latency_digital",
-    "latency_reduction_ratio",
-    "latency_report",
-]
-
 _EULER_GAMMA = 0.5772156649015328606
 
 

@@ -261,7 +261,10 @@ def _build_datasets(config: ExperimentConfig):
             separation=values["class_separation"],
         )
         return train, test
-    full = load_mnist_idx(values["dataset"])
+    try:
+        full = load_mnist_idx(values["dataset"])
+    except ValueError as exc:
+        raise ConfigError(f"dataset = {values['dataset']}: {exc}") from exc
     # The training set is what the corpus holds beyond the test set, up to
     # train_samples; the partition must fit that set, not train_samples.
     n_test, k = values["test_samples"], config.scenario.k_devices
@@ -361,7 +364,7 @@ def cmd_extensions(config: ExperimentConfig) -> dict:
 
     beam_rows = []
     n, k = values["beam_antennas"], values["beam_users"]
-    instances = [(n, k), (n, 1), (max(2, k - 1), k)]  # last one exercises n < k
+    instances = [(n, k), (n, 1), (max(2, k - 1), k)]  # last one has n < k when beam_users >= 3
     for idx, (n_ant, k_dev) in enumerate(instances):
         rng = derived_rng(seed, "ext", "beam", idx)
         h = (rng.standard_normal((n_ant, k_dev)) + 1j * rng.standard_normal((n_ant, k_dev))) / np.sqrt(2)

@@ -274,7 +274,14 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     ``overrides`` (e.g. from CLI flags) are applied after parsing and are
     validated against the same schema.
     """
-    values = parse_config_text(Path(path).read_text()) if path else dict(DEFAULTS)
+    if path:
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        values = parse_config_text(text)
+    else:
+        values = dict(DEFAULTS)
     for key, value in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")

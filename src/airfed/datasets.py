@@ -82,14 +82,15 @@ def _read_idx(path: Path, expect_magic: int, n_dims: int):
 def _resolve_idx_pair(path) -> tuple[Path, Path]:
     path = Path(path)
     if path.is_dir():
-        images = sorted(p for p in path.iterdir() if "images-idx3" in p.name and not p.name.endswith(".gz"))
-        labels = sorted(p for p in path.iterdir() if "labels-idx1" in p.name and not p.name.endswith(".gz"))
-        # Prefer the training pair when both train and test files are present.
-        images = sorted(images, key=lambda p: (not p.name.startswith("train"), p.name))
-        labels = sorted(labels, key=lambda p: (not p.name.startswith("train"), p.name))
-        if not images or not labels:
-            raise FileNotFoundError(f"{path}: no IDX image/label file pair found")
-        return images[0], labels[0]
+        # Prefer the training images when both train and test files are
+        # present; the labels file is then derived from the images file.
+        images = sorted(
+            (p for p in path.iterdir() if "images-idx3" in p.name and not p.name.endswith(".gz")),
+            key=lambda p: (not p.name.startswith("train"), p.name),
+        )
+        if not images:
+            raise FileNotFoundError(f"{path}: no IDX images file found")
+        path = images[0]
     label_name = path.name.replace("images", "labels").replace("idx3", "idx1")
     label_path = path.with_name(label_name)
     if not label_path.exists():
@@ -100,8 +101,10 @@ def _resolve_idx_pair(path) -> tuple[Path, Path]:
 def load_mnist_idx(path) -> LabeledDataset:
     """Load an IDX image/label pair as flat [0, 1] features.
 
-    ``path`` may be a directory holding the standard file names, or the
-    images file itself (the label file name is then inferred from it).
+    ``path`` may be a directory holding the standard file names (its
+    training images file is preferred), or the images file itself.  Either
+    way the labels file is named after the images file, ``images`` →
+    ``labels`` and ``idx3`` → ``idx1``, and must sit next to it.
     """
     images_file, labels_file = _resolve_idx_pair(path)
     images = _read_idx(images_file, IMAGES_MAGIC, 3)

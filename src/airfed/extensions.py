@@ -25,21 +25,6 @@ SYMBOLS_PER_TRIAL = 64
 # norm means the other users' channels span it: the user is infeasible.
 COLINEAR_TOL = 1e-10
 
-__all__ = [
-    "SpreadingCode",
-    "BeamProblem",
-    "AggregationBeamResult",
-    "SdmaBeamResult",
-    "pn_code",
-    "spread",
-    "despread",
-    "adversary_suppression_trial",
-    "suppression_ratio",
-    "beam_objective",
-    "aggregation_beamformer",
-    "sdma_beamformer",
-]
-
 
 @dataclass(frozen=True)
 class SpreadingCode:

@@ -52,19 +52,6 @@ from .analytics import (
     rate_digital_expected,
 )
 
-__all__ = [
-    "NormalizationSpec",
-    "BaaDiagnostics",
-    "DigitalRoundResult",
-    "draw_channels",
-    "align_rho0",
-    "baa_round",
-    "digital_round",
-    "normalization_from_values",
-    "normalize_updates",
-    "denormalize",
-]
-
 
 @dataclass(frozen=True)
 class NormalizationSpec:

@@ -17,6 +17,7 @@ from airfed.cli import (
     write_outputs,
 )
 from airfed.config import ConfigError, DEFAULTS, dbm_to_watts, load_config, parse_config_text
+from airfed.datasets import load_mnist_idx
 from conftest import traced_peak, write_idx_pair
 
 SMALL_TRAIN = """
@@ -446,6 +447,11 @@ class TestTrainCompareCommands:
         assert summary["digital"][2] > 0.0
 
 
+def _rewrite_images(corpus, transform):
+    path = corpus / "train-images-idx3-ubyte"
+    path.write_bytes(transform(path.read_bytes()))
+
+
 class TestIdxCorpus:
     @staticmethod
     def write_pair(directory, n):
@@ -456,10 +462,54 @@ class TestIdxCorpus:
         write_idx_pair(directory, images, (np.arange(n) % 10).astype(np.uint8))
         return directory
 
-    def run_compare(self, tmp_path, n) -> int:
+    def run_compare(self, tmp_path, n, corrupt=lambda corpus: None) -> int:
+        corpus = self.write_pair(tmp_path / "corpus", n)
+        corrupt(corpus)
         path = tmp_path / "idx.cfg"
-        path.write_text(f"dataset = {self.write_pair(tmp_path / 'corpus', n)}\n")
+        path.write_text(f"dataset = {corpus}\n")
         return cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+
+    def test_images_without_their_own_labels_exit_cleanly(self, tmp_path, capsys):
+        # Training images beside only the test pair: the training labels are
+        # missing, and the test labels must not stand in for them.
+        def keep_only_test_labels(corpus):
+            (corpus / "t10k-images-idx3-ubyte").write_bytes((corpus / "train-images-idx3-ubyte").read_bytes())
+            (corpus / "train-labels-idx1-ubyte").rename(corpus / "t10k-labels-idx1-ubyte")
+
+        assert self.run_compare(tmp_path, 6000, keep_only_test_labels) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "train-labels-idx1-ubyte not found" in line
+
+    def test_directory_with_both_pairs_loads_the_training_pair(self, tmp_path):
+        corpus = self.write_pair(tmp_path / "corpus", 300)
+        other = tmp_path / "other"
+        other.mkdir()
+        write_idx_pair(other, np.full((120, 2, 2), 255, np.uint8), np.zeros(120, np.uint8))
+        for kind in ("images-idx3", "labels-idx1"):
+            (other / f"train-{kind}-ubyte").rename(corpus / f"t10k-{kind}-ubyte")
+        full = load_mnist_idx(corpus)
+        assert len(full) == 300
+        np.testing.assert_array_equal(full.labels, np.arange(300) % 10)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: _rewrite_images(d, lambda b: b[:7]), "truncated IDX header at offset 7"),
+            (lambda d: _rewrite_images(d, lambda b: b"\0\0\x08\x01" + b[4:]), "bad IDX magic 0x00000801"),
+            (lambda d: _rewrite_images(d, lambda b: b[:-1]), "payload ends at offset"),
+            (lambda d: write_idx_pair(d, np.zeros((6000, 2, 2), np.uint8), (np.arange(5999) % 10).astype(np.uint8)),
+             "6000 images but 5999 labels"),
+            (lambda d: write_idx_pair(d, np.zeros((6000, 2, 2), np.uint8), (np.arange(6000) % 11).astype(np.uint8)),
+             "labels must lie in [0, n_classes)"),
+        ],
+        ids=["truncated-header", "bad-magic", "short-payload", "count-mismatch", "label-out-of-range"],
+    )
+    def test_malformed_corpus_exits_cleanly(self, tmp_path, capsys, corrupt, message):
+        assert self.run_compare(tmp_path, 6000, corrupt) == 2
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert line.startswith(f"error: dataset = {tmp_path / 'corpus'}: ") and message in line
+        assert "Traceback" not in err
 
     # At the default test_samples = 5000 these corpora leave no training set.
     @pytest.mark.parametrize("n", [300, 4000, 5000])
@@ -538,6 +588,19 @@ class TestDeterminism:
         hash_b = json.loads((out_b / "manifest.json").read_text())["config_hash"]
         assert hash_a != hash_b
 
-    def test_unknown_config_file_is_error(self, tmp_path):
-        code = cli.main(["tradeoff", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)])
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("missing.cfg", lambda path: None),
+            ("config_dir", lambda path: path.mkdir()),
+            ("utf16.cfg", lambda path: path.write_bytes(b"\xff\xfe" + "seed = 3\n".encode("utf-16-le"))),
+        ],
+        ids=["missing", "directory", "utf16"],
+    )
+    def test_unknown_config_file_is_error(self, tmp_path, capsys, name, make):
+        path = tmp_path / name
+        make(path)
+        code = cli.main(["tradeoff", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read config file {path}: ")
