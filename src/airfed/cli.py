@@ -53,6 +53,7 @@ def _closed_form_domain():
 def cmd_tradeoff(config: ExperimentConfig) -> dict:
     values = config.values
     snr_rows = []
+    gain_rows = []
     for alpha in values["alpha_grid"]:
         params = replace(config.system, alpha=alpha)
         for r_max in values["r_max_grid"]:
@@ -68,9 +69,6 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
                         10.0 * math.log10(snr),
                     )
                 )
-    gain_rows = []
-    for alpha in values["alpha_grid"]:
-        params = replace(config.system, alpha=alpha)
         with _closed_form_domain():
             curve = analytics.reliability_quantity_curve(
                 params, config.scenario.k_devices, values["f_dat_grid"]

@@ -81,6 +81,8 @@ def _read_idx(path: Path, expect_magic: int, n_dims: int):
 
 def _resolve_idx_pair(path) -> tuple[Path, Path]:
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{path}: no such file or directory")
     if path.is_dir():
         # Prefer the training images when both train and test files are
         # present; the labels file is then derived from the images file.

@@ -1,10 +1,13 @@
-"""Federated averaging with a pluggable aggregation channel.
+"""Federated averaging whose rounds differ only in the aggregation step.
 
 The trainable model is multinomial logistic regression on flat weight
 vectors (d * C weights plus C biases), which keeps every update a plain
-q-vector as the channel layer expects.  Each round: broadcast the global
-model, schedule devices, run local minibatch SGD, aggregate through one of
-{ideal, baa, digital}, and evaluate on a held-out set.
+q-vector as the channel layer expects.  Each round schedules devices, runs
+local minibatch SGD from the broadcast model on every scheduled device,
+takes one aggregation step (``ideal``, ``baa`` or ``digital``) that returns
+the new model and the trace's channel columns, and evaluates on a held-out
+set.  Only ``baa`` and ``digital`` derive the round's ``channel`` stream; a
+round that schedules nobody skips the step and keeps the model.
 
 Evaluation (``accuracy`` and ``local_loss``) runs on class-major (C, n)
 logits, so every step after the matmul loops over the n samples rather
@@ -347,6 +350,30 @@ def _snr_db(linear: float) -> float:
     return 10.0 * math.log10(linear) if linear > 0 else float("nan")
 
 
+# The trace's channel columns (latency_s, rho0_db, truncation_frac) of a
+# round that sends nothing over the air: ideal averaging or an empty round.
+_NO_CHANNEL = (0.0, float("nan"), float("nan"))
+
+
+def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed, rnd):
+    """One round's aggregation step: the new global model from the local
+    models of the devices at distances ``scheduled``, and the round's
+    channel columns.  Only ``baa`` and ``digital`` derive the round's
+    ``channel`` stream."""
+    if aggregation == "ideal":
+        return global_average(locals_), _NO_CHANNEL
+    channel = derived_rng(seed, "channel", rnd)
+    if aggregation == "baa":
+        norm_spec = phy.normalization_from_values(weights)
+        symbols = phy.normalize_updates(locals_, norm_spec)
+        aggregate, diag = phy.baa_round(symbols, scheduled, params, channel)
+        columns = (diag.latency_s, _snr_db(diag.rho0 / params.n0), float(diag.truncation_fraction.mean()))
+        return phy.denormalize(aggregate, norm_spec, 1), columns
+    result = phy.digital_round(locals_, scheduled, params, scenario, channel)
+    columns = (result.round_latency_s, _snr_db(result.per_device_snr[scheduled.argmax()]), float("nan"))
+    return result.aggregate, columns
+
+
 def federated_train(
     dataset: LabeledDataset,
     partition_spec: PartitionSpec,
@@ -393,14 +420,10 @@ def federated_train(
                 radii, params.r_cell, None if static else derived_rng(seed, "mobility", rnd)
             )
         ids = network.schedule(radii, scheme, rnd)
-        latency_s = 0.0
-        rho0_db = float("nan")
-        truncation_frac = float("nan")
-
         if ids.size == 0:
             logger.info("round %d: no device inside r_in, skipping aggregation", rnd)
+            channel = _NO_CHANNEL
         else:
-            scheduled = radii[ids]
             locals_ = local_sgd(
                 weights,
                 features[ids],
@@ -411,37 +434,11 @@ def federated_train(
                 train_cfg.batch_size,
                 derived_rng(seed, "sgd", rnd) if minibatch else None,
             )
-            if train_cfg.aggregation == "ideal":
-                weights = global_average(locals_)
-            elif train_cfg.aggregation == "baa":
-                norm_spec = phy.normalization_from_values(weights)
-                symbols = phy.normalize_updates(locals_, norm_spec)
-                aggregate, diag = phy.baa_round(
-                    symbols, scheduled, params, derived_rng(seed, "channel", rnd)
-                )
-                weights = phy.denormalize(aggregate, norm_spec, 1)
-                latency_s = diag.latency_s
-                rho0_db = _snr_db(diag.rho0 / params.n0)
-                truncation_frac = float(diag.truncation_fraction.mean())
-            else:  # digital
-                result = phy.digital_round(
-                    locals_, scheduled, params, scenario, derived_rng(seed, "channel", rnd)
-                )
-                weights = result.aggregate
-                latency_s = result.round_latency_s
-                rho0_db = _snr_db(result.per_device_snr[scheduled.argmax()])
-
-        records.append(
-            RoundRecord(
-                round=rnd,
-                accuracy=accuracy(weights, test_set),
-                loss=global_loss(weights, features, labels, n_classes),
-                latency_s=latency_s,
-                rho0_db=rho0_db,
-                truncation_frac=truncation_frac,
-                k_scheduled=ids.size,
+            weights, channel = _aggregate(
+                train_cfg.aggregation, weights, locals_, radii[ids], params, scenario, seed, rnd
             )
-        )
+        evaluation = accuracy(weights, test_set), global_loss(weights, features, labels, n_classes)
+        records.append(RoundRecord(rnd, *evaluation, *channel, ids.size))
     return TrainResult(records=tuple(records), final_weights=weights)
 
 

@@ -480,6 +480,17 @@ class TestIdxCorpus:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "train-labels-idx1-ubyte not found" in line
 
+    # A path that does not exist is reported as itself, not as an images
+    # file whose labels are missing.
+    @pytest.mark.parametrize("name", ["no_such_dir", "train-images-idx3-ubyte"])
+    def test_missing_dataset_path_exits_cleanly(self, tmp_path, capsys, name):
+        missing = tmp_path / name
+        path = tmp_path / "idx.cfg"
+        path.write_text(f"dataset = {missing}\n")
+        assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {missing}: no such file or directory"
+
     def test_directory_with_both_pairs_loads_the_training_pair(self, tmp_path):
         corpus = self.write_pair(tmp_path / "corpus", 300)
         other = tmp_path / "other"

@@ -429,6 +429,33 @@ class TestFederatedTrain:
         assert unused.isdisjoint(derived)
         assert {"mobility", "sgd"} - unused <= set(derived)
 
+    # Only the over-the-air steps draw from the channel stream, and only in
+    # rounds that schedule someone.
+    @pytest.mark.parametrize("aggregation", ["ideal", "baa", "digital"])
+    @pytest.mark.parametrize(
+        "scheme, scheduled_rounds",
+        [(SchedulingScheme.all_inclusive(), 4), (SchedulingScheme.cell_interior(1e-6), 0)],
+        ids=["all-inclusive", "all-empty"],
+    )
+    def test_derives_the_channel_stream_once_per_over_the_air_round(
+        self, monkeypatch, aggregation, scheme, scheduled_rounds
+    ):
+        derived = []
+
+        def recording_rng(seed, *labels):
+            derived.append(labels)
+            return derived_rng(seed, *labels)
+
+        monkeypatch.setattr(learning, "derived_rng", recording_rng)
+        data = toy_dataset(n=40, seed=36)
+        cfg = TrainConfig(eta=0.3, tau=1, n_cr=4, batch_size=None, aggregation=aggregation)
+        federated_train(
+            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4), scheme, 67, data,
+        )
+        channel = [labels for labels in derived if labels[0] == "channel"]
+        expected = [] if aggregation == "ideal" else [("channel", rnd) for rnd in range(scheduled_rounds)]
+        assert channel == expected
+
     def test_unknown_mobility_rejected(self):
         data = toy_dataset(n=40, seed=36)
         with pytest.raises(ValueError, match="mobility must be one of .*got 'walk'"):
@@ -538,6 +565,56 @@ class TestFederatedTrain:
             assert result.records[rnd].accuracy == pytest.approx(acc, abs=1e-9)
             assert result.records[rnd].k_scheduled == k_scheduled
         assert result.records[-1].loss == pytest.approx(0.19534096851497157, abs=1e-9)
+
+    # Per round: (latency_s, rho0_db, truncation_frac, k_scheduled).
+    CHANNEL_GOLDEN = {
+        "baa": (
+            [
+                (0.001, 26.778641368275387, 0.14117647058823535, 1),
+                (0.0, np.nan, np.nan, 0),
+                (0.001, 21.54919484450444, 0.22941176470588232, 1),
+                (0.001, 25.507375451127388, 0.1941176470588235, 1),
+                (0.001, 32.61207145185207, 0.24705882352941178, 1),
+                (0.001, 39.20959358917011, 0.1352941176470588, 1),
+                (0.001, 23.81140113767902, 0.18823529411764706, 3),
+                (0.001, 29.384986655716418, 0.1352941176470588, 1),
+            ],
+            0.6861651624296828,
+        ),
+        "digital": (
+            [
+                (0.00046885801986551456, 26.778641368275387, np.nan, 1),
+                (0.0, np.nan, np.nan, 0),
+                (0.0006182991986142897, 21.54919484450444, np.nan, 1),
+                (0.0004983027750173596, 25.507375451127388, np.nan, 1),
+                (0.00036849167704079683, 32.61207145185207, np.nan, 1),
+                (0.0002964891395114487, 39.20959358917011, np.nan, 1),
+                (0.0012975018333562915, 28.582613684875643, np.nan, 3),
+                (0.0004180586614653556, 29.384986655716418, np.nan, 1),
+            ],
+            0.24142450752688696,
+        ),
+    }
+
+    @pytest.mark.parametrize("aggregation", ["baa", "digital"])
+    def test_over_the_air_golden_channel_columns(self, aggregation):
+        # Fixed-seed regression baseline for the trace's channel columns:
+        # 7 mobile devices, a cell interior that leaves round 1 empty, and
+        # minibatch SGD.  Values frozen from the recorded run.
+        train = synth_gaussian_mixture(10, 16, 2000, seed=101)
+        test = synth_gaussian_mixture(10, 16, 5000, seed=102)
+        cfg = TrainConfig(eta=0.5, tau=2, n_cr=8, batch_size=16, aggregation=aggregation)
+        scen = ScenarioParams(k_devices=7, r_in=40.0, q_dim=1)
+        result = federated_train(
+            train, PartitionSpec(mode="iid"), cfg, PARAMS, scen,
+            SchedulingScheme.cell_interior(40.0), 11, test, mobility="iid-resample",
+        )
+        golden, final_loss = self.CHANNEL_GOLDEN[aggregation]
+        assert len(result.records) == len(golden)
+        for record, row in zip(result.records, golden):
+            columns = (record.latency_s, record.rho0_db, record.truncation_frac, record.k_scheduled)
+            assert columns == pytest.approx(row, abs=1e-9, nan_ok=True), record.round
+        assert result.records[-1].loss == pytest.approx(final_loss, abs=1e-9)
 
     def test_trace_schema(self):
         data = toy_dataset(n=40, seed=35)
