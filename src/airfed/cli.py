@@ -107,12 +107,24 @@ def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
         yield start, network.sample_radii(width, r_cell, rng, size=stop - start)
 
 
+def _heavy_tailed(row, trials: int, p_heavy: float):
+    """``row`` with the status ``heavy-tailed`` when a run of ``trials``
+    expects at least one trial whose SNR term has infinite variance, which
+    a trial has with probability ``p_heavy``; else ``row`` as it is."""
+    if trials * p_heavy >= 1.0:
+        return row[:-1] + ("heavy-tailed",)
+    return row
+
+
 def montecarlo_rows(config: ExperimentConfig):
     """Rows of ``validation.csv``: each closed form against its Monte Carlo
     estimate.  Topologies are drawn in the row blocks of
-    :func:`rng.row_blocks` and reduced per trial, so memory stays bounded
-    at any ``trials``.  A row's status is ``pass`` or ``fail``, or
-    ``heavy-tailed`` where the estimate has infinite variance."""
+    :func:`rng.row_blocks` and reduced per trial, in place where a
+    reduction allows it, so memory stays bounded at any ``trials``.  A
+    row's status is ``pass`` or ``fail``, or ``heavy-tailed`` where the
+    estimate has infinite variance: the SNR of the furthest of j devices,
+    proportional to its distance^-alpha, has infinite variance unless
+    j > alpha."""
     params, scenario = config.system, config.scenario
     k, r_cell, r_in = scenario.k_devices, params.r_cell, scenario.r_in
     trials = config.trials
@@ -130,12 +142,15 @@ def montecarlo_rows(config: ExperimentConfig):
     for start, radii in _radii_blocks(k, r_cell, derived_rng(seed, "mc", "topology"), trials):
         span = slice(start, start + len(radii))
         inside = radii <= r_in
-        k_in[span] = inside.sum(axis=1)
+        k_in[span] = np.count_nonzero(inside, axis=1)
         r_max[span] = radii.max(axis=1)
-        interior_max[span] = np.where(inside, radii, 0.0).max(axis=1)
+        # Radii are >= 0, so zeroing the exterior ones leaves the interior max.
+        radii *= inside
+        interior_max[span] = radii.max(axis=1)
 
     # Interior-count histogram against the binomial law (total variation).
-    pmf = np.array([analytics.k_in_pmf(k, r_in, r_cell, j) for j in range(k + 1)])
+    counts = np.arange(k + 1)
+    pmf = np.array([analytics.k_in_pmf(k, r_in, r_cell, j) for j in counts])
     hist = np.bincount(k_in, minlength=k + 1) / trials
     tv = 0.5 * float(np.abs(hist - pmf).sum())
     rows.append(evaluate_check("interior_count_histogram", 0.0, tv, 0.01, "tv"))
@@ -151,23 +166,20 @@ def montecarlo_rows(config: ExperimentConfig):
     # held to the tolerance there: the row reports the regime instead.
     snr_all = analytics.receive_snr(params, 1.0) * r_max ** (-params.alpha)
     row = evaluate_check("snr_all_inclusive", expected_all, float(snr_all.mean()), 0.02, "rel")
-    if k <= params.alpha:
-        row = row[:-1] + ("heavy-tailed",)
-    rows.append(row)
+    rows.append(_heavy_tailed(row, trials, float(k <= params.alpha)))
 
     # Expected receive SNR, cell-interior, a joint expectation: a trial adds its
-    # furthest interior SNR when k_in >= 2 and 2 k_in > alpha, else 0.
-    usable = (k_in >= 2) & (2 * k_in > params.alpha)
+    # furthest interior SNR when k_in >= 2 and 2 k_in > alpha, else 0.  A
+    # counted k_in <= alpha adds a term of infinite variance; the binomial
+    # law of k_in gives the share of trials that draw one.
+    usable_counts = (counts >= 2) & (2 * counts > params.alpha)
+    usable = usable_counts[k_in]
     snr_interior = analytics.receive_snr(params, 1.0) * interior_max[usable] ** (-params.alpha)
-    rows.append(
-        evaluate_check(
-            "snr_cell_interior",
-            expected_interior,
-            float(snr_interior.sum()) / trials,
-            0.03,
-            "rel",
-        )
+    row = evaluate_check(
+        "snr_cell_interior", expected_interior, float(snr_interior.sum()) / trials, 0.03, "rel"
     )
+    p_heavy = float(pmf[usable_counts & (counts <= params.alpha)].sum())
+    rows.append(_heavy_tailed(row, trials, p_heavy))
 
     # Probability that every device is ever scheduled under i.i.d. mobility;
     # a run is one row of n_cr consecutive topologies.
@@ -176,8 +188,10 @@ def montecarlo_rows(config: ExperimentConfig):
     p_in = analytics.fraction_exploited(r_in, r_cell)
     ever_in = np.empty(runs, dtype=bool)
     for start, radii in _radii_blocks(n_cr * k, r_cell, derived_rng(seed, "mc", "mobility"), runs):
-        inside = radii.reshape(len(radii), n_cr, k) <= r_in
-        ever_in[start : start + len(radii)] = inside.any(axis=1).all(axis=1)
+        # A device is ever inside when its nearest drop is; all are when the
+        # furthest of those nearest drops is.
+        nearest = radii.reshape(len(radii), n_cr, k).min(axis=1)
+        ever_in[start : start + len(radii)] = nearest.max(axis=1) <= r_in
     exact, _ = analytics.p_all_exploited(k, n_cr, p_in)
     rows.append(
         evaluate_check("all_data_exploited_prob", exact, float(ever_in.mean()), 0.02, "abs")
@@ -354,11 +368,13 @@ def cmd_compare(config: ExperimentConfig) -> dict:
 def cmd_extensions(config: ExperimentConfig) -> dict:
     values = config.values
     seed = config.seed
-    suppression_rows = []
     n_trials = min(config.trials, 10000)
-    for gamma in values["gamma_grid"]:
-        measured = extensions.suppression_ratio(gamma, n_trials, derived_rng(seed, "ext", "dsss", gamma))
-        suppression_rows.append((gamma, n_trials, measured, float(gamma)))
+    gammas = values["gamma_grid"]
+    codes = [extensions.pn_code(gamma, derived_rng(seed, "ext", "dsss", gamma)) for gamma in gammas]
+    measured = extensions.suppression_ratios(codes, n_trials, derived_rng(seed, "ext", "dsss", "chips"))
+    suppression_rows = [
+        (gamma, n_trials, ratio, float(gamma)) for gamma, ratio in zip(gammas, measured)
+    ]
 
     beam_rows = []
     n, k = values["beam_antennas"], values["beam_users"]

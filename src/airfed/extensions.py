@@ -3,7 +3,10 @@
 Direct-sequence spreading protects the analog aggregate against a
 code-unaware interferer: all legitimate devices scramble their symbols with
 a common +/-1 chip sequence, and despreading at the server recovers their
-sum while white interference loses a factor of the spreading gain.
+sum while white interference loses a factor of the spreading gain.  A
+sweep over spreading factors measures that loss with common random
+numbers: the codes of the sweep despread leading chips of one shared chip
+stream, so the sweep draws the chips of its widest code only.
 
 Beamforming compares two multi-antenna strategies on a shared channel
 matrix: sum-SNR maximization over the weak-user subspace (a Rayleigh
@@ -104,23 +107,35 @@ def adversary_suppression_trial(legit_updates, adversary_power: float, gamma: in
     return aggregate, ratio
 
 
-def suppression_ratio(gamma: int, trials: int, rng) -> float:
-    """Suppression of unit white interference by despreading, pooled over
-    trials of ``SYMBOLS_PER_TRIAL`` symbols: total chip power over gamma
-    divided by total despread power, which concentrates on gamma.  One code
-    serves every trial, since white interference does not depend on it.
-    The interference is drawn and despread in the row blocks of
-    :func:`rng.row_blocks`, so memory stays bounded at any ``trials``."""
+def suppression_ratios(codes, trials: int, rng) -> list:
+    """Suppression of unit white interference by despreading, one ratio per
+    code, each pooled over trials of ``SYMBOLS_PER_TRIAL`` symbols: total
+    chip power over gamma divided by total despread power, which
+    concentrates on gamma.
+
+    The codes share their chips (common random numbers): each trial draws
+    the chips of the widest code, and a code of factor gamma despreads the
+    first ``SYMBOLS_PER_TRIAL * gamma`` of them.  So each ratio keeps the
+    law of its own i.i.d. N(0, 1) chips, and depends on the other codes
+    only through the widest factor.  The chips are drawn and despread in
+    the row blocks of :func:`rng.row_blocks`, so memory stays bounded at
+    any ``trials``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    code = pn_code(gamma, rng)
-    chips = SYMBOLS_PER_TRIAL * gamma
-    raw_power = despread_power = 0.0
-    for start, stop in row_blocks(trials, chips):
-        interference = rng.standard_normal((stop - start, chips))
-        raw_power += float(np.square(interference).sum())
-        despread_power += float(np.square(despread(interference, code)).sum())
-    return raw_power / gamma / despread_power
+    widths = [SYMBOLS_PER_TRIAL * code.gamma for code in codes]
+    widest = max(widths)
+    raw_power = [0.0] * len(codes)
+    despread_power = [0.0] * len(codes)
+    for start, stop in row_blocks(trials, widest):
+        interference = rng.standard_normal((stop - start, widest))
+        for i, (code, width) in enumerate(zip(codes, widths)):
+            chips = interference[:, :width]
+            raw_power[i] += float(np.square(chips).sum())
+            despread_power[i] += float(np.square(despread(chips, code)).sum())
+    return [
+        raw / code.gamma / residual
+        for code, raw, residual in zip(codes, raw_power, despread_power)
+    ]
 
 
 # ---------------------------------------------------------------------------

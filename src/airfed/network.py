@@ -65,7 +65,10 @@ def sample_radii(k_devices: int, r_cell: float, rng, size: int | None = None) ->
     topology draws for Monte Carlo use.
     """
     shape = (k_devices,) if size is None else (size, k_devices)
-    return r_cell * np.sqrt(rng.random(shape))
+    radii = rng.random(shape)
+    np.sqrt(radii, out=radii)
+    radii *= r_cell
+    return radii
 
 
 def sample_topology(k_devices: int, r_cell: float, rng) -> np.ndarray:

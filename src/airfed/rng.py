@@ -3,7 +3,10 @@
 Every experiment hangs off a single 64-bit root seed.  Sub-streams (per
 trial, per round, per device, per module) are derived by hashing the root
 seed together with a tuple of string/int labels, so adding more trials or
-reordering work never perturbs the draws of existing streams.  Every
+reordering work never perturbs the draws of existing streams.  One sweep
+shares a stream: the spreading factors of the DSSS sweep despread leading
+chips of a single chip stream, whose rows are as wide as the widest
+factor, so widening that grid redraws every one of its rows.  Every
 stochastic function draws from the ``np.random.Generator`` it is given
 (the synthetic dataset takes an int seed), so nothing seeds a stream from
 OS entropy.

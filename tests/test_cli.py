@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from airfed import cli, rng
+from airfed import analytics, cli, rng
 from airfed.cli import (
     Table,
     cmd_extensions,
@@ -380,6 +380,79 @@ class TestMonteCarloCommand:
         assert error == abs(empirical - analytic) / abs(analytic)
         assert (tolerance, metric) == (0.02, "rel")
 
+    # A counted interior count 2 <= K_in <= alpha gives the per-trial interior
+    # SNR infinite variance. Its binomial probability is 0.43 at K = 10,
+    # r_in_frac = 0.4 and 0.16 at K = 3, but 5e-21 at the defaults.
+    @pytest.mark.parametrize(
+        "k, r_in_frac, statuses",
+        [
+            (3, 0.5, {"heavy-tailed"}),
+            (10, 0.4, {"heavy-tailed"}),
+            (200, 0.1, {"heavy-tailed"}),
+            (10, 1.0, {"pass", "fail"}),
+            (200, 0.5, {"pass"}),
+        ],
+    )
+    def test_cell_interior_snr_with_infinite_variance_is_not_graded(self, k, r_in_frac, statuses):
+        config = load_config(None, overrides={"k_devices": k, "r_in_frac": r_in_frac, "trials": 20011})
+        rows = {row[0]: row for row in cli.montecarlo_rows(config)}
+        _, analytic, empirical, error, tolerance, metric, status = rows["snr_cell_interior"]
+        assert status in statuses
+        assert error == abs(empirical - analytic) / abs(analytic)
+        assert (tolerance, metric) == (0.03, "rel")
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4])
+    def test_cell_interior_grading_follows_the_binomial_law(self, trials):
+        # Heavy-tailed once the run expects at least one trial with a counted
+        # K_in <= alpha: trials * P(2 <= K_in <= 3) >= 1 at alpha = 3.
+        config = load_config(None, overrides={"k_devices": 10, "r_in_frac": 0.4, "trials": trials})
+        scenario = config.scenario
+        p_heavy = sum(
+            analytics.k_in_pmf(10, scenario.r_in, config.system.r_cell, j) for j in (2, 3)
+        )
+        rows = {row[0]: row for row in cli.montecarlo_rows(config)}
+        heavy = rows["snr_cell_interior"][-1] == "heavy-tailed"
+        assert heavy == (trials * p_heavy >= 1.0)
+
+    # analytic, empirical and error of each row, as the reduction that kept
+    # block-sized temporaries wrote them; the in-place reduction keeps the bits.
+    @pytest.mark.parametrize(
+        "seed, k, expected",
+        [
+            (1, 3, [
+                (0.0, 0.0017396681824997122, 0.0017396681824997122),
+                (85.71428571428571, 85.71245849999099, 2.131750010507953e-05),
+                (16.357903814085983, 16.241239940114326, 0.007131957449902361),
+                (38.850021558454245, 32.57183100260058, 0.1616006968337821),
+                (0.9999983010359929, 1.0, 1.6989640071463086e-06),
+            ]),
+            (1, 200, [
+                (0.0, 0.01117482369530688, 0.01117482369530688),
+                (99.75062344139651, 99.74893864302862, 1.6890103638097642e-05),
+                (8.240757588960193, 8.241175462217202, 5.0708111784334234e-05),
+                (67.48881932618679, 67.50754266940703, 0.0002774288157235512),
+                (0.9998867420508084, 0.9995, 0.000386742050808353),
+            ]),
+            (5, 3, [
+                (0.0, 0.0014015728849131708, 0.0014015728849131708),
+                (85.71428571428571, 85.61518898331754, 0.001156128527961992),
+                (16.357903814085983, 16.689163445046617, 0.02025073840300874),
+                (38.850021558454245, 34.49070287693821, 0.11220891280477024),
+                (0.9999983010359929, 1.0, 1.6989640071463086e-06),
+            ]),
+            (5, 200, [
+                (0.0, 0.014013962802664036, 0.014013962802664036),
+                (99.75062344139651, 99.75227934504707, 1.6600434096847393e-05),
+                (8.240757588960193, 8.240340982528652, 5.0554384963230365e-05),
+                (67.48881932618679, 67.51835120005235, 0.0004375817233197078),
+                (0.9998867420508084, 1.0, 0.00011325794919159193),
+            ]),
+        ],
+    )
+    def test_rows_keep_their_recorded_bits(self, seed, k, expected):
+        config = load_config(None, overrides={"k_devices": k, "trials": 20011, "seed": seed})
+        assert [row[1:4] for row in cli.montecarlo_rows(config)] == expected
+
 
 class TestExtensionsCommand:
     def test_suppression_and_beam_tables(self):
@@ -404,6 +477,19 @@ class TestExtensionsCommand:
         assert blocked.render("csv") == default.render("csv")
         for row, default_row in zip(blocked.rows, default.rows):
             assert row[2] == pytest.approx(default_row[2], rel=1e-12)
+
+    def test_rows_depend_only_on_their_factor_and_the_widest(self):
+        # Every factor reads the chips of the widest one, so reordering the
+        # grid, or dropping a factor that is not the widest, leaves every
+        # other row as it was.
+        def rows(grid):
+            config = load_config(None, overrides={"trials": 2000, "gamma_grid": grid})
+            return {row[0]: row for row in cmd_extensions(config)["dsss_suppression"].rows}
+
+        default = rows((1, 4, 16, 64))
+        assert rows((64, 16, 1, 4)) == default
+        for grid in [(1, 16, 64), (4, 64), (64,)]:
+            assert rows(grid) == {gamma: default[gamma] for gamma in grid}
 
     def test_working_memory_is_a_few_blocks(self):
         # Interference is drawn and despread one block at a time.

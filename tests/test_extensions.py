@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from airfed import rng
 from airfed.extensions import (
     BeamProblem,
     SpreadingCode,
@@ -13,7 +14,7 @@ from airfed.extensions import (
     pn_code,
     sdma_beamformer,
     spread,
-    suppression_ratio,
+    suppression_ratios,
 )
 from airfed.rng import derived_rng
 
@@ -96,14 +97,36 @@ class TestAdversarySuppression:
         assert raw_total / residual_total == pytest.approx(gamma, rel=0.2)
 
     def test_pooled_ratio_unit_factor_is_exactly_one(self):
-        assert suppression_ratio(1, 10000, derived_rng(13, "dsss")) == 1.0
+        unit, wide = pn_code(1, derived_rng(13, "code", 1)), pn_code(4, derived_rng(13, "code", 4))
+        assert suppression_ratios([unit], 10000, derived_rng(13, "dsss")) == [1.0]
+        # Still exact when it despreads the leading chips of a wider code's rows.
+        assert suppression_ratios([wide, unit], 10000, derived_rng(13, "dsss"))[1] == 1.0
         with pytest.raises(ValueError):
-            suppression_ratio(4, 0, derived_rng(13, "dsss"))
+            suppression_ratios([wide], 0, derived_rng(13, "dsss"))
 
     @pytest.mark.parametrize("gamma", [4, 16])
     def test_pooled_ratio_tracks_spreading_factor(self, gamma):
-        measured = suppression_ratio(gamma, 10000, derived_rng(14, "dsss", gamma))
+        code = pn_code(gamma, derived_rng(14, "code", gamma))
+        [measured] = suppression_ratios([code], 10000, derived_rng(14, "dsss", gamma))
         assert measured == pytest.approx(gamma, rel=0.05)
+
+    @pytest.mark.parametrize("block_entries", [1, 3000, rng.BLOCK_ENTRIES])
+    def test_each_ratio_matches_a_chip_level_reference(self, monkeypatch, block_entries):
+        # The same chip stream drawn in one piece: trial by trial, each code
+        # correlates its own leading 64 * gamma chips against its chips.
+        trials, widest = 37, 16
+        codes = [pn_code(gamma, derived_rng(15, "code", gamma)) for gamma in (4, 1, widest, 3)]
+        chips = derived_rng(15, "chips").standard_normal((trials, 64 * widest))
+        monkeypatch.setattr(rng, "BLOCK_ENTRIES", block_entries)
+        ratios = suppression_ratios(codes, trials, derived_rng(15, "chips"))
+        for code, ratio in zip(codes, ratios):
+            raw_power = despread_power = 0.0
+            for trial in chips:
+                own = trial[: 64 * code.gamma]
+                symbols = own.reshape(64, code.gamma) @ code.chips / code.gamma
+                raw_power += own @ own
+                despread_power += symbols @ symbols
+            assert ratio == pytest.approx(raw_power / code.gamma / despread_power, rel=1e-12)
 
     def test_aggregate_unchanged_by_interference_on_average(self):
         rng = derived_rng(9, "adv")
