@@ -119,12 +119,15 @@ def _heavy_tailed(row, trials: int, p_heavy: float):
 def montecarlo_rows(config: ExperimentConfig):
     """Rows of ``validation.csv``: each closed form against its Monte Carlo
     estimate.  Topologies are drawn in the row blocks of
-    :func:`rng.row_blocks` and reduced per trial, in place where a
-    reduction allows it, so memory stays bounded at any ``trials``.  A
-    row's status is ``pass`` or ``fail``, or ``heavy-tailed`` where the
-    estimate has infinite variance: the SNR of the furthest of j devices,
-    proportional to its distance^-alpha, has infinite variance unless
-    j > alpha."""
+    :func:`rng.row_blocks` and each block is reduced to what the rows
+    read: its interior-count histogram, added into one (K+1) count
+    vector, each trial's furthest distance, and the furthest interior
+    distance of the trials that add an interior SNR term.  So two float64
+    are kept per trial: peak RSS grows by 16 bytes per trial, measured at
+    1M and 2M trials.  A row's status is ``pass`` or ``fail``, or
+    ``heavy-tailed`` where the estimate has infinite variance: the SNR of
+    the furthest of j devices, proportional to its distance^-alpha, has
+    infinite variance unless j > alpha."""
     params, scenario = config.system, config.scenario
     k, r_cell, r_in = scenario.k_devices, params.r_cell, scenario.r_in
     trials = config.trials
@@ -134,25 +137,32 @@ def montecarlo_rows(config: ExperimentConfig):
         expected_all = analytics.expected_snr_all_inclusive(params, k)
         expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
 
-    # Per-trial reductions of the topology draws: the interior count, the
-    # furthest distance and the furthest interior distance (0 if none).
-    k_in = np.empty(trials, dtype=np.intp)
+    # The cell-interior SNR is a joint expectation: a trial adds its furthest
+    # interior SNR when k_in >= 2 and 2 k_in > alpha, else 0.
+    counts = np.arange(k + 1)
+    usable_counts = (counts >= 2) & (2 * counts > params.alpha)
+
+    # Per-block reductions of the topology draws: the interior-count
+    # histogram, the furthest distance per trial and, for the usable trials
+    # only and in trial order, the furthest interior distance.
+    k_in_counts = np.zeros(k + 1, dtype=np.intp)
     r_max = np.empty(trials)
     interior_max = np.empty(trials)
+    n_usable = 0
     for start, radii in _radii_blocks(k, r_cell, derived_rng(seed, "mc", "topology"), trials):
-        span = slice(start, start + len(radii))
         inside = radii <= r_in
-        k_in[span] = np.count_nonzero(inside, axis=1)
-        r_max[span] = radii.max(axis=1)
+        k_in = np.count_nonzero(inside, axis=1)
+        k_in_counts += np.bincount(k_in, minlength=k + 1)
+        r_max[start : start + len(radii)] = radii.max(axis=1)
         # Radii are >= 0, so zeroing the exterior ones leaves the interior max.
         radii *= inside
-        interior_max[span] = radii.max(axis=1)
+        block_max = radii.max(axis=1)[usable_counts[k_in]]
+        interior_max[n_usable : n_usable + len(block_max)] = block_max
+        n_usable += len(block_max)
 
     # Interior-count histogram against the binomial law (total variation).
-    counts = np.arange(k + 1)
     pmf = np.array([analytics.k_in_pmf(k, r_in, r_cell, j) for j in counts])
-    hist = np.bincount(k_in, minlength=k + 1) / trials
-    tv = 0.5 * float(np.abs(hist - pmf).sum())
+    tv = 0.5 * float(np.abs(k_in_counts / trials - pmf).sum())
     rows.append(evaluate_check("interior_count_histogram", 0.0, tv, 0.01, "tv"))
 
     # Furthest-device mean distance.
@@ -163,18 +173,22 @@ def montecarlo_rows(config: ExperimentConfig):
 
     # Expected receive SNR, all-inclusive.  The per-trial SNR ~ r_max^-alpha
     # has infinite variance unless K > alpha, so its sample mean cannot be
-    # held to the tolerance there: the row reports the regime instead.
-    snr_all = analytics.receive_snr(params, 1.0) * r_max ** (-params.alpha)
+    # held to the tolerance there: the row reports the regime instead.  The
+    # SNR terms are built in place; ``**=`` keeps the exponent fast paths of
+    # ``**``, so each term keeps its bits.
+    snr_unit = analytics.receive_snr(params, 1.0)
+    snr_all = r_max
+    snr_all **= -params.alpha
+    snr_all *= snr_unit
     row = evaluate_check("snr_all_inclusive", expected_all, float(snr_all.mean()), 0.02, "rel")
     rows.append(_heavy_tailed(row, trials, float(k <= params.alpha)))
 
-    # Expected receive SNR, cell-interior, a joint expectation: a trial adds its
-    # furthest interior SNR when k_in >= 2 and 2 k_in > alpha, else 0.  A
-    # counted k_in <= alpha adds a term of infinite variance; the binomial
-    # law of k_in gives the share of trials that draw one.
-    usable_counts = (counts >= 2) & (2 * counts > params.alpha)
-    usable = usable_counts[k_in]
-    snr_interior = analytics.receive_snr(params, 1.0) * interior_max[usable] ** (-params.alpha)
+    # Expected receive SNR, cell-interior.  A counted k_in <= alpha adds a
+    # term of infinite variance; the binomial law of k_in gives the share of
+    # trials that draw one.
+    snr_interior = interior_max[:n_usable]
+    snr_interior **= -params.alpha
+    snr_interior *= snr_unit
     row = evaluate_check(
         "snr_cell_interior", expected_interior, float(snr_interior.sum()) / trials, 0.03, "rel"
     )

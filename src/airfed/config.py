@@ -93,6 +93,8 @@ DEFAULTS: dict = {
 # every entry of a grid.  Values outside would otherwise fail mid-command
 # or yield meaningless tables.
 RANGES = {
+    # analytics.exp_integral(g_th) stays a normal float; it is 0.0 by 745.
+    "g_th": "(0, 701.8]",
     "noise_dbm": "(-3000, 3000)",  # n0 in watts stays a normal float
     "target_ber": "(0, 0.2)",
     "r_in_frac": "(0, 1]",
@@ -109,7 +111,7 @@ RANGES = {
     "q_bits_grid": "[1, 63]",
     "ber_grid": "(0, 0.2)",
     "r_in_grid": "(0, 1]",
-    "g_th_grid": "> 0",
+    "g_th_grid": "(0, 701.8]",
     "gamma_grid": ">= 1",
     "beam_antennas": ">= 1",
     "beam_users": ">= 1",

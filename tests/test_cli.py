@@ -1,6 +1,7 @@
 """Harness behavior: config ingestion, determinism, and table contents."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from airfed.cli import (
     run_command,
     write_outputs,
 )
-from airfed.config import ConfigError, DEFAULTS, dbm_to_watts, load_config, parse_config_text
+from airfed.config import (
+    ConfigError,
+    DEFAULTS,
+    RANGES,
+    dbm_to_watts,
+    load_config,
+    parse_config_text,
+)
 from airfed.datasets import load_mnist_idx
 from conftest import traced_peak, write_idx_pair
 
@@ -129,6 +137,10 @@ class TestConfig:
             ("shards_per_device = -1\npartition_mode = noniid-shards", ["compare"]),
             ("noise_dbm = 5000", ["tradeoff"]),
             ("noise_dbm = -5000", ["compare"]),
+            # exp_integral(800) is 0.0: inf rho0_db, nan digital latencies.
+            ("g_th = 800", ["compare"]),
+            ("g_th = 800", ["latency"]),
+            ("g_th_grid = 0.2, 800", ["train", "--grid"]),
         ],
     )
     def test_out_of_range_value_exits_cleanly(self, tmp_path, capsys, line, command):
@@ -137,6 +149,13 @@ class TestConfig:
         assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         key = line.split("=")[0].strip()
         assert f"error: {key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["g_th", "g_th_grid"])
+    def test_g_th_cap_keeps_the_exponential_integral_normal(self, key):
+        # The cap is loadable, and E1 there still returns a normal float.
+        cap = float(RANGES[key].rstrip("]").split(",")[1])
+        load_config(None, {key: (cap,) if key == "g_th_grid" else cap})
+        assert analytics.exp_integral(cap) >= sys.float_info.min
 
     # The owning type names its own field, not the config key, so the
     # message is matched on the bad value.  SMALL_TRAIN schedules
@@ -370,6 +389,14 @@ class TestMonteCarloCommand:
         per_trial = 6 * 8 * config.trials
         assert traced_peak(cli.montecarlo_rows, config) < per_trial + 6 * 8 * rng.BLOCK_ENTRIES
 
+    def test_working_memory_is_two_floats_per_trial_and_a_few_blocks(self):
+        # The report keeps each trial's furthest distance and, for the trials
+        # that add an interior SNR term, the furthest interior distance; the
+        # interior counts go into one histogram per block.
+        config = load_config(None)
+        per_trial = 2 * 8 * config.trials
+        assert traced_peak(cli.montecarlo_rows, config) < per_trial + 4 * 8 * rng.BLOCK_ENTRIES
+
     # The per-trial SNR ~ r_max^-alpha has infinite variance unless K > alpha.
     @pytest.mark.parametrize("k, statuses", [(2, {"heavy-tailed"}), (3, {"heavy-tailed"}), (4, {"pass", "fail"})])
     def test_all_inclusive_snr_with_infinite_variance_is_not_graded(self, k, statuses):
@@ -451,6 +478,35 @@ class TestMonteCarloCommand:
     )
     def test_rows_keep_their_recorded_bits(self, seed, k, expected):
         config = load_config(None, overrides={"k_devices": k, "trials": 20011, "seed": seed})
+        assert [row[1:4] for row in cli.montecarlo_rows(config)] == expected
+
+    # At K = 3 and r_in_frac = 0.05 a trial adds an interior SNR term (two
+    # devices within r_in) with probability about 2e-5, so none of 20,011
+    # does: the interior buffer stays empty and the empirical interior SNR
+    # is 0.0.  Rows as the reduction that kept three values per trial wrote
+    # them.
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (1, [
+                (0.0, 0.00048511350866398627, 0.00048511350866398627),
+                (85.71428571428571, 85.71245849999099, 2.131750010507953e-05),
+                (16.357903814085983, 16.241239940114326, 0.007131957449902361),
+                (4.897147454342003, 0.0, 1.0),
+                (0.001628090023766443, 0.0015, 0.000128090023766443),
+            ]),
+            (2, [
+                (0.0, 0.000882863149486546, 0.000882863149486546),
+                (85.71428571428571, 85.44664249992933, 0.0031225041674911346),
+                (16.357903814085983, 16.550458896366198, 0.011771378806763962),
+                (4.897147454342003, 0.0, 1.0),
+                (0.001628090023766443, 0.004, 0.002371909976233557),
+            ]),
+        ],
+    )
+    def test_rows_without_a_usable_trial_keep_their_recorded_bits(self, seed, expected):
+        overrides = {"k_devices": 3, "r_in_frac": 0.05, "trials": 20011, "seed": seed}
+        config = load_config(None, overrides=overrides)
         assert [row[1:4] for row in cli.montecarlo_rows(config)] == expected
 
 
