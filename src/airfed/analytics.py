@@ -37,7 +37,7 @@ class SystemParams:
             units; CLI configs ingest it from dBm.
         q_bits: quantization resolution of the digital baseline (bits/param),
             1 to 63 so every quantizer code fits a uint64.
-        ber: target bit error rate of the digital baseline's adaptive MQAM.
+        ber: target bit error rate of the digital baseline's MQAM, in (0, 0.2).
     """
 
     p0: float = 0.1
@@ -67,8 +67,8 @@ class SystemParams:
             raise ValueError(f"n0 must be positive, got {self.n0}")
         if not 1 <= self.q_bits <= 63:
             raise ValueError(f"q_bits must lie in [1, 63], got {self.q_bits}")
-        if not 0.0 < self.ber < 1.0:
-            raise ValueError(f"ber must lie in (0, 1), got {self.ber}")
+        if not 0.0 < self.ber < 0.2:
+            raise ValueError(f"ber must lie in (0, 0.2), got {self.ber}")
 
     @property
     def t_s(self) -> float:
@@ -301,36 +301,35 @@ def max_distance_moments(k_devices: int, r_cell: float):
     return pdf, mean
 
 
-def _require_convergent(k_devices: int, alpha: float) -> None:
-    if 2.0 * k_devices - alpha - 1.0 < 0.0:
-        raise ValueError(
-            "expected receive SNR diverges: the furthest-device moment needs "
-            f"2*k_devices - alpha - 1 >= 0 (k_devices={k_devices}, alpha={alpha})"
-        )
+def furthest_snr_weight(j: int, alpha: float) -> float:
+    """Mean receive SNR of the furthest of j devices dropped uniformly
+    within a radius, over the SNR at that radius: 2j/(2j - alpha), or 0
+    where 2j <= alpha and the mean diverges."""
+    two_j = 2.0 * j
+    return two_j / (two_j - alpha) if two_j > alpha else 0.0
 
 
 def expected_snr_all_inclusive(params: SystemParams, k_devices: int) -> float:
-    """Expected receive SNR when every device in the cell is scheduled.
-
-    Averages rho0/n0 over the furthest-device distance: the prefactor
-    2K/(2K - alpha) applied at the cell radius.
-    """
-    _require_convergent(k_devices, params.alpha)
-    prefactor = 2.0 * k_devices / (2.0 * k_devices - params.alpha)
-    return prefactor * receive_snr(params, params.r_cell)
+    """Expected receive SNR when every device in the cell is scheduled:
+    the :func:`furthest_snr_weight` of K devices, 2K/(2K - alpha), at the
+    cell radius.  Raises ValueError where it diverges (2K <= alpha)."""
+    weight = furthest_snr_weight(k_devices, params.alpha)
+    if weight == 0.0:
+        raise ValueError(
+            "expected receive SNR diverges: the furthest-device mean needs "
+            f"2*k_devices > alpha (k_devices={k_devices}, alpha={params.alpha})"
+        )
+    return weight * receive_snr(params, params.r_cell)
 
 
 def _interior_scaling_factor(k_devices: int, p_in: float, alpha: float) -> float:
-    """Binomial-weighted sum of per-count SNR prefactors for interior scheduling.
-
-    Terms run over interior counts k with convergent conditional means
-    (2k > alpha); counts 0 and 1 carry no aggregation and are dropped, which
-    makes the factor an under-estimate when k_devices * p_in is small.
-    """
-    k_start = max(2, math.floor(alpha / 2.0) + 1)
+    """Binomial-weighted sum of the :func:`furthest_snr_weight` of each
+    interior count k >= 2; counts 0 and 1 carry no aggregation.  Counts
+    whose conditional mean diverges weigh 0 too, which makes the factor an
+    under-estimate when k_devices * p_in is small."""
     total = 0.0
-    for k in range(k_start, k_devices + 1):
-        total += 2.0 * k / (2.0 * k - alpha) * _binom_pmf(k_devices, k, p_in)
+    for k in range(2, k_devices + 1):
+        total += furthest_snr_weight(k, alpha) * _binom_pmf(k_devices, k, p_in)
     return total
 
 

@@ -39,7 +39,7 @@ BEAM_TIE_RTOL = 1e-12
 def _closed_form_domain():
     """Report a closed form evaluated outside its domain as a config error:
     the expected receive SNRs need K >= 2 under cell-interior scheduling
-    and 2K - alpha - 1 >= 0, which the config range does not guarantee."""
+    and 2K > alpha, which the config range does not guarantee."""
     try:
         yield
     except ValueError as exc:
@@ -107,11 +107,28 @@ def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
         yield start, network.sample_radii(width, r_cell, rng, size=stop - start)
 
 
-def _heavy_tailed(row, trials: int, p_heavy: float):
-    """``row`` with the status ``heavy-tailed`` when a run of ``trials``
-    expects at least one trial whose SNR term has infinite variance, which
-    a trial has with probability ``p_heavy``; else ``row`` as it is."""
-    if trials * p_heavy >= 1.0:
+def _adds_snr_term(counts, alpha: float):
+    """Whether a trial that schedules each of ``counts`` devices adds an
+    SNR term: two or more aggregate and their furthest SNR has a mean."""
+    return np.array([j >= 2 and analytics.furthest_snr_weight(j, alpha) > 0.0 for j in counts])
+
+
+def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_unit, tolerance):
+    """Row ``name`` of an expected receive SNR.  ``pmf[j]`` is the
+    probability that a trial schedules j devices.  ``furthest`` holds, in
+    trial order, the furthest distance of each trial that adds a term and
+    becomes those terms, snr_unit * distance^-alpha, in place (``**=``
+    keeps the bits of ``**``).  ``undersampled`` when the run expects
+    under one such trial; ``heavy-tailed`` when it expects one whose term
+    has infinite variance: its square, the term at 2 alpha, has no mean."""
+    counts = np.arange(len(pmf))
+    adds = _adds_snr_term(counts, alpha)
+    furthest **= -alpha
+    furthest *= snr_unit
+    row = evaluate_check(name, analytic, float(furthest.sum()) / trials, tolerance, "rel")
+    if trials * pmf[adds].sum() < 1.0:
+        return row[:-1] + ("undersampled",)
+    if trials * pmf[adds & ~_adds_snr_term(counts, 2.0 * alpha)].sum() >= 1.0:
         return row[:-1] + ("heavy-tailed",)
     return row
 
@@ -124,10 +141,8 @@ def montecarlo_rows(config: ExperimentConfig):
     vector, each trial's furthest distance, and the furthest interior
     distance of the trials that add an interior SNR term.  So two float64
     are kept per trial: peak RSS grows by 16 bytes per trial, measured at
-    1M and 2M trials.  A row's status is ``pass`` or ``fail``, or
-    ``heavy-tailed`` where the estimate has infinite variance: the SNR of
-    the furthest of j devices, proportional to its distance^-alpha, has
-    infinite variance unless j > alpha."""
+    1M and 2M trials.  A row's status is ``pass`` or ``fail``, or for the
+    SNR rows ``undersampled`` or ``heavy-tailed`` (:func:`_snr_row`)."""
     params, scenario = config.system, config.scenario
     k, r_cell, r_in = scenario.k_devices, params.r_cell, scenario.r_in
     trials = config.trials
@@ -137,10 +152,9 @@ def montecarlo_rows(config: ExperimentConfig):
         expected_all = analytics.expected_snr_all_inclusive(params, k)
         expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
 
-    # The cell-interior SNR is a joint expectation: a trial adds its furthest
-    # interior SNR when k_in >= 2 and 2 k_in > alpha, else 0.
+    # The interior SNR is a joint expectation: a K_in that adds no term adds 0.
     counts = np.arange(k + 1)
-    usable_counts = (counts >= 2) & (2 * counts > params.alpha)
+    usable_counts = _adds_snr_term(counts, params.alpha)
 
     # Per-block reductions of the topology draws: the interior-count
     # histogram, the furthest distance per trial and, for the usable trials
@@ -171,29 +185,14 @@ def montecarlo_rows(config: ExperimentConfig):
         evaluate_check("max_distance_mean", mean_expected, float(r_max.mean()), 0.005, "rel")
     )
 
-    # Expected receive SNR, all-inclusive.  The per-trial SNR ~ r_max^-alpha
-    # has infinite variance unless K > alpha, so its sample mean cannot be
-    # held to the tolerance there: the row reports the regime instead.  The
-    # SNR terms are built in place; ``**=`` keeps the exponent fast paths of
-    # ``**``, so each term keeps its bits.
+    # Expected receive SNR: every trial schedules all K devices, or the
+    # K_in interior ones.
     snr_unit = analytics.receive_snr(params, 1.0)
-    snr_all = r_max
-    snr_all **= -params.alpha
-    snr_all *= snr_unit
-    row = evaluate_check("snr_all_inclusive", expected_all, float(snr_all.mean()), 0.02, "rel")
-    rows.append(_heavy_tailed(row, trials, float(k <= params.alpha)))
-
-    # Expected receive SNR, cell-interior.  A counted k_in <= alpha adds a
-    # term of infinite variance; the binomial law of k_in gives the share of
-    # trials that draw one.
-    snr_interior = interior_max[:n_usable]
-    snr_interior **= -params.alpha
-    snr_interior *= snr_unit
-    row = evaluate_check(
-        "snr_cell_interior", expected_interior, float(snr_interior.sum()) / trials, 0.03, "rel"
-    )
-    p_heavy = float(pmf[usable_counts & (counts <= params.alpha)].sum())
-    rows.append(_heavy_tailed(row, trials, p_heavy))
+    for name, analytic, furthest, law, tolerance in (
+        ("snr_all_inclusive", expected_all, r_max, np.where(counts == k, 1.0, 0.0), 0.02),
+        ("snr_cell_interior", expected_interior, interior_max[:n_usable], pmf, 0.03),
+    ):
+        rows.append(_snr_row(name, analytic, furthest, trials, law, params.alpha, snr_unit, tolerance))
 
     # Probability that every device is ever scheduled under i.i.d. mobility;
     # a run is one row of n_cr consecutive topologies.

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -227,9 +227,26 @@ class TestExpectedSnr:
 
     def test_convergence_error(self):
         with pytest.raises(ValueError, match="diverges"):
-            expected_snr_all_inclusive(SystemParams(alpha=3.5), 2)
+            expected_snr_all_inclusive(SystemParams(alpha=4.0), 2)
         with pytest.raises(ValueError, match="diverges"):
             expected_snr_all_inclusive(FIG_PARAMS, 1)
+        # 2K > alpha suffices: int_0^R r^-alpha 2K r^(2K-1) / R^(2K) dr = 8 R^-alpha
+        # at K = 2, alpha = 3.5.
+        params = SystemParams(alpha=3.5)
+        assert expected_snr_all_inclusive(params, 2) == 8.0 * receive_snr(params, params.r_cell)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(2, 1000), alpha=st.floats(0.01, 10.0))
+    @example(k=2, alpha=3.5)
+    @example(k=5, alpha=9.0)
+    def test_all_inclusive_is_the_full_cell_interior_case(self, k, alpha):
+        # r_in = r_cell puts all binomial mass at K, so both closed forms
+        # read the same furthest-device weight wherever it is finite.
+        assume(2 * k > alpha)
+        params = SystemParams(alpha=alpha)
+        scenario = ScenarioParams(k_devices=k, r_in=params.r_cell, q_dim=1)
+        interior, _ = expected_snr_cell_interior(params, scenario)
+        assert expected_snr_all_inclusive(params, k) == interior
 
     def test_interior_degenerate_full_cell(self):
         # r_in = r_cell puts all binomial mass at k = K.
@@ -515,6 +532,8 @@ class TestSystemParamsInvariants:
             {"ber": 1.0},
             {"q_bits": 0},
             {"q_bits": 64},  # codes would overflow the quantizer's uint64
+            {"ber": 0.2},  # the MQAM rate fit needs ber < 0.2
+            {"ber": 0.5},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -194,7 +194,7 @@ class TestConfig:
             load_config(None, {"noise_dbm": float("nan")})
 
     # The reports' closed forms need K >= 2 (cell-interior scheduling) and
-    # 2K - alpha - 1 >= 0 (expected receive SNR).
+    # 2K > alpha (expected receive SNR); the default alpha_grid holds 4.0.
     @pytest.mark.parametrize(
         "lines, command",
         [
@@ -212,6 +212,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "k_devices" in err
+
+    # 2K > alpha suffices: at K = 2 and alpha = 3.5 the expected receive SNR
+    # is 8 times the SNR at the cell edge.
+    @pytest.mark.parametrize(
+        "lines, command",
+        [
+            ("k_devices = 2\nalpha_grid = 3.5", "tradeoff"),
+            ("k_devices = 2\npath_loss_exponent = 3.5", "montecarlo"),
+        ],
+        ids=["k2-alpha3.5-tradeoff", "k2-alpha3.5-montecarlo"],
+    )
+    def test_closed_form_inside_its_domain_runs(self, tmp_path, lines, command):
+        path = tmp_path / "k2.cfg"
+        path.write_text(lines + "\ntrials = 2000\n")
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     # A partition that does not fit train_samples at k_devices fails every
     # command at load, not only those that train.
@@ -440,6 +455,24 @@ class TestMonteCarloCommand:
         rows = {row[0]: row for row in cli.montecarlo_rows(config)}
         heavy = rows["snr_cell_interior"][-1] == "heavy-tailed"
         assert heavy == (trials * p_heavy >= 1.0)
+
+    # With K = 3 or 4 and r_in_frac = 0.05 a trial has two interior devices
+    # with probability 1.9e-5 or 3.7e-5: 20,011 trials expect fewer than one
+    # that adds an interior SNR term, so the row cannot be estimated.
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_cell_interior_snr_without_expected_terms_is_undersampled(self, k, seed):
+        config = load_config(
+            None, overrides={"k_devices": k, "r_in_frac": 0.05, "trials": 20011, "seed": seed}
+        )
+        p_term = sum(
+            analytics.k_in_pmf(k, config.scenario.r_in, config.system.r_cell, j)
+            for j in range(2, k + 1)
+        )
+        assert config.trials * p_term < 1.0
+        rows = {row[0]: row for row in cli.montecarlo_rows(config)}
+        assert rows["snr_cell_interior"][-1] == "undersampled"
+        assert rows["snr_all_inclusive"][-1] != "undersampled"
 
     # analytic, empirical and error of each row, as the reduction that kept
     # block-sized temporaries wrote them; the in-place reduction keeps the bits.
