@@ -1,13 +1,16 @@
 """Closed-form analytics for over-the-air model aggregation.
 
-Pure, deterministic evaluation of every quantity the simulator is checked
+Deterministic evaluation of every quantity the simulator is checked
 against: the upper exponential integral driving truncated channel inversion,
 the receive-SNR/truncation-ratio tradeoff, scheduling statistics over a
 uniform disk topology, the SNR-gain/data-fraction tradeoff of cell-interior
 scheduling, and per-round latency of analog versus digital (OFDMA)
 aggregation.
 
-All functions are pure; there is no shared mutable state.
+There is no shared mutable state.  Every function returns a value that
+depends on its arguments alone; the one side effect is the RuntimeWarning
+:func:`expected_snr_cell_interior` issues when its scaling factor leaves
+the bound it documents.
 """
 
 from __future__ import annotations
@@ -384,12 +387,12 @@ def reliability_quantity_curve(params: SystemParams, k_devices: int, f_dat_grid)
     return TradeoffCurve(tuple(points))
 
 
-def p_all_exploited(k_devices: int, n_cr: int, p_in: float):
+def p_all_exploited(k_devices: int, n_cr: int, p_in: float) -> float:
     """Probability that every device's data enters training at least once.
 
     Under i.i.d. per-round positions each device is ever-interior with
-    probability 1 - (1 - p_in)^n_cr.  Returns (exact, approx) where the
-    approximation 1 - K (1 - p_in)^n_cr is accurate for large n_cr.
+    probability 1 - (1 - p_in)^n_cr, independently of the others, so all K
+    are with probability (1 - (1 - p_in)^n_cr)^K.
     """
     if not 0.0 <= p_in <= 1.0:
         raise ValueError(f"p_in must lie in [0, 1], got {p_in}")
@@ -398,9 +401,7 @@ def p_all_exploited(k_devices: int, n_cr: int, p_in: float):
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
     miss = (1.0 - p_in) ** n_cr
-    exact = math.exp(k_devices * math.log1p(-miss)) if miss < 1.0 else 0.0
-    approx = 1.0 - k_devices * miss
-    return exact, approx
+    return math.exp(k_devices * math.log1p(-miss)) if miss < 1.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def montecarlo_rows(config: ExperimentConfig):
         # furthest of those nearest drops is.
         nearest = radii.reshape(len(radii), n_cr, k).min(axis=1)
         ever_in[start : start + len(radii)] = nearest.max(axis=1) <= r_in
-    exact, _ = analytics.p_all_exploited(k, n_cr, p_in)
+    exact = analytics.p_all_exploited(k, n_cr, p_in)
     rows.append(
         evaluate_check("all_data_exploited_prob", exact, float(ever_in.mean()), 0.02, "abs")
     )
@@ -271,21 +271,16 @@ def cmd_latency(config: ExperimentConfig) -> dict:
 def _build_datasets(config: ExperimentConfig):
     values = config.values
     if values["dataset"] == "synthetic":
-        train = synth_gaussian_mixture(
-            values["classes"],
-            values["feature_dim"],
-            values["train_samples"],
-            seed=derived_rng(config.seed, "data", "train").integers(2**63),
-            separation=values["class_separation"],
+        return tuple(
+            synth_gaussian_mixture(
+                values["classes"],
+                values["feature_dim"],
+                values[f"{split}_samples"],
+                seed=derived_rng(config.seed, "data", split).integers(2**63),
+                separation=values["class_separation"],
+            )
+            for split in ("train", "test")
         )
-        test = synth_gaussian_mixture(
-            values["classes"],
-            values["feature_dim"],
-            values["test_samples"],
-            seed=derived_rng(config.seed, "data", "test").integers(2**63),
-            separation=values["class_separation"],
-        )
-        return train, test
     try:
         full = load_mnist_idx(values["dataset"])
     except ValueError as exc:

@@ -24,11 +24,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .analytics import ScenarioParams, SystemParams
+from .analytics import ScenarioParams, SystemParams, exp_integral
 from .learning import MOBILITY_MODES, PartitionSpec, TrainConfig
 from .network import SchedulingScheme
 
@@ -206,6 +209,41 @@ def _within(value, bound: str) -> bool:
     return above and (value <= hi if bound[-1] == "]" else value < hi)
 
 
+def _entries(values: dict, key: str, grid: str) -> list:
+    """(key, value) of a scalar key and of each entry of the grid that
+    sweeps it."""
+    return [(key, values[key])] + [(grid, v) for v in values[grid]]
+
+
+def _require_normal_snr(values: dict, system: SystemParams) -> None:
+    """Reject a config under which the aligned receive SNR over- or
+    underflows: ``analytics.receive_snr`` must be a positive, finite,
+    normal float at the cell radius and each ``r_max_grid`` entry, under
+    ``path_loss_exponent`` and each ``alpha_grid`` entry, at ``g_th`` and
+    each ``g_th_grid`` entry.  Otherwise commands write inf, nan or 0 in
+    its place, or fail on its logarithm.  Every combination is evaluated
+    in one broadcast of ``receive_snr``'s expression, operation for
+    operation, with E1 once per cutoff."""
+    axes = (
+        _entries(values, "cell_radius_m", "r_max_grid"),
+        _entries(values, "path_loss_exponent", "alpha_grid"),
+        _entries(values, "g_th", "g_th_grid"),
+    )
+    radii, alphas, cutoffs = (np.array([v for _, v in axis]) for axis in axes)
+    e1 = np.array([exp_integral(g) for g in cutoffs])
+    with np.errstate(all="ignore"):
+        snr = system.p0 / (system.m * radii[:, None, None] ** alphas[:, None] * e1) / system.n0
+    bad = np.argwhere(~(np.isfinite(snr) & (snr >= sys.float_info.min)))
+    if bad.size:
+        at = [axis[i] for axis, i in zip(axes, bad[0])]
+        where = ", ".join(f"{key} = {value}" for key, value in at)
+        raise ConfigError(
+            f"the receive SNR at {where} is {snr[tuple(bad[0])]}, not a positive, finite, "
+            f"normal float (p0_watts = {values['p0_watts']}, subchannels = "
+            f"{values['subchannels']}, noise_dbm = {values['noise_dbm']})"
+        )
+
+
 def _build(values: dict) -> ExperimentConfig:
     for key, value in values.items():
         if isinstance(value, str):
@@ -235,6 +273,7 @@ def _build(values: dict) -> ExperimentConfig:
         q_bits=values["quant_bits"],
         ber=values["target_ber"],
     )
+    _require_normal_snr(values, system)
     scenario = ScenarioParams(
         k_devices=values["k_devices"],
         r_in=values["r_in_frac"] * system.r_cell,

@@ -90,18 +90,18 @@ def adversary_suppression_trial(legit_updates, adversary_power: float, gamma: in
     Gaussian interference of the given power at chip rate.  Returns the
     despread aggregate and the measured interference-suppression ratio
     (chip-rate interference power over post-despreading interference power),
-    which concentrates on gamma.
+    which concentrates on gamma; it is inf at zero adversary power.
     """
     if adversary_power < 0:
         raise ValueError(f"adversary_power must be >= 0, got {adversary_power}")
     mat = np.atleast_2d(np.asarray(legit_updates, dtype=float))
     code = pn_code(gamma, rng)
     superposed = spread(mat.sum(axis=0), code)
-    interference = rng.normal(0.0, np.sqrt(adversary_power), superposed.size) if adversary_power else np.zeros_like(superposed)
+    interference = rng.normal(0.0, np.sqrt(adversary_power), superposed.size)
     aggregate = despread(superposed + interference, code)
 
     residual = despread(interference, code)
-    raw_power = float(np.mean(interference**2)) if adversary_power else 0.0
+    raw_power = float(np.mean(interference**2))
     despread_power = float(np.mean(residual**2))
     ratio = raw_power / despread_power if despread_power > 0 else float("inf")
     return aggregate, ratio

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +112,9 @@ class TrainConfig:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One round's trace row; its fields are the trace columns, in order."""
+
     round: int
     accuracy: float
     loss: float
@@ -122,8 +124,7 @@ class RoundRecord:
     k_scheduled: int
 
 
-# The trace schema: one column per RoundRecord field, in field order.
-TRACE_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+TRACE_COLUMNS = RoundRecord._fields
 
 
 @dataclass(frozen=True)
@@ -196,21 +197,19 @@ def _class_sum(terms: np.ndarray) -> np.ndarray:
     ``row_major.sum(axis=-1)``, row_major being the same terms as a
     C-contiguous (n, C) array.
 
-    numpy adds one contiguous row of C < 8 terms in sequence, and up to 128
-    terms into eight strided partial sums that it combines pairwise before
-    adding the tail.  Each step here is that addition, done for all n
-    samples at once.  Longer rows, which numpy splits recursively, take the
-    row-major sum.  numpy also adds the row's sum to a starting 0.0, which
-    changes only a sum of -0.0; the terms here are exp values, never -0.0.
+    numpy adds one contiguous row of C < 8 terms in sequence, which is how
+    it reduces the outer axis of ``terms`` too, and up to 128 terms into
+    eight strided partial sums that it combines pairwise before adding the
+    tail.  Each step here is that addition, done for all n samples at once.
+    Longer rows, which numpy splits recursively, take the row-major sum.
+    numpy also adds the row's sum to a starting 0.0, which changes only a
+    sum of -0.0; the terms here are exp values, never -0.0.
     """
     c = terms.shape[0]
     if c > 128:
         return np.ascontiguousarray(terms.T).sum(axis=-1)
     if c < 8:
-        total = terms[0].copy()
-        for row in terms[1:]:
-            total += row
-        return total
+        return terms.sum(axis=0)
     acc = terms[:8].copy()
     tail = c - c % 8
     for start in range(8, tail, 8):
@@ -444,8 +443,7 @@ def federated_train(
 
 def trace_table(result: TrainResult) -> Table:
     """Per-round trace as a table with the standard column schema."""
-    rows = [tuple(getattr(r, name) for name in TRACE_COLUMNS) for r in result.records]
-    return Table(TRACE_COLUMNS, rows)
+    return Table(TRACE_COLUMNS, list(result.records))
 
 
 def trace_csv(result: TrainResult) -> str:

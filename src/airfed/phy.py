@@ -109,12 +109,17 @@ def align_rho0(distances, params: SystemParams) -> float:
     return aligned_receive_power(params, float(distances.max()))
 
 
-def _as_update_matrix(updates) -> np.ndarray:
+def _as_update_matrix(updates, radii):
+    """The scheduled set as a nonempty (k, q) update matrix and the (k,)
+    radii of its devices."""
     # numpy itself raises ValueError on ragged rows.
     mat = np.asarray(updates, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise ValueError("updates must form a nonempty (k, q) matrix")
-    return mat
+    radii = np.asarray(radii, dtype=float)
+    if radii.shape != mat.shape[:1]:
+        raise ValueError(f"radii must have shape ({mat.shape[0]},), got {radii.shape}")
+    return mat, radii
 
 
 # A float64's 64 bits, all set: ANDed with an entry, they keep it whole.
@@ -146,11 +151,8 @@ def baa_round(
         (aggregate, BaaDiagnostics): the q-vector estimate of the mean
         update, still in normalized symbol space, plus diagnostics.
     """
-    mat = _as_update_matrix(updates)
+    mat, radii = _as_update_matrix(updates, radii)
     k, q = mat.shape
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (k,):
-        raise ValueError(f"radii must have shape ({k},), got {radii.shape}")
     rho0 = align_rho0(radii, params)
 
     m = params.m
@@ -302,11 +304,8 @@ def digital_round(
     the maximum of the per-device expected latencies.  The result also
     carries each device's receive SNR, from which those latencies follow.
     """
-    mat = _as_update_matrix(updates)
+    mat, radii = _as_update_matrix(updates, radii)
     k, q = mat.shape
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (k,):
-        raise ValueError(f"radii must have shape ({k},), got {radii.shape}")
     if q != scenario.q_dim:
         raise ValueError(f"updates have dimension {q}, scenario expects {scenario.q_dim}")
 

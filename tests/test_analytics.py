@@ -331,24 +331,17 @@ class TestReliabilityQuantityCurve:
 
 class TestEverScheduledProbability:
     def test_certain_interior(self):
-        exact, approx = p_all_exploited(17, 9, 1.0)
-        assert exact == 1.0
-        assert approx == 1.0
+        assert p_all_exploited(17, 9, 1.0) == 1.0
 
     def test_single_device_single_round(self):
-        exact, _ = p_all_exploited(1, 1, 0.37)
-        assert exact == pytest.approx(0.37, rel=1e-12)
+        assert p_all_exploited(1, 1, 0.37) == pytest.approx(0.37, rel=1e-12)
 
-    def test_approximation_accuracy(self):
-        # 200 devices, interior probability 0.25, 31 rounds: the linear
-        # approximation sits within 1e-3 of the exact product form.
-        exact, approx = p_all_exploited(200, 31, 0.25)
-        assert 200 * 0.75**31 < 0.03
-        assert abs(exact - approx) < 1e-3
-        assert exact == pytest.approx(0.9735665376730876, rel=1e-12)
+    def test_pinned_exact_value(self):
+        # 200 devices, interior probability 0.25, 31 rounds.
+        assert p_all_exploited(200, 31, 0.25) == pytest.approx(0.9735665376730876, rel=1e-12)
 
     def test_nondecreasing_in_rounds(self):
-        values = [p_all_exploited(50, n, 0.2)[0] for n in range(1, 40)]
+        values = [p_all_exploited(50, n, 0.2) for n in range(1, 40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 

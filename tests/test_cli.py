@@ -1,10 +1,15 @@
 """Harness behavior: config ingestion, determinism, and table contents."""
 
 import json
+import re
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfed import analytics, cli, rng
 from airfed.cli import (
@@ -150,12 +155,82 @@ class TestConfig:
         key = line.split("=")[0].strip()
         assert f"error: {key} " in capsys.readouterr().err
 
+    def test_readme_range_table_lists_every_range(self):
+        # Each row of README's range table names its keys in backticks and
+        # starts its second cell with their bound.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| keys | accepted |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines():
+            keys, accepted = row.strip("|").split(" | ", 1)
+            documented.update((key, accepted) for key in re.findall(r"`(\w+)`", keys))
+        for key, bound in RANGES.items():
+            assert documented.get(key, "").startswith(bound), key
+
     @pytest.mark.parametrize("key", ["g_th", "g_th_grid"])
     def test_g_th_cap_keeps_the_exponential_integral_normal(self, key):
         # The cap is loadable, and E1 there still returns a normal float.
+        # At the default -80 dBm the receive SNR at the cap overflows, so
+        # the noise is raised to where it stays finite.
         cap = float(RANGES[key].rstrip("]").split(",")[1])
-        load_config(None, {key: (cap,) if key == "g_th_grid" else cap})
+        load_config(None, {key: (cap,) if key == "g_th_grid" else cap, "noise_dbm": 0.0})
         assert analytics.exp_integral(cap) >= sys.float_info.min
+
+    # The receive SNR over- or underflows: 100^200 is inf, and E1 at the
+    # g_th cap is so small that rho0 / n0 is inf at -80 dBm.
+    @pytest.mark.parametrize(
+        "line, command, named",
+        [
+            ("alpha_grid = 200", ["tradeoff"], "alpha_grid = 200.0"),
+            ("alpha_grid = 3.0, 160", ["tradeoff"], "alpha_grid = 160.0"),
+            ("path_loss_exponent = 200", ["latency"], "path_loss_exponent = 200.0"),
+            ("cell_radius_m = 1e200", ["compare"], "cell_radius_m = 1e+200"),
+            ("g_th = 701.8", ["latency"], "g_th = 701.8"),
+        ],
+    )
+    def test_overflowing_receive_snr_exits_cleanly(self, tmp_path, capsys, line, command, named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_TRAIN + line + "\n")
+        assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the receive SNR at ")
+        assert named in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.floats(0.5, 200.0),
+        r_cell=st.sampled_from([1e-100, 1e-3, 1.0, 100.0, 1e50, 1e200]),
+        g_th=st.floats(1e-3, 701.8),
+        noise_dbm=st.floats(-2999.0, 2999.0),
+    )
+    def test_snr_rule_matches_receive_snr(self, alpha, r_cell, g_th, noise_dbm):
+        # The load rule evaluates receive_snr's expression in one broadcast;
+        # receive_snr itself, at each combination, is the reference.
+        overrides = {
+            "path_loss_exponent": alpha,
+            "cell_radius_m": r_cell,
+            "g_th": g_th,
+            "noise_dbm": noise_dbm,
+        }
+        system = analytics.SystemParams(alpha=alpha, r_cell=r_cell, g_th=g_th, n0=dbm_to_watts(noise_dbm))
+        radii = np.array([r_cell, *DEFAULTS["r_max_grid"]])
+        with np.errstate(all="ignore"):
+            snr = np.array(
+                [
+                    analytics.receive_snr(replace(system, alpha=a, g_th=g), radii)
+                    for a in (alpha, *DEFAULTS["alpha_grid"])
+                    for g in (g_th, *DEFAULTS["g_th_grid"])
+                ]
+            )
+        normal = bool(np.all(np.isfinite(snr) & (snr >= sys.float_info.min)))
+        try:
+            load_config(None, overrides)
+            loaded = True
+        except ConfigError as exc:
+            assert str(exc).startswith("the receive SNR at ")
+            loaded = False
+        assert loaded == normal
 
     # The owning type names its own field, not the config key, so the
     # message is matched on the bad value.  SMALL_TRAIN schedules
@@ -390,19 +465,6 @@ class TestMonteCarloCommand:
         default = cli.montecarlo_rows(config)
         monkeypatch.setattr(rng, "BLOCK_ENTRIES", block_entries)
         assert cli.montecarlo_rows(config) == default
-
-    def test_working_memory_below_half_a_topology_matrix(self):
-        # Topologies are drawn in blocks and reduced per trial: the traced
-        # peak stays below half of one float64 (trials, K) matrix.
-        config = load_config(None)
-        assert traced_peak(cli.montecarlo_rows, config) < 4 * config.trials * config.scenario.k_devices
-
-    def test_working_memory_is_a_few_blocks_beyond_the_per_trial_vectors(self):
-        # At the defaults the report keeps at most six float64 values per
-        # trial; the block draws and their temporaries add a few blocks.
-        config = load_config(None)
-        per_trial = 6 * 8 * config.trials
-        assert traced_peak(cli.montecarlo_rows, config) < per_trial + 6 * 8 * rng.BLOCK_ENTRIES
 
     def test_working_memory_is_two_floats_per_trial_and_a_few_blocks(self):
         # The report keeps each trial's furthest distance and, for the trials

@@ -61,7 +61,7 @@ class TestAdvanceRound:
         k, n_cr, runs = 200, 31, 2000
         r_in = 0.5 * R_CELL
         scheme = SchedulingScheme.cell_interior(r_in)
-        exact, _ = analytics.p_all_exploited(k, n_cr, analytics.fraction_exploited(r_in, R_CELL))
+        exact = analytics.p_all_exploited(k, n_cr, analytics.fraction_exploited(r_in, R_CELL))
         hits = 0
         for run in range(runs):
             rng = derived_rng(31337, "mobility-run", run)

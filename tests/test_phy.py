@@ -269,11 +269,18 @@ class TestBaaRound:
         radii = np.linspace(25.0, 95.0, k)
         assert traced_peak(baa_round, updates, radii, PARAMS, derived_rng(23, "round")) < 8 * k * q
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("aggregation", ["baa", "digital"])
+    def test_dimension_mismatch_rejected(self, aggregation):
+        def run(updates, radii):
+            if aggregation == "baa":
+                return baa_round(updates, radii, PARAMS, derived_rng(0))
+            scenario = ScenarioParams(k_devices=2, r_in=50.0, q_dim=4)
+            return digital_round(updates, radii, PARAMS, scenario, derived_rng(0))
+
         with pytest.raises(ValueError):
-            baa_round([np.zeros(4), np.zeros(5)], [10.0, 20.0], PARAMS, derived_rng(0))
-        with pytest.raises(ValueError):
-            baa_round(np.zeros((2, 4)), [10.0], PARAMS, derived_rng(0))
+            run([np.zeros(4), np.zeros(5)], [10.0, 20.0])
+        with pytest.raises(ValueError, match=r"radii must have shape \(2,\), got \(1,\)"):
+            run(np.zeros((2, 4)), [10.0])
 
 
 class TestNormalization:
@@ -321,6 +328,11 @@ class TestNormalization:
 
 
 class TestDigitalRound:
+    def test_update_dimension_must_match_the_scenario(self):
+        scenario = ScenarioParams(k_devices=2, r_in=50.0, q_dim=4)
+        with pytest.raises(ValueError, match="updates have dimension 5, scenario expects 4"):
+            digital_round(np.zeros((2, 5)), [10.0, 20.0], PARAMS, scenario, derived_rng(0))
+
     def test_fine_quantization_recovers_mean(self):
         rng = derived_rng(15, "dig")
         updates = rng.normal(0.0, 1.0, size=(6, 4000))
