@@ -11,11 +11,18 @@ There is no shared mutable state.  Every function returns a value that
 depends on its arguments alone; the one side effect is the RuntimeWarning
 :func:`expected_snr_cell_interior` issues when its scaling factor leaves
 the bound it documents.
+
+Every receive SNR this module forms, and every rate, latency and latency
+ratio formed from one, must be a positive, finite, normal float: each is
+computed with numpy's floating-point warnings off and then checked by
+:func:`_normal`, which raises ValueError where an over- or underflow would
+otherwise leave inf, 0 or a subnormal in its place.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -127,6 +134,23 @@ class LatencyReport:
     reduction_ratio: float
 
 
+def _normal(value, what: str, params: SystemParams, r):
+    """``value``, ``what`` at the distances ``r`` (a numpy scalar, or an
+    array of ``r``'s shape), when every entry is a positive, finite, normal
+    float.  Otherwise raises ValueError naming the first distance where it
+    is not, with alpha, g_th, p0, m and n0."""
+    # NaN fails both comparisons.
+    normal = (value >= sys.float_info.min) & (value <= sys.float_info.max)
+    if normal.all():
+        return value
+    at = np.flatnonzero(~np.ravel(normal))[0]
+    raise ValueError(
+        f"{what} at distance {np.ravel(r)[at]} is {np.ravel(value)[at]}, not a positive, "
+        f"finite, normal float (alpha = {params.alpha}, g_th = {params.g_th}, "
+        f"p0 = {params.p0}, m = {params.m}, n0 = {params.n0})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Special function
 # ---------------------------------------------------------------------------
@@ -207,12 +231,16 @@ def aligned_receive_power(params: SystemParams, r_max):
     symbols arrive when the furthest device (distance r_max) transmits at
     its full power budget under truncated channel inversion at the cutoff
     ``params.g_th``.  ``r_max`` may be an array of distances; the result
-    then has its shape.
+    then has its shape.  Raises ValueError where the receive SNR rho0 / n0
+    is not a positive, finite, normal float.
     """
     r_max = np.asarray(r_max, dtype=float)
     if (r_max <= 0).any():
         raise ValueError(f"r_max must be positive, got {r_max}")
-    return params.p0 / (params.m * r_max**params.alpha * exp_integral(params.g_th))
+    with np.errstate(all="ignore"):
+        rho0 = params.p0 / (params.m * r_max**params.alpha * exp_integral(params.g_th))
+        _normal(rho0 / params.n0, "the receive SNR", params, r_max)
+    return rho0
 
 
 def receive_snr(params: SystemParams, r_max):
@@ -322,7 +350,9 @@ def expected_snr_all_inclusive(params: SystemParams, k_devices: int) -> float:
             "expected receive SNR diverges: the furthest-device mean needs "
             f"2*k_devices > alpha (k_devices={k_devices}, alpha={params.alpha})"
         )
-    return weight * receive_snr(params, params.r_cell)
+    with np.errstate(all="ignore"):
+        snr = weight * receive_snr(params, params.r_cell)
+    return _normal(snr, "the expected all-inclusive receive SNR", params, params.r_cell)
 
 
 def _interior_scaling_factor(k_devices: int, p_in: float, alpha: float) -> float:
@@ -361,14 +391,18 @@ def expected_snr_cell_interior(params: SystemParams, scenario: ScenarioParams):
             RuntimeWarning,
             stacklevel=2,
         )
-    snr = c * receive_snr(params, scenario.r_in)
-    return snr, c
+    with np.errstate(all="ignore"):
+        snr = c * receive_snr(params, scenario.r_in)
+    return _normal(snr, "the expected cell-interior receive SNR", params, scenario.r_in), c
 
 
 def snr_gain(params: SystemParams, scenario: ScenarioParams) -> float:
-    """Receive-SNR gain of cell-interior over all-inclusive scheduling."""
+    """Receive-SNR gain of cell-interior over all-inclusive scheduling.
+    The all-inclusive form goes first: where it diverges, its error names
+    ``k_devices``, and the interior factor is 0."""
+    all_inclusive = expected_snr_all_inclusive(params, scenario.k_devices)
     interior, _ = expected_snr_cell_interior(params, scenario)
-    return interior / expected_snr_all_inclusive(params, scenario.k_devices)
+    return interior / all_inclusive
 
 
 def reliability_quantity_curve(params: SystemParams, k_devices: int, f_dat_grid) -> TradeoffCurve:
@@ -435,15 +469,21 @@ def digital_device_snr(params: SystemParams, k_devices: int, r):
     """Per-device OFDMA receive SNR (linear): the device spends its whole
     budget on m/k sub-channels, which scales :func:`receive_snr` by k.
     ``r`` may be an array of distances."""
-    return k_devices * receive_snr(params, r)
+    with np.errstate(all="ignore"):
+        snr = k_devices * receive_snr(params, r)
+    return _normal(snr, "the digital device SNR", params, r)
 
 
-def _bits_per_symbol(params: SystemParams, snr):
-    # Expected MQAM bits per sub-channel use: log2(1 + factor * snr) when
-    # the sub-channel survives the cutoff, which it does w.p. exp(-g_th).
-    # Taken as log1p(x) / ln 2: 1 + x rounds to 1 once x is below about
-    # 1e-16, which would make the rate 0 and the latency infinite.
-    return np.log1p(mqam_snr_factor(params.ber) * snr) / math.log(2.0) * math.exp(-params.g_th)
+def _bits_per_symbol(params: SystemParams, k_devices: int, r):
+    # Expected MQAM bits per sub-channel use at the digital_device_snr of
+    # distance r: log2(1 + factor * snr) when the sub-channel survives the
+    # cutoff, which it does w.p. exp(-g_th).  Taken as log1p(x) / ln 2:
+    # 1 + x rounds to 1 once x is below about 1e-16, which would make the
+    # rate 0 and the latency infinite.  So would an x that underflows.
+    snr = digital_device_snr(params, k_devices, r)
+    with np.errstate(all="ignore"):
+        bits = np.log1p(mqam_snr_factor(params.ber) * snr) / math.log(2.0) * math.exp(-params.g_th)
+    return _normal(bits, "the expected MQAM bits per symbol", params, r)
 
 
 def rate_digital_expected(params: SystemParams, k_devices: int, r_k):
@@ -457,8 +497,7 @@ def rate_digital_expected(params: SystemParams, k_devices: int, r_k):
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    snr = digital_device_snr(params, k_devices, r_k)
-    return params.m / k_devices * params.b_sub * _bits_per_symbol(params, snr)
+    return params.m / k_devices * params.b_sub * _bits_per_symbol(params, k_devices, r_k)
 
 
 def latency_digital(params: SystemParams, scenario: ScenarioParams, r_max: float) -> float:
@@ -468,7 +507,9 @@ def latency_digital(params: SystemParams, scenario: ScenarioParams, r_max: float
     furthest one: q * Q bits at that device's expected rate, which equals
     k * q * Q / (m * log2(1 + factor * snr(r_max)) * e^-g_th) OFDM symbols.
     """
-    return scenario.q_dim * params.q_bits / rate_digital_expected(params, scenario.k_devices, r_max)
+    with np.errstate(all="ignore"):
+        latency = scenario.q_dim * params.q_bits / rate_digital_expected(params, scenario.k_devices, r_max)
+    return _normal(latency, "the digital round latency", params, r_max)
 
 
 def latency_reduction_ratio(params: SystemParams, scenario: ScenarioParams, r_max: float) -> float:
@@ -477,8 +518,10 @@ def latency_reduction_ratio(params: SystemParams, scenario: ScenarioParams, r_ma
     Equals k * Q / (log2(1 + factor * snr(r_max)) * e^-g_th); matches the
     quotient of the two latency functions whenever q is a multiple of m.
     """
-    snr = digital_device_snr(params, scenario.k_devices, r_max)
-    return scenario.k_devices * params.q_bits / _bits_per_symbol(params, snr)
+    k = scenario.k_devices
+    with np.errstate(all="ignore"):
+        ratio = k * params.q_bits / _bits_per_symbol(params, k, r_max)
+    return _normal(ratio, "the latency reduction ratio", params, r_max)
 
 
 def latency_report(params: SystemParams, scenario: ScenarioParams, r_max: float) -> LatencyReport:

@@ -37,9 +37,15 @@ BEAM_TIE_RTOL = 1e-12
 
 @contextmanager
 def _closed_form_domain():
-    """Report a closed form evaluated outside its domain as a config error:
-    the expected receive SNRs need K >= 2 under cell-interior scheduling
-    and 2K > alpha, which the config range does not guarantee."""
+    """Report a closed form or a training run that the config takes outside
+    its domain as a config error.  The expected receive SNRs need K >= 2
+    under cell-interior scheduling and 2K > alpha, which the config range
+    does not guarantee.  Every receive SNR, and each rate or latency formed
+    from one, must be a positive, finite, normal float; the load rule
+    checks that at the configured radii, exponents and cutoffs, but not at
+    a round's furthest scheduled device, a ``zeta_grid`` cutoff, a
+    ``k_grid`` device count or ``montecarlo``'s 1 m unit.  And a training
+    run stops when its model leaves the float range."""
     try:
         yield
     except ValueError as exc:
@@ -56,20 +62,20 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
     gain_rows = []
     for alpha in values["alpha_grid"]:
         params = replace(config.system, alpha=alpha)
-        for r_max in values["r_max_grid"]:
-            curve = analytics.snr_truncation_curve(params, r_max, values["zeta_grid"])
-            for zeta, snr in curve.points:
-                snr_rows.append(
-                    (
-                        alpha,
-                        r_max,
-                        zeta,
-                        analytics.cutoff_for_ratio(zeta),
-                        snr,
-                        10.0 * math.log10(snr),
-                    )
-                )
         with _closed_form_domain():
+            for r_max in values["r_max_grid"]:
+                curve = analytics.snr_truncation_curve(params, r_max, values["zeta_grid"])
+                for zeta, snr in curve.points:
+                    snr_rows.append(
+                        (
+                            alpha,
+                            r_max,
+                            zeta,
+                            analytics.cutoff_for_ratio(zeta),
+                            snr,
+                            10.0 * math.log10(snr),
+                        )
+                    )
             curve = analytics.reliability_quantity_curve(
                 params, config.scenario.k_devices, values["f_dat_grid"]
             )
@@ -120,12 +126,22 @@ def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_
     becomes those terms, snr_unit * distance^-alpha, in place (``**=``
     keeps the bits of ``**``).  ``undersampled`` when the run expects
     under one such trial; ``heavy-tailed`` when it expects one whose term
-    has infinite variance: its square, the term at 2 alpha, has no mean."""
+    has infinite variance: its square, the term at 2 alpha, has no mean.
+    Raises ValueError when the estimate overflows, which a term can do at
+    a small distance even where ``snr_unit`` is normal."""
     counts = np.arange(len(pmf))
     adds = _adds_snr_term(counts, alpha)
-    furthest **= -alpha
-    furthest *= snr_unit
-    row = evaluate_check(name, analytic, float(furthest.sum()) / trials, tolerance, "rel")
+    with np.errstate(over="ignore", divide="ignore"):
+        furthest **= -alpha
+        furthest *= snr_unit
+        estimate = float(furthest.sum()) / trials
+    if not math.isfinite(estimate):
+        raise ValueError(
+            f"the {name} estimate, a mean over {trials} trials of receive SNRs "
+            f"{snr_unit} * distance^-{alpha} (the receive SNR at 1 m times the path "
+            "gain), overflows"
+        )
+    row = evaluate_check(name, analytic, estimate, tolerance, "rel")
     if trials * pmf[adds].sum() < 1.0:
         return row[:-1] + ("undersampled",)
     if trials * pmf[adds & ~_adds_snr_term(counts, 2.0 * alpha)].sum() >= 1.0:
@@ -151,6 +167,7 @@ def montecarlo_rows(config: ExperimentConfig):
     with _closed_form_domain():
         expected_all = analytics.expected_snr_all_inclusive(params, k)
         expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
+        snr_unit = analytics.receive_snr(params, 1.0)
 
     # The interior SNR is a joint expectation: a K_in that adds no term adds 0.
     counts = np.arange(k + 1)
@@ -187,12 +204,13 @@ def montecarlo_rows(config: ExperimentConfig):
 
     # Expected receive SNR: every trial schedules all K devices, or the
     # K_in interior ones.
-    snr_unit = analytics.receive_snr(params, 1.0)
     for name, analytic, furthest, law, tolerance in (
         ("snr_all_inclusive", expected_all, r_max, np.where(counts == k, 1.0, 0.0), 0.02),
         ("snr_cell_interior", expected_interior, interior_max[:n_usable], pmf, 0.03),
     ):
-        rows.append(_snr_row(name, analytic, furthest, trials, law, params.alpha, snr_unit, tolerance))
+        with _closed_form_domain():
+            row = _snr_row(name, analytic, furthest, trials, law, params.alpha, snr_unit, tolerance)
+        rows.append(row)
 
     # Probability that every device is ever scheduled under i.i.d. mobility;
     # a run is one row of n_cr consecutive topologies.
@@ -234,7 +252,15 @@ def cmd_latency(config: ExperimentConfig) -> dict:
                 params = replace(config.system, q_bits=q_bits, ber=ber)
                 scenario = replace(config.scenario, k_devices=k)
                 for r_max in values["r_max_grid"]:
-                    report = analytics.latency_report(params, scenario, r_max)
+                    with _closed_form_domain():
+                        report = analytics.latency_report(params, scenario, r_max)
+                        # Python floats overflow to inf without a warning.
+                        scaled = float(report.reduction_ratio) * math.log2(k) / k
+                        if math.isinf(scaled):
+                            raise ValueError(
+                                f"ratio_x_log2k_over_k overflows at k_devices = {k}: "
+                                f"reduction_ratio = {report.reduction_ratio}"
+                            )
                     rows.append(
                         (
                             k,
@@ -244,7 +270,7 @@ def cmd_latency(config: ExperimentConfig) -> dict:
                             report.t_analog_s,
                             report.t_digital_s,
                             report.reduction_ratio,
-                            report.reduction_ratio * math.log2(k) / k,
+                            scaled,
                         )
                     )
     return {
@@ -307,17 +333,18 @@ def _run_once(config: ExperimentConfig, train_set, test_set, aggregation=None,
     params = config.system if g_th is None else replace(config.system, g_th=g_th)
     scheme = config.scheme if r_in is None else replace(config.scheme, r_in=r_in)
     train_cfg = config.train if aggregation is None else replace(config.train, aggregation=aggregation)
-    return learning.federated_train(
-        train_set,
-        config.partition,
-        train_cfg,
-        params,
-        config.scenario,
-        scheme,
-        config.seed,
-        test_set,
-        mobility=config.mobility,
-    )
+    with _closed_form_domain():
+        return learning.federated_train(
+            train_set,
+            config.partition,
+            train_cfg,
+            params,
+            config.scenario,
+            scheme,
+            config.seed,
+            test_set,
+            mobility=config.mobility,
+        )
 
 
 def cmd_train(config: ExperimentConfig, grid: bool = False) -> dict:
@@ -494,7 +521,11 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    written = write_outputs(tables, config, args.out, args.format)
+    try:
+        written = write_outputs(tables, config, args.out, args.format)
+    except OSError as exc:
+        print(f"error: cannot write to --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(path)
     return 0

@@ -24,14 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analytics import ScenarioParams, SystemParams, exp_integral
+from .analytics import ScenarioParams, SystemParams, receive_snr
 from .learning import MOBILITY_MODES, PartitionSpec, TrainConfig
 from .network import SchedulingScheme
 
@@ -215,33 +212,31 @@ def _entries(values: dict, key: str, grid: str) -> list:
     return [(key, values[key])] + [(grid, v) for v in values[grid]]
 
 
+def _extremes(values: dict, key: str, grid: str) -> tuple:
+    """The smallest and the largest of :func:`_entries`, each the first
+    entry holding its value."""
+    entries = _entries(values, key, grid)
+    return min(entries, key=lambda entry: entry[1]), max(entries, key=lambda entry: entry[1])
+
+
 def _require_normal_snr(values: dict, system: SystemParams) -> None:
     """Reject a config under which the aligned receive SNR over- or
-    underflows: ``analytics.receive_snr`` must be a positive, finite,
-    normal float at the cell radius and each ``r_max_grid`` entry, under
-    ``path_loss_exponent`` and each ``alpha_grid`` entry, at ``g_th`` and
-    each ``g_th_grid`` entry.  Otherwise commands write inf, nan or 0 in
-    its place, or fail on its logarithm.  Every combination is evaluated
-    in one broadcast of ``receive_snr``'s expression, operation for
-    operation, with E1 once per cutoff."""
-    axes = (
-        _entries(values, "cell_radius_m", "r_max_grid"),
-        _entries(values, "path_loss_exponent", "alpha_grid"),
-        _entries(values, "g_th", "g_th_grid"),
-    )
-    radii, alphas, cutoffs = (np.array([v for _, v in axis]) for axis in axes)
-    e1 = np.array([exp_integral(g) for g in cutoffs])
-    with np.errstate(all="ignore"):
-        snr = system.p0 / (system.m * radii[:, None, None] ** alphas[:, None] * e1) / system.n0
-    bad = np.argwhere(~(np.isfinite(snr) & (snr >= sys.float_info.min)))
-    if bad.size:
-        at = [axis[i] for axis, i in zip(axes, bad[0])]
-        where = ", ".join(f"{key} = {value}" for key, value in at)
-        raise ConfigError(
-            f"the receive SNR at {where} is {snr[tuple(bad[0])]}, not a positive, finite, "
-            f"normal float (p0_watts = {values['p0_watts']}, subchannels = "
-            f"{values['subchannels']}, noise_dbm = {values['noise_dbm']})"
-        )
+    underflows: ``analytics.receive_snr`` must hold at the cell radius and
+    each ``r_max_grid`` entry, under ``path_loss_exponent`` and each
+    ``alpha_grid`` entry, at ``g_th`` and each ``g_th_grid`` entry.
+    Checked at load, the error names the config keys.  The SNR falls with the
+    radius, is monotone in the exponent at each radius and rises with the
+    cutoff, so its extremes lie where each of the three is smallest or
+    largest, and those eight combinations are the ones evaluated."""
+    for alpha in _extremes(values, "path_loss_exponent", "alpha_grid"):
+        for g_th in _extremes(values, "g_th", "g_th_grid"):
+            params = replace(system, alpha=alpha[1], g_th=g_th[1])
+            for radius in _extremes(values, "cell_radius_m", "r_max_grid"):
+                try:
+                    receive_snr(params, radius[1])
+                except ValueError as exc:
+                    where = ", ".join(f"{key} = {value}" for key, value in (radius, alpha, g_th))
+                    raise ConfigError(f"the receive SNR at {where}: {exc}") from exc
 
 
 def _build(values: dict) -> ExperimentConfig:

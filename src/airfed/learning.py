@@ -51,9 +51,9 @@ class PartitionSpec:
 
     Every device gets the same number of samples, :meth:`per_device`.
     ``iid`` deals a random subset of the corpus; ``noniid-shards`` sorts it
-    by label, cuts its head into K * ``shards_per_device`` runs of equal
-    size, K being the device count, and deals ``shards_per_device`` runs to
-    each device.
+    by label, cuts the whole of it into runs of
+    ``per_device // shards_per_device`` samples, and deals
+    ``shards_per_device`` runs drawn at random to each device.
     """
 
     mode: str = "iid"
@@ -333,12 +333,13 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec, k_devices: int, rng)
     if spec.mode == "iid":
         return rng.permutation(n)[: per_device * k_devices].reshape(k_devices, per_device)
 
-    # noniid-shards: label-sorted corpus cut into equal runs, dealt at random
-    shards_total = k_devices * spec.shards_per_device
-    by_label = np.argsort(dataset.labels, kind="stable")[: per_device * k_devices]
-    shard_indices = by_label.reshape(shards_total, -1)
-    dealt = rng.permutation(shards_total).reshape(k_devices, spec.shards_per_device)
-    return shard_indices[dealt].reshape(k_devices, -1)
+    # noniid-shards: the whole label-sorted corpus cut into equal runs, of
+    # which K * shards_per_device are dealt at random
+    run = per_device // spec.shards_per_device
+    n_runs = n // run
+    runs = np.argsort(dataset.labels, kind="stable")[: n_runs * run].reshape(n_runs, run)
+    dealt = rng.permutation(n_runs)[: k_devices * spec.shards_per_device]
+    return runs[dealt].reshape(k_devices, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +393,9 @@ def federated_train(
     by the actual model size derived from the data.  ``mobility`` is one of
     ``MOBILITY_MODES``.  ``topology_seed`` pins the first drop independently
     of the training randomness, for sweeps that hold one deployment fixed.
+    A round whose arithmetic overflows or yields a NaN raises ValueError
+    naming the round: the model has diverged, as it does within a few
+    rounds when the receive SNR is so low that the aggregate is noise.
     """
     if mobility not in MOBILITY_MODES:
         raise ValueError(f"mobility must be one of {MOBILITY_MODES}, got {mobility!r}")
@@ -413,31 +417,37 @@ def federated_train(
     static = mobility == "static"
     minibatch = train_cfg.batch_size is not None and train_cfg.batch_size < features.shape[1]
     records = []
-    for rnd in range(train_cfg.n_cr):
-        if rnd > 0:
-            radii = network.advance_round(
-                radii, params.r_cell, None if static else derived_rng(seed, "mobility", rnd)
-            )
-        ids = network.schedule(radii, scheme, rnd)
-        if ids.size == 0:
-            logger.info("round %d: no device inside r_in, skipping aggregation", rnd)
-            channel = _NO_CHANNEL
-        else:
-            locals_ = local_sgd(
-                weights,
-                features[ids],
-                labels[ids],
-                n_classes,
-                train_cfg.eta,
-                train_cfg.tau,
-                train_cfg.batch_size,
-                derived_rng(seed, "sgd", rnd) if minibatch else None,
-            )
-            weights, channel = _aggregate(
-                train_cfg.aggregation, weights, locals_, radii[ids], params, scenario, seed, rnd
-            )
-        evaluation = accuracy(weights, test_set), global_loss(weights, features, labels, n_classes)
-        records.append(RoundRecord(rnd, *evaluation, *channel, ids.size))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for rnd in range(train_cfg.n_cr):
+                if rnd > 0:
+                    radii = network.advance_round(
+                        radii, params.r_cell, None if static else derived_rng(seed, "mobility", rnd)
+                    )
+                ids = network.schedule(radii, scheme, rnd)
+                if ids.size == 0:
+                    logger.info("round %d: no device inside r_in, skipping aggregation", rnd)
+                    channel = _NO_CHANNEL
+                else:
+                    locals_ = local_sgd(
+                        weights,
+                        features[ids],
+                        labels[ids],
+                        n_classes,
+                        train_cfg.eta,
+                        train_cfg.tau,
+                        train_cfg.batch_size,
+                        derived_rng(seed, "sgd", rnd) if minibatch else None,
+                    )
+                    weights, channel = _aggregate(
+                        train_cfg.aggregation, weights, locals_, radii[ids], params, scenario, seed, rnd
+                    )
+                evaluation = accuracy(weights, test_set), global_loss(weights, features, labels, n_classes)
+                records.append(RoundRecord(rnd, *evaluation, *channel, ids.size))
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"round {rnd} of {train_cfg.aggregation} training: the model left the float range ({exc})"
+        ) from exc
     return TrainResult(records=tuple(records), final_weights=weights)
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .analytics import (
     aligned_receive_power,
     digital_device_snr,
     latency_baa,
-    rate_digital_expected,
+    latency_digital,
 )
 
 
@@ -301,7 +301,9 @@ def digital_round(
     O(K M) beyond the (k, q) input.  Delivery is error-free at the target
     BER by default; ``bit_flip_prob`` injects per-bit flips for sensitivity
     studies, drawn block by block.  The round latency is the straggler's:
-    the maximum of the per-device expected latencies.  The result also
+    the maximum of the per-device expected latencies, each the
+    :func:`analytics.latency_digital` of its distance among the k scheduled
+    devices.  The result also
     carries each device's receive SNR, from which those latencies follow.
     """
     mat, radii = _as_update_matrix(updates, radii)
@@ -311,7 +313,7 @@ def digital_round(
 
     aggregate = _quantized_mean(mat, params.q_bits, params.m, rng, bit_flip_prob)
 
-    latencies = q * params.q_bits / rate_digital_expected(params, k, radii)
+    latencies = latency_digital(params, replace(scenario, k_devices=k), radii)
     return DigitalRoundResult(
         aggregate=aggregate,
         per_device_snr=digital_device_snr(params, k, radii),

@@ -1,14 +1,19 @@
 """Harness behavior: config ingestion, determinism, and table contents."""
 
+import contextlib
+import csv
+import io
 import json
+import math
 import re
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airfed import analytics, cli, rng
@@ -205,8 +210,9 @@ class TestConfig:
         noise_dbm=st.floats(-2999.0, 2999.0),
     )
     def test_snr_rule_matches_receive_snr(self, alpha, r_cell, g_th, noise_dbm):
-        # The load rule evaluates receive_snr's expression in one broadcast;
-        # receive_snr itself, at each combination, is the reference.
+        # The load rule calls receive_snr at the extreme radii, exponents
+        # and cutoffs; receive_snr at every combination is the reference,
+        # and it raises ValueError where the SNR is not a normal float.
         overrides = {
             "path_loss_exponent": alpha,
             "cell_radius_m": r_cell,
@@ -215,15 +221,17 @@ class TestConfig:
         }
         system = analytics.SystemParams(alpha=alpha, r_cell=r_cell, g_th=g_th, n0=dbm_to_watts(noise_dbm))
         radii = np.array([r_cell, *DEFAULTS["r_max_grid"]])
-        with np.errstate(all="ignore"):
-            snr = np.array(
-                [
-                    analytics.receive_snr(replace(system, alpha=a, g_th=g), radii)
-                    for a in (alpha, *DEFAULTS["alpha_grid"])
-                    for g in (g_th, *DEFAULTS["g_th_grid"])
-                ]
-            )
-        normal = bool(np.all(np.isfinite(snr) & (snr >= sys.float_info.min)))
+
+        def is_normal(a, g):
+            try:
+                analytics.receive_snr(replace(system, alpha=a, g_th=g), radii)
+            except ValueError:
+                return False
+            return True
+
+        normal = all(
+            is_normal(a, g) for a in (alpha, *DEFAULTS["alpha_grid"]) for g in (g_th, *DEFAULTS["g_th_grid"])
+        )
         try:
             load_config(None, overrides)
             loaded = True
@@ -231,6 +239,28 @@ class TestConfig:
             assert str(exc).startswith("the receive SNR at ")
             loaded = False
         assert loaded == normal
+
+    # These configs load, but their receive SNR overflows where the load
+    # rule does not look: at zeta_grid's cutoffs (tradeoff), in the K-fold
+    # digital SNR of k_grid (latency), at the 1 m unit (montecarlo), and at
+    # each round's furthest scheduled device (compare).
+    @pytest.mark.parametrize(
+        "lines, command",
+        [
+            ("p0_watts = 5e303", "tradeoff"),
+            ("p0_watts = 5e303", "latency"),
+            ("p0_watts = 5e303", "montecarlo"),
+            ("p0_watts = 5e303\nr_in_frac = 0.05\nn_rounds = 3", "compare"),
+        ],
+    )
+    def test_overflow_past_the_load_rule_exits_cleanly(self, tmp_path, capsys, lines, command):
+        path = tmp_path / "p0.cfg"
+        path.write_text(lines + "\n")
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "not a positive, finite, normal float" in err
 
     # The owning type names its own field, not the config key, so the
     # message is matched on the bad value.  SMALL_TRAIN schedules
@@ -852,3 +882,115 @@ class TestDeterminism:
         assert code == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot read config file {path}: ")
+
+    def test_out_naming_a_file_is_error(self, tmp_path, capsys):
+        out = tmp_path / "some.cfg"
+        out.write_text("seed = 3\n")
+        assert cli.main(["latency", "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot write to --out {out}: ")
+
+
+@st.composite
+def edge_configs(draw):
+    """Config text whose receive SNR at the cell radius lies within ten
+    decades of an edge of the normal floats (10^-307.7 to 10^308.3): p0 and
+    the noise are chosen for a drawn SNR at the drawn exponent, radius and
+    cutoff, both within the float range.  The radius is often one of the
+    default ``r_max_grid`` entries, where ``latency`` evaluates."""
+    alpha = draw(st.floats(0.5, 8.0))
+    r_cell = draw(st.sampled_from([50.0, 100.0]) | st.floats(-2.0, 4.0).map(lambda e: 10.0**e))
+    g_th = 10.0 ** draw(st.floats(-3.0, 2.0))
+    log_snr = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(298.0, 312.0))
+    # log10(p0 / n0) for that SNR at M = 1000 sub-channels.
+    log_ratio = log_snr + 3.0 + alpha * math.log10(r_cell) + math.log10(analytics.exp_integral(g_th))
+    lo, hi = max(-299.0, -299.0 - log_ratio), min(296.0, 299.0 - log_ratio)
+    log_n0 = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    values = {
+        "p0_watts": 10.0 ** (log_ratio + log_n0),
+        "noise_dbm": 10.0 * log_n0 + 30.0,
+        "path_loss_exponent": alpha,
+        "cell_radius_m": r_cell,
+        "g_th": g_th,
+        "r_in_frac": draw(st.floats(0.01, 1.0)),
+        "target_ber": 10.0 ** draw(st.floats(-8.0, -0.71)),
+        "k_devices": draw(st.integers(1, 10)),
+    }
+    return "".join(f"{key} = {value!r}\n" for key, value in values.items())
+
+
+def _csv_rows(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
+class TestReceiveSnrEdges:
+    """No command writes an infinite or zero SNR-derived value: near the
+    edges of the float range each run either exits 2 with one ``error:``
+    line, or exits 0 with finite SNRs and latencies and nothing on stderr.
+    The suite turns RuntimeWarnings into errors, so an over- or underflow
+    that numpy reports fails the run.  Two warnings the program issues on
+    purpose are ignored here: ``expected_snr_cell_interior``'s on its
+    scaling factor, and ``normalization_from_values``'s fallback when a
+    round that truncated every entry left the model with zero spread.  The
+    columns README documents as ``nan`` are exempt, and so are loss and
+    accuracy."""
+
+    COMMANDS = {
+        "tradeoff": "",
+        "latency": "",
+        "montecarlo": "trials = 300\n",
+        "compare": "n_rounds = 3\ntrain_samples = 200\ntest_samples = 200\n",
+    }
+
+    @staticmethod
+    def check_outputs(command, out):
+        def finite(row, *columns, positive=()):
+            for column in columns:
+                value = float(row[column])
+                assert np.isfinite(value), (command, column, row)
+                assert column not in positive or value > 0.0, (command, column, row)
+
+        if command == "tradeoff":
+            for row in _csv_rows(out / "snr_truncation.csv"):
+                finite(row, "snr_linear", "snr_db", positive=("snr_linear",))
+            for row in _csv_rows(out / "gain_vs_data_fraction.csv"):
+                finite(row, "snr_gain", positive=("snr_gain",))
+        elif command == "latency":
+            columns = ("t_analog_s", "t_digital_s", "reduction_ratio", "ratio_x_log2k_over_k")
+            for row in _csv_rows(out / "latency.csv"):
+                finite(row, *columns, positive=("t_digital_s", "reduction_ratio"))
+        elif command == "montecarlo":
+            for row in _csv_rows(out / "validation.csv"):
+                if row["check"].startswith("snr_"):
+                    finite(row, "analytic", "empirical", "error", positive=("analytic",))
+        else:
+            for aggregation in ("ideal", "baa", "digital"):
+                for row in _csv_rows(out / f"trace_{aggregation}.csv"):
+                    scheduled = int(row["k_scheduled"]) > 0
+                    positive = ("latency_s",) if aggregation == "digital" and scheduled else ()
+                    finite(row, "latency_s", positive=positive)
+                    if aggregation != "ideal" and scheduled:
+                        finite(row, "rho0_db")
+            for row in _csv_rows(out / "summary.csv"):
+                finite(row, "total_latency_s")
+
+    @pytest.mark.filterwarnings("ignore:interior scaling factor", "ignore:degenerate normalization")
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(text=edge_configs(), command=st.sampled_from(sorted(COMMANDS)))
+    # The smallest SNR the load rule checks (100 m, alpha 4, g_th 0.05) is
+    # 3e-308: the latency ratio times log2(K) / K overflows.
+    @example(text="p0_watts = 7.403695465529922e-308\n", command="latency")
+    def test_snr_edges_exit_cleanly_or_write_finite_values(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "edge.cfg", Path(tmp) / "out"
+            path.write_text(text + self.COMMANDS[command])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(path), "--out", str(out)])
+            if code == 2:
+                [line] = err.getvalue().splitlines()
+                assert line.startswith("error: ")
+            else:
+                assert code == 0
+                assert err.getvalue() == ""
+                self.check_outputs(command, out)

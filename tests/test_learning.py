@@ -334,6 +334,16 @@ class TestPartition:
         for row in rows:
             assert len(np.unique(data.labels[row])) <= 2
 
+    def test_noniid_runs_are_cut_from_the_whole_corpus(self):
+        # 200 devices x 2 runs of 3 samples take 1,200 of the 2,000 sorted
+        # samples; dealing runs from the whole corpus reaches every class.
+        data = synth_gaussian_mixture(10, 4, 2000, seed=27)
+        spec = PartitionSpec(mode="noniid-shards", shard_size=3, shards_per_device=2)
+        rows = partition(data, spec, 200, derived_rng(14, "p"))
+        assert rows.shape == (200, 6)
+        assert len(np.unique(rows)) == rows.size
+        assert set(np.unique(data.labels[rows])) == set(range(10))
+
     def test_iid_label_histogram_concentrates(self):
         data = synth_gaussian_mixture(10, 8, 2000, seed=22)
         rows = partition(data, PartitionSpec(mode="iid"), 20, derived_rng(9, "p"))

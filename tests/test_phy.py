@@ -374,16 +374,25 @@ class TestDigitalRound:
     )
     def test_rate_over_radius_vector_equals_scalar_calls(self, alpha, g_th, ber, radii):
         # g_th spans both exp_integral branches (below and above 1).  Radii
-        # near 0 give an infinite SNR, which both sides must agree on too.
+        # near 0 give an infinite SNR, which raises ValueError: the vector
+        # call raises exactly when some scalar call does.
         params = replace(PARAMS, alpha=alpha, g_th=g_th, ber=ber)
         k, q = len(radii), 2
         scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
         vector = np.array(radii)
-        with np.errstate(divide="ignore", over="ignore"):
-            rates = analytics.rate_digital_expected(params, k, vector)
-            scalar = [analytics.rate_digital_expected(params, k, r) for r in radii]
-            result = digital_round(np.zeros((k, q)), vector, params, scenario, derived_rng(22, "round"))
-            closed = analytics.latency_digital(params, scenario, max(radii))
+        scalar = []
+        for r in radii:
+            try:
+                scalar.append(analytics.rate_digital_expected(params, k, r))
+            except ValueError:
+                with pytest.raises(ValueError, match="not a positive, finite, normal float"):
+                    analytics.rate_digital_expected(params, k, vector)
+                with pytest.raises(ValueError, match="not a positive, finite, normal float"):
+                    digital_round(np.zeros((k, q)), vector, params, scenario, derived_rng(22, "round"))
+                return
+        rates = analytics.rate_digital_expected(params, k, vector)
+        result = digital_round(np.zeros((k, q)), vector, params, scenario, derived_rng(22, "round"))
+        closed = analytics.latency_digital(params, scenario, max(radii))
         assert np.array_equal(rates, scalar)
         assert result.round_latency_s == closed
 
