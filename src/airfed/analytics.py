@@ -7,10 +7,10 @@ uniform disk topology, the SNR-gain/data-fraction tradeoff of cell-interior
 scheduling, and per-round latency of analog versus digital (OFDMA)
 aggregation.
 
-There is no shared mutable state.  Every function returns a value that
-depends on its arguments alone; the one side effect is the RuntimeWarning
-:func:`expected_snr_cell_interior` issues when its scaling factor leaves
-the bound it documents.
+There is no shared mutable state and no side effect: every function
+returns a value that depends on its arguments alone, and none issues a
+warning.  What a closed form leaves out is a value it returns, such as
+:func:`dropped_count_mass` for the cell-interior expectation.
 
 Every receive SNR this module forms, and every rate, latency and latency
 ratio formed from one, must be a positive, finite, normal float: each is
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -281,21 +280,6 @@ def fraction_exploited(r_in: float, r_cell: float) -> float:
     return (r_in / r_cell) ** 2
 
 
-def _binom_pmf(n: int, k: int, p: float) -> float:
-    if p <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p >= 1.0:
-        return 1.0 if k == n else 0.0
-    log_pmf = (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
-
-
 def k_in_pmf(k_devices: int, r_in: float, r_cell: float, k: int) -> float:
     """Probability that exactly k of k_devices fall inside radius r_in.
 
@@ -304,7 +288,23 @@ def k_in_pmf(k_devices: int, r_in: float, r_cell: float, k: int) -> float:
     if not 0 <= k <= k_devices:
         raise ValueError(f"k must lie in [0, {k_devices}], got {k}")
     p = fraction_exploited(r_in, r_cell)
-    return _binom_pmf(k_devices, k, p)
+    if p <= 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p >= 1.0:
+        return 1.0 if k == k_devices else 0.0
+    log_pmf = (
+        math.lgamma(k_devices + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(k_devices - k + 1)
+        + k * math.log(p)
+        + (k_devices - k) * math.log1p(-p)
+    )
+    return math.exp(log_pmf)
+
+
+def interior_count_pmf(k_devices: int, r_in: float, r_cell: float) -> np.ndarray:
+    """The law of the interior count: :func:`k_in_pmf` of j = 0..k_devices."""
+    return np.array([k_in_pmf(k_devices, r_in, r_cell, j) for j in range(k_devices + 1)])
 
 
 def max_distance_moments(k_devices: int, r_cell: float):
@@ -355,42 +355,37 @@ def expected_snr_all_inclusive(params: SystemParams, k_devices: int) -> float:
     return _normal(snr, "the expected all-inclusive receive SNR", params, params.r_cell)
 
 
-def _interior_scaling_factor(k_devices: int, p_in: float, alpha: float) -> float:
-    """Binomial-weighted sum of the :func:`furthest_snr_weight` of each
-    interior count k >= 2; counts 0 and 1 carry no aggregation.  Counts
-    whose conditional mean diverges weigh 0 too, which makes the factor an
-    under-estimate when k_devices * p_in is small."""
-    total = 0.0
-    for k in range(2, k_devices + 1):
-        total += furthest_snr_weight(k, alpha) * _binom_pmf(k_devices, k, p_in)
-    return total
+def count_snr_weights(k_devices: int, alpha: float) -> np.ndarray:
+    """:func:`furthest_snr_weight` of each scheduled count j = 0..k_devices,
+    and 0 for j < 2, since one device aggregates nothing.  A count of
+    weight 0 adds no SNR term, and one of weight 0 at 2 alpha a term of
+    infinite variance."""
+    return np.array([furthest_snr_weight(j, alpha) if j >= 2 else 0.0 for j in range(k_devices + 1)])
+
+
+def dropped_count_mass(pmf, weights) -> tuple:
+    """What the count law ``pmf`` weighed by :func:`count_snr_weights` at
+    alpha drops: (P(K_in < 2), P(K_in >= 2 and 2 K_in <= alpha))."""
+    return float(pmf[:2].sum()), float(pmf[2:][weights[2:] == 0.0].sum())
 
 
 def expected_snr_cell_interior(params: SystemParams, scenario: ScenarioParams):
     """Expected receive SNR under cell-interior scheduling.
 
     Returns (snr, c) where snr = c * p0 / (m * r_in^alpha * E1(g_th)) / n0
-    and c is the bounded scaling factor obtained by weighting conditional
-    expectations with the binomial law of the interior count.
-
-    For alpha = 3 the factor satisfies 1 <= c <= 4 whenever the expected
-    interior count is not too small; outside that regime a warning is
-    issued (c sinks below 1 because rounds with fewer than two interior
-    devices contribute nothing).
+    and c sums, in count order, each interior count's
+    :func:`count_snr_weights` times its :func:`interior_count_pmf`.  The
+    counts of weight 0, fewer than two devices or a divergent mean, add 0
+    (:func:`dropped_count_mass`); for alpha = 3, 1 <= c <= 4 once the first
+    are unlikely.
     """
     if scenario.k_devices < 2:
         raise ValueError(
             f"cell-interior expectation needs k_devices >= 2 (k_devices={scenario.k_devices})"
         )
-    p_in = fraction_exploited(scenario.r_in, params.r_cell)
-    c = _interior_scaling_factor(scenario.k_devices, p_in, params.alpha)
-    if params.alpha == 3.0 and not 1.0 <= c <= 4.0:
-        warnings.warn(
-            f"interior scaling factor c = {c:.6g} outside [1, 4]: expected interior "
-            f"count {scenario.k_devices * p_in:.3g} is too small for the bound",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    pmf = interior_count_pmf(scenario.k_devices, scenario.r_in, params.r_cell)
+    # cumsum adds in count order; np.sum and np.dot add pairwise.
+    c = float(np.cumsum(count_snr_weights(scenario.k_devices, params.alpha) * pmf)[-1])
     with np.errstate(all="ignore"):
         snr = c * receive_snr(params, scenario.r_in)
     return _normal(snr, "the expected cell-interior receive SNR", params, scenario.r_in), c

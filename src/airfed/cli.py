@@ -58,8 +58,11 @@ def _closed_form_domain():
 
 def cmd_tradeoff(config: ExperimentConfig) -> dict:
     values = config.values
+    k, r_cell = config.scenario.k_devices, config.system.r_cell
     snr_rows = []
     gain_rows = []
+    # The interior-count law at each data fraction's interior radius.
+    pmfs = [analytics.interior_count_pmf(k, r_cell * math.sqrt(f), r_cell) for f in values["f_dat_grid"]]
     for alpha in values["alpha_grid"]:
         params = replace(config.system, alpha=alpha)
         with _closed_form_domain():
@@ -76,17 +79,17 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
                             10.0 * math.log10(snr),
                         )
                     )
-            curve = analytics.reliability_quantity_curve(
-                params, config.scenario.k_devices, values["f_dat_grid"]
-            )
-        for f_dat, gain in curve.points:
-            gain_rows.append((alpha, config.scenario.k_devices, f_dat, gain))
+            curve = analytics.reliability_quantity_curve(params, k, values["f_dat_grid"])
+        weights = analytics.count_snr_weights(k, alpha)
+        for (f_dat, gain), pmf in zip(curve.points, pmfs):
+            gain_rows.append((alpha, k, f_dat, gain, *analytics.dropped_count_mass(pmf, weights)))
     return {
         "snr_truncation": Table(
             ("alpha", "r_max_m", "zeta", "g_th", "snr_linear", "snr_db"), snr_rows
         ),
         "gain_vs_data_fraction": Table(
-            ("alpha", "k_devices", "f_dat", "snr_gain"), gain_rows
+            ("alpha", "k_devices", "f_dat", "snr_gain", "p_fewer_than_two", "p_infinite_mean"),
+            gain_rows,
         ),
     }
 
@@ -113,24 +116,19 @@ def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
         yield start, network.sample_radii(width, r_cell, rng, size=stop - start)
 
 
-def _adds_snr_term(counts, alpha: float):
-    """Whether a trial that schedules each of ``counts`` devices adds an
-    SNR term: two or more aggregate and their furthest SNR has a mean."""
-    return np.array([j >= 2 and analytics.furthest_snr_weight(j, alpha) > 0.0 for j in counts])
-
-
 def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_unit, tolerance):
     """Row ``name`` of an expected receive SNR.  ``pmf[j]`` is the
-    probability that a trial schedules j devices.  ``furthest`` holds, in
-    trial order, the furthest distance of each trial that adds a term and
-    becomes those terms, snr_unit * distance^-alpha, in place (``**=``
-    keeps the bits of ``**``).  ``undersampled`` when the run expects
+    probability that a trial schedules j devices; it adds a term where the
+    count's :func:`analytics.count_snr_weights` is positive.  ``furthest``
+    holds, in trial order, the furthest distance of each trial that adds a
+    term and becomes those terms, snr_unit * distance^-alpha, in place
+    (``**=`` keeps the bits of ``**``).  ``undersampled`` when the run expects
     under one such trial; ``heavy-tailed`` when it expects one whose term
     has infinite variance: its square, the term at 2 alpha, has no mean.
     Raises ValueError when the estimate overflows, which a term can do at
     a small distance even where ``snr_unit`` is normal."""
-    counts = np.arange(len(pmf))
-    adds = _adds_snr_term(counts, alpha)
+    k = len(pmf) - 1
+    adds = analytics.count_snr_weights(k, alpha) > 0.0
     with np.errstate(over="ignore", divide="ignore"):
         furthest **= -alpha
         furthest *= snr_unit
@@ -144,7 +142,7 @@ def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_
     row = evaluate_check(name, analytic, estimate, tolerance, "rel")
     if trials * pmf[adds].sum() < 1.0:
         return row[:-1] + ("undersampled",)
-    if trials * pmf[adds & ~_adds_snr_term(counts, 2.0 * alpha)].sum() >= 1.0:
+    if trials * pmf[adds & (analytics.count_snr_weights(k, 2.0 * alpha) == 0.0)].sum() >= 1.0:
         return row[:-1] + ("heavy-tailed",)
     return row
 
@@ -170,8 +168,8 @@ def montecarlo_rows(config: ExperimentConfig):
         snr_unit = analytics.receive_snr(params, 1.0)
 
     # The interior SNR is a joint expectation: a K_in that adds no term adds 0.
-    counts = np.arange(k + 1)
-    usable_counts = _adds_snr_term(counts, params.alpha)
+    pmf = analytics.interior_count_pmf(k, r_in, r_cell)
+    usable_counts = analytics.count_snr_weights(k, params.alpha) > 0.0
 
     # Per-block reductions of the topology draws: the interior-count
     # histogram, the furthest distance per trial and, for the usable trials
@@ -192,7 +190,6 @@ def montecarlo_rows(config: ExperimentConfig):
         n_usable += len(block_max)
 
     # Interior-count histogram against the binomial law (total variation).
-    pmf = np.array([analytics.k_in_pmf(k, r_in, r_cell, j) for j in counts])
     tv = 0.5 * float(np.abs(k_in_counts / trials - pmf).sum())
     rows.append(evaluate_check("interior_count_histogram", 0.0, tv, 0.01, "tv"))
 
@@ -205,7 +202,7 @@ def montecarlo_rows(config: ExperimentConfig):
     # Expected receive SNR: every trial schedules all K devices, or the
     # K_in interior ones.
     for name, analytic, furthest, law, tolerance in (
-        ("snr_all_inclusive", expected_all, r_max, np.where(counts == k, 1.0, 0.0), 0.02),
+        ("snr_all_inclusive", expected_all, r_max, np.where(np.arange(k + 1) == k, 1.0, 0.0), 0.02),
         ("snr_cell_interior", expected_interior, interior_max[:n_usable], pmf, 0.03),
     ):
         with _closed_form_domain():

@@ -347,7 +347,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec, k_devices: int, rng)
 # ---------------------------------------------------------------------------
 
 def _snr_db(linear: float) -> float:
-    return 10.0 * math.log10(linear) if linear > 0 else float("nan")
+    return 10.0 * math.log10(linear)
 
 
 # The trace's channel columns (latency_s, rho0_db, truncation_frac) of a

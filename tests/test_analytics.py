@@ -19,11 +19,15 @@ from airfed.analytics import (
     ScenarioParams,
     SystemParams,
     TradeoffCurve,
+    count_snr_weights,
     cutoff_for_ratio,
+    dropped_count_mass,
     exp_integral,
     expected_snr_all_inclusive,
     expected_snr_cell_interior,
     fraction_exploited,
+    furthest_snr_weight,
+    interior_count_pmf,
     k_in_pmf,
     latency_baa,
     latency_digital,
@@ -269,14 +273,46 @@ class TestExpectedSnr:
             _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
             assert 1.0 <= c <= 4.0, (k, ratio, c)
 
-    def test_interior_small_count_underflows_bound_with_warning(self):
-        # Outside the large-count regime the dropped 0/1-device rounds pull
-        # the factor below 1; the implementation warns instead of lying.
-        for k, ratio in [(5, 0.1), (10, 0.3), (20, 0.2)]:
-            scenario = ScenarioParams(k_devices=k, r_in=ratio * 100.0, q_dim=1)
-            with pytest.warns(RuntimeWarning):
-                _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
-            assert c < 1.0
+    @pytest.mark.parametrize(
+        "k, ratio, p_fewer", [(5, 0.1, 0.999), (10, 0.3, 0.775), (20, 0.2, 0.81)]
+    )
+    def test_interior_small_count_underflows_bound_and_states_why(self, k, ratio, p_fewer):
+        # Outside the large-count regime the rounds with fewer than two
+        # interior devices, which add 0, pull the factor below 1, and
+        # dropped_count_mass gives their probability.
+        scenario = ScenarioParams(k_devices=k, r_in=ratio * 100.0, q_dim=1)
+        _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
+        assert c < 1.0
+        p = ratio**2
+        p_fewer_than_two, p_infinite_mean = dropped_count_mass(
+            interior_count_pmf(k, scenario.r_in, 100.0), count_snr_weights(k, FIG_PARAMS.alpha)
+        )
+        assert p_fewer_than_two == pytest.approx((1 - p) ** k + k * p * (1 - p) ** (k - 1), rel=1e-12)
+        assert p_fewer_than_two == pytest.approx(p_fewer, abs=1e-3)
+        # At alpha = 3 every count from 2 up has a finite mean.
+        assert p_infinite_mean == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(2, 300),
+        ratio=st.floats(1e-3, 1.0),
+        alpha=st.floats(0.1, 10.0),
+    )
+    @example(k=200, ratio=math.sqrt(0.05), alpha=4.0)
+    @example(k=5, ratio=0.1, alpha=3.0)
+    @example(k=2, ratio=0.5, alpha=1.0)
+    def test_interior_factor_is_the_in_order_sum_of_the_law(self, k, ratio, alpha):
+        # The reference adds weight times probability in count order from
+        # 2 up, as a plain loop; c keeps those bits.  One device has a
+        # finite furthest-SNR mean below alpha = 2 but aggregates nothing.
+        reference = 0.0
+        for j in range(2, k + 1):
+            reference += furthest_snr_weight(j, alpha) * k_in_pmf(k, ratio * 100.0, 100.0, j)
+        # A factor of 0 makes the expected SNR 0, which is refused.
+        assume(reference > 1e-200)
+        scenario = ScenarioParams(k_devices=k, r_in=ratio * 100.0, q_dim=1)
+        _, c = expected_snr_cell_interior(replace(FIG_PARAMS, alpha=alpha), scenario)
+        assert c == reference
 
     def test_interior_needs_two_devices(self):
         with pytest.raises(ValueError):

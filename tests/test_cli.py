@@ -421,6 +421,25 @@ class TestTradeoffCommand:
         full = [r for r in rows if r[2] == 1.0]
         assert full and all(r[3] == 1.0 for r in full)
 
+    def test_gain_table_states_what_the_law_drops(self):
+        # At the defaults (K = 200) a count 2 <= K_in <= alpha / 2 exists
+        # only at alpha = 4: K_in = 2, whose furthest SNR has no mean.
+        config = load_config(None)
+        rows = cmd_tradeoff(config)["gain_vs_data_fraction"].rows
+        assert {r[0] for r in rows} == {2.5, 3.0, 3.5, 4.0}
+        k = config.scenario.k_devices
+        for alpha, _, f_dat, _, p_fewer_than_two, p_infinite_mean in rows:
+            p_fewer = (1 - f_dat) ** k + k * f_dat * (1 - f_dat) ** (k - 1)
+            assert p_fewer_than_two == pytest.approx(p_fewer, rel=1e-9)
+            if alpha < 4.0 or f_dat == 1.0:
+                assert p_infinite_mean == 0.0
+            else:
+                assert p_infinite_mean > 0.0
+                expected = math.comb(k, 2) * f_dat**2 * (1 - f_dat) ** (k - 2)
+                assert p_infinite_mean == pytest.approx(expected, rel=1e-9)
+        [at_005] = [r[5] for r in rows if r[0] == 4.0 and r[2] == 0.05]
+        assert at_005 == pytest.approx(0.00193, abs=5e-6)
+
 
 class TestLatencyCommand:
     def test_analog_constant_across_devices(self):
@@ -485,6 +504,28 @@ class TestMonteCarloCommand:
         config = load_config(None, overrides={**overrides, "trials": 100000})
         rows = {row[0]: row for row in cmd_montecarlo(config)["validation"].rows}
         assert rows["snr_cell_interior"][-1] == "pass"
+
+    def test_closed_form_and_estimate_read_one_weight_rule(self, monkeypatch):
+        # Dropping one interior count from the weights moves the closed form
+        # and the trials whose terms the estimate keeps.
+        config = load_config(None, overrides={"k_devices": 10, "r_in_frac": 0.4, "trials": 20011})
+
+        def interior_row():
+            c = analytics.expected_snr_cell_interior(config.system, config.scenario)[1]
+            row = {row[0]: row for row in cli.montecarlo_rows(config)}["snr_cell_interior"]
+            return c, row[1], row[2]
+
+        before = interior_row()
+        weights = analytics.count_snr_weights
+
+        def without_four(k_devices, alpha):
+            dropped = weights(k_devices, alpha)
+            dropped[4] = 0.0
+            return dropped
+
+        monkeypatch.setattr(analytics, "count_snr_weights", without_four)
+        after = interior_row()
+        assert all(a < b for a, b in zip(after, before)), (after, before)
 
     @pytest.mark.parametrize("block_entries", [1, 31, 211])
     def test_rows_do_not_depend_on_block_size(self, monkeypatch, block_entries):
@@ -928,10 +969,9 @@ class TestReceiveSnrEdges:
     edges of the float range each run either exits 2 with one ``error:``
     line, or exits 0 with finite SNRs and latencies and nothing on stderr.
     The suite turns RuntimeWarnings into errors, so an over- or underflow
-    that numpy reports fails the run.  Two warnings the program issues on
-    purpose are ignored here: ``expected_snr_cell_interior``'s on its
-    scaling factor, and ``normalization_from_values``'s fallback when a
-    round that truncated every entry left the model with zero spread.  The
+    that numpy reports fails the run.  One warning the program issues on
+    purpose is ignored here: ``normalization_from_values``'s fallback when
+    a round that truncated every entry left the model with zero spread.  The
     columns README documents as ``nan`` are exempt, and so are loss and
     accuracy."""
 
@@ -954,7 +994,8 @@ class TestReceiveSnrEdges:
             for row in _csv_rows(out / "snr_truncation.csv"):
                 finite(row, "snr_linear", "snr_db", positive=("snr_linear",))
             for row in _csv_rows(out / "gain_vs_data_fraction.csv"):
-                finite(row, "snr_gain", positive=("snr_gain",))
+                columns = ("snr_gain", "p_fewer_than_two", "p_infinite_mean")
+                finite(row, *columns, positive=("snr_gain",))
         elif command == "latency":
             columns = ("t_analog_s", "t_digital_s", "reduction_ratio", "ratio_x_log2k_over_k")
             for row in _csv_rows(out / "latency.csv"):
@@ -974,7 +1015,7 @@ class TestReceiveSnrEdges:
             for row in _csv_rows(out / "summary.csv"):
                 finite(row, "total_latency_s")
 
-    @pytest.mark.filterwarnings("ignore:interior scaling factor", "ignore:degenerate normalization")
+    @pytest.mark.filterwarnings("ignore:degenerate normalization")
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(text=edge_configs(), command=st.sampled_from(sorted(COMMANDS)))
     # The smallest SNR the load rule checks (100 m, alpha 4, g_th 0.05) is
