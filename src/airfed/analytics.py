@@ -12,11 +12,11 @@ returns a value that depends on its arguments alone, and none issues a
 warning.  What a closed form leaves out is a value it returns, such as
 :func:`dropped_count_mass` for the cell-interior expectation.
 
-Every receive SNR this module forms, and every rate, latency and latency
-ratio formed from one, must be a positive, finite, normal float: each is
-computed with numpy's floating-point warnings off and then checked by
-:func:`_normal`, which raises ValueError where an over- or underflow would
-otherwise leave inf, 0 or a subnormal in its place.
+Every receive SNR this module forms, every rate, latency and latency ratio
+formed from one, and each SNR gain must be a positive, finite, normal
+float: each is computed with numpy's floating-point warnings off and then
+checked by :func:`_normal`, which raises ValueError where an over- or
+underflow would otherwise leave inf, 0 or a subnormal in its place.
 """
 
 from __future__ import annotations
@@ -340,18 +340,22 @@ def furthest_snr_weight(j: int, alpha: float) -> float:
     return two_j / (two_j - alpha) if two_j > alpha else 0.0
 
 
+def _all_inclusive_weight(k_devices: int, alpha: float) -> float:
+    weight = furthest_snr_weight(k_devices, alpha)
+    if weight == 0.0:
+        raise ValueError(
+            "expected receive SNR diverges: the furthest-device mean needs "
+            f"2*k_devices > alpha (k_devices={k_devices}, alpha={alpha})"
+        )
+    return weight
+
+
 def expected_snr_all_inclusive(params: SystemParams, k_devices: int) -> float:
     """Expected receive SNR when every device in the cell is scheduled:
     the :func:`furthest_snr_weight` of K devices, 2K/(2K - alpha), at the
     cell radius.  Raises ValueError where it diverges (2K <= alpha)."""
-    weight = furthest_snr_weight(k_devices, params.alpha)
-    if weight == 0.0:
-        raise ValueError(
-            "expected receive SNR diverges: the furthest-device mean needs "
-            f"2*k_devices > alpha (k_devices={k_devices}, alpha={params.alpha})"
-        )
     with np.errstate(all="ignore"):
-        snr = weight * receive_snr(params, params.r_cell)
+        snr = _all_inclusive_weight(k_devices, params.alpha) * receive_snr(params, params.r_cell)
     return _normal(snr, "the expected all-inclusive receive SNR", params, params.r_cell)
 
 
@@ -369,6 +373,13 @@ def dropped_count_mass(pmf, weights) -> tuple:
     return float(pmf[:2].sum()), float(pmf[2:][weights[2:] == 0.0].sum())
 
 
+def _interior_factor(pmf, weights) -> float:
+    # Weight times probability, added in count order (np.sum adds pairwise).
+    if pmf.size < 3:
+        raise ValueError(f"cell-interior expectation needs k_devices >= 2 (k_devices={pmf.size - 1})")
+    return float(np.cumsum(weights * pmf)[-1])
+
+
 def expected_snr_cell_interior(params: SystemParams, scenario: ScenarioParams):
     """Expected receive SNR under cell-interior scheduling.
 
@@ -379,41 +390,38 @@ def expected_snr_cell_interior(params: SystemParams, scenario: ScenarioParams):
     (:func:`dropped_count_mass`); for alpha = 3, 1 <= c <= 4 once the first
     are unlikely.
     """
-    if scenario.k_devices < 2:
-        raise ValueError(
-            f"cell-interior expectation needs k_devices >= 2 (k_devices={scenario.k_devices})"
-        )
     pmf = interior_count_pmf(scenario.k_devices, scenario.r_in, params.r_cell)
-    # cumsum adds in count order; np.sum and np.dot add pairwise.
-    c = float(np.cumsum(count_snr_weights(scenario.k_devices, params.alpha) * pmf)[-1])
+    c = _interior_factor(pmf, count_snr_weights(scenario.k_devices, params.alpha))
     with np.errstate(all="ignore"):
         snr = c * receive_snr(params, scenario.r_in)
     return _normal(snr, "the expected cell-interior receive SNR", params, scenario.r_in), c
 
 
-def snr_gain(params: SystemParams, scenario: ScenarioParams) -> float:
-    """Receive-SNR gain of cell-interior over all-inclusive scheduling.
-    The all-inclusive form goes first: where it diverges, its error names
-    ``k_devices``, and the interior factor is 0."""
-    all_inclusive = expected_snr_all_inclusive(params, scenario.k_devices)
-    interior, _ = expected_snr_cell_interior(params, scenario)
-    return interior / all_inclusive
+def reliability_quantity_curve(params: SystemParams, k_devices: int, alpha_grid, f_dat_grid) -> list:
+    """SNR gain versus fraction of exploited data: rows (alpha, k_devices,
+    f_dat, snr_gain, p_fewer_than_two, p_infinite_mean), alpha-major.
 
-
-def reliability_quantity_curve(params: SystemParams, k_devices: int, f_dat_grid) -> TradeoffCurve:
-    """SNR gain versus fraction of exploited data.
-
-    Each data fraction F in (0, 1] corresponds to the interior radius
-    r_in = r_cell * sqrt(F); the gain follows a (1/F)^(alpha/2) power law
-    up to a bounded factor, and equals 1 at F = 1.
+    A data fraction F in (0, 1] sets r_in = r_cell * sqrt(F).  The gain,
+    expected cell-interior over all-inclusive receive SNR, is
+    c * (r_cell / r_in)^alpha / (2K / (2K - alpha)) with the c of
+    :func:`expected_snr_cell_interior`: p0, m, n0 and E1(g_th) cancel.  It
+    is 1 at F = 1; the last two columns are what c drops.
     """
-    points = []
     for f_dat in f_dat_grid:
         if not 0.0 < f_dat <= 1.0:
             raise ValueError(f"data fractions must lie in (0, 1], got {f_dat}")
-        scenario = ScenarioParams(k_devices=k_devices, r_in=params.r_cell * math.sqrt(f_dat), q_dim=1)
-        points.append((float(f_dat), snr_gain(params, scenario)))
-    return TradeoffCurve(tuple(points))
+    r_ins = [params.r_cell * math.sqrt(f_dat) for f_dat in f_dat_grid]
+    pmfs = [interior_count_pmf(k_devices, r_in, params.r_cell) for r_in in r_ins]
+    rows = []
+    for alpha in alpha_grid:
+        all_inclusive = _all_inclusive_weight(k_devices, alpha)
+        weights = count_snr_weights(k_devices, alpha)
+        for f_dat, r_in, pmf in zip(f_dat_grid, r_ins, pmfs):
+            with np.errstate(all="ignore"):
+                gain = _interior_factor(pmf, weights) * np.power(params.r_cell / r_in, alpha) / all_inclusive
+            gain = _normal(gain, "the SNR gain", replace(params, alpha=alpha), r_in)
+            rows.append((alpha, k_devices, f_dat, float(gain), *dropped_count_mass(pmf, weights)))
+    return rows
 
 
 def p_all_exploited(k_devices: int, n_cr: int, p_in: float) -> float:

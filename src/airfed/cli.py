@@ -58,14 +58,10 @@ def _closed_form_domain():
 
 def cmd_tradeoff(config: ExperimentConfig) -> dict:
     values = config.values
-    k, r_cell = config.scenario.k_devices, config.system.r_cell
     snr_rows = []
-    gain_rows = []
-    # The interior-count law at each data fraction's interior radius.
-    pmfs = [analytics.interior_count_pmf(k, r_cell * math.sqrt(f), r_cell) for f in values["f_dat_grid"]]
-    for alpha in values["alpha_grid"]:
-        params = replace(config.system, alpha=alpha)
-        with _closed_form_domain():
+    with _closed_form_domain():
+        for alpha in values["alpha_grid"]:
+            params = replace(config.system, alpha=alpha)
             for r_max in values["r_max_grid"]:
                 curve = analytics.snr_truncation_curve(params, r_max, values["zeta_grid"])
                 for zeta, snr in curve.points:
@@ -79,10 +75,9 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
                             10.0 * math.log10(snr),
                         )
                     )
-            curve = analytics.reliability_quantity_curve(params, k, values["f_dat_grid"])
-        weights = analytics.count_snr_weights(k, alpha)
-        for (f_dat, gain), pmf in zip(curve.points, pmfs):
-            gain_rows.append((alpha, k, f_dat, gain, *analytics.dropped_count_mass(pmf, weights)))
+        gain_rows = analytics.reliability_quantity_curve(
+            config.system, config.scenario.k_devices, values["alpha_grid"], values["f_dat_grid"]
+        )
     return {
         "snr_truncation": Table(
             ("alpha", "r_max_m", "zeta", "g_th", "snr_linear", "snr_db"), snr_rows

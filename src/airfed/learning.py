@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network, phy
-from .analytics import ScenarioParams, SystemParams
+from .analytics import ScenarioParams, SystemParams, digital_device_snr
 from .datasets import LabeledDataset
 from .rng import derived_rng
 from .tables import Table
@@ -370,7 +370,8 @@ def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed,
         columns = (diag.latency_s, _snr_db(diag.rho0 / params.n0), float(diag.truncation_fraction.mean()))
         return phy.denormalize(aggregate, norm_spec, 1), columns
     result = phy.digital_round(locals_, scheduled, params, scenario, channel)
-    columns = (result.round_latency_s, _snr_db(result.per_device_snr[scheduled.argmax()]), float("nan"))
+    furthest_snr = digital_device_snr(params, scheduled.size, scheduled.max())
+    columns = (result.round_latency_s, _snr_db(furthest_snr), float("nan"))
     return result.aggregate, columns
 
 

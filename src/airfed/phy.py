@@ -47,7 +47,6 @@ from .analytics import (
     ScenarioParams,
     SystemParams,
     aligned_receive_power,
-    digital_device_snr,
     latency_baa,
     latency_digital,
 )
@@ -81,7 +80,6 @@ class BaaDiagnostics:
 @dataclass(frozen=True)
 class DigitalRoundResult:
     aggregate: np.ndarray
-    per_device_snr: np.ndarray
     per_device_latency_s: np.ndarray
     round_latency_s: float
 
@@ -303,8 +301,7 @@ def digital_round(
     studies, drawn block by block.  The round latency is the straggler's:
     the maximum of the per-device expected latencies, each the
     :func:`analytics.latency_digital` of its distance among the k scheduled
-    devices.  The result also
-    carries each device's receive SNR, from which those latencies follow.
+    devices.
     """
     mat, radii = _as_update_matrix(updates, radii)
     k, q = mat.shape
@@ -316,7 +313,6 @@ def digital_round(
     latencies = latency_digital(params, replace(scenario, k_devices=k), radii)
     return DigitalRoundResult(
         aggregate=aggregate,
-        per_device_snr=digital_device_snr(params, k, radii),
         per_device_latency_s=latencies,
         round_latency_s=float(latencies.max()),
     )

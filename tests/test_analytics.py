@@ -39,7 +39,6 @@ from airfed.analytics import (
     rate_digital_expected,
     receive_snr,
     reliability_quantity_curve,
-    snr_gain,
     snr_truncation_curve,
     truncation_ratio,
 )
@@ -319,50 +318,83 @@ class TestExpectedSnr:
             expected_snr_cell_interior(FIG_PARAMS, ScenarioParams(k_devices=1, r_in=50.0, q_dim=1))
 
 
-class TestSnrGain:
-    def test_identity_at_full_cell(self):
-        scenario = ScenarioParams(k_devices=20, r_in=100.0, q_dim=1)
-        assert snr_gain(FIG_PARAMS, scenario) == 1.0
+class TestReliabilityQuantityCurve:
+    @staticmethod
+    def gains(params, k, alpha_grid, f_grid):
+        return [row[3] for row in reliability_quantity_curve(params, k, alpha_grid, f_grid)]
 
-    def test_increasing_as_interior_shrinks(self):
-        gains = [
-            snr_gain(FIG_PARAMS, ScenarioParams(k_devices=20, r_in=r, q_dim=1))
-            for r in [100.0, 80.0, 60.0, 40.0]
-        ]
+    def test_unit_gain_at_full_data(self):
+        for k, alpha in [(2, 3.5), (20, 3.0), (200, 10.0)]:
+            assert self.gains(FIG_PARAMS, k, [alpha], [0.5, 1.0])[-1] == 1.0
+
+    def test_gain_grows_as_data_fraction_shrinks(self):
+        gains = self.gains(FIG_PARAMS, 20, [3.0], [1.0, 0.64, 0.36, 0.16])
         assert all(b > a for a, b in zip(gains, gains[1:]))
 
     def test_matches_power_law_form(self):
         for ratio in [0.4, 0.6, 0.9]:
-            scenario = ScenarioParams(k_devices=50, r_in=ratio * 100.0, q_dim=1)
-            gain = snr_gain(FIG_PARAMS, scenario)
+            [gain] = self.gains(FIG_PARAMS, 50, [3.0], [ratio**2])
+            scenario = ScenarioParams(k_devices=50, r_in=100.0 * math.sqrt(ratio**2), q_dim=1)
             _, c = expected_snr_cell_interior(FIG_PARAMS, scenario)
             a = (2 * 50 - 3.0) / (2 * 50) * c
             assert gain == pytest.approx(a * (1.0 / ratio) ** 3, rel=1e-12)
 
-
-class TestReliabilityQuantityCurve:
-    def test_unit_gain_at_full_data(self):
-        curve = reliability_quantity_curve(FIG_PARAMS, 20, [0.5, 1.0])
-        assert curve.points[-1][1] == 1.0
-
     def test_larger_alpha_costs_more(self):
         f_grid = np.arange(0.1, 0.91, 0.1)
-        k = 200
-        curve3 = reliability_quantity_curve(SystemParams(alpha=3.0), k, f_grid)
-        curve4 = reliability_quantity_curve(SystemParams(alpha=4.0), k, f_grid)
-        assert all(y4 > y3 for (_, y3), (_, y4) in zip(curve3.points, curve4.points))
+        rows = reliability_quantity_curve(SystemParams(), 200, [3.0, 4.0], f_grid)
+        curve3, curve4 = rows[: len(f_grid)], rows[len(f_grid) :]
+        assert all(r4[3] > r3[3] for r3, r4 in zip(curve3, curve4))
 
-    def test_consistent_with_snr_gain(self):
-        for f_dat in [0.2, 0.5, 0.8]:
-            curve = reliability_quantity_curve(FIG_PARAMS, 30, [f_dat])
-            scenario = ScenarioParams(
-                k_devices=30, r_in=100.0 * math.sqrt(f_dat), q_dim=1
-            )
-            assert abs(curve.points[0][1] - snr_gain(FIG_PARAMS, scenario)) < 1e-9
+    @pytest.mark.parametrize("k", [2, 3, 20, 200])
+    def test_gain_is_the_expected_snr_ratio(self, k):
+        # The cancelled form against the two expected receive SNRs, wherever
+        # both are normal floats.
+        compared = 0
+        for alpha in [0.5, 2.5, 3.0, 3.5, 4.0, 6.0, 10.0]:
+            if 2 * k <= alpha:
+                continue
+            params = replace(FIG_PARAMS, alpha=alpha)
+            for f_dat in [0.05, 0.5, 1.0]:
+                scenario = ScenarioParams(k_devices=k, r_in=100.0 * math.sqrt(f_dat), q_dim=1)
+                try:
+                    interior, _ = expected_snr_cell_interior(params, scenario)
+                    reference = interior / expected_snr_all_inclusive(params, k)
+                except ValueError:
+                    continue
+                [gain] = self.gains(FIG_PARAMS, k, [alpha], [f_dat])
+                assert gain == pytest.approx(reference, rel=1e-12), (alpha, f_dat)
+                compared += 1
+        assert compared >= 9
 
-    def test_rejects_nonpositive_fraction(self):
-        with pytest.raises(ValueError):
-            reliability_quantity_curve(FIG_PARAMS, 20, [0.0])
+    def test_rows_are_alpha_major_with_the_dropped_mass(self):
+        alphas, f_grid = [2.5, 4.0], [0.05, 0.5, 1.0]
+        rows = reliability_quantity_curve(FIG_PARAMS, 20, alphas, f_grid)
+        assert [row[:3] for row in rows] == [(a, 20, f) for a in alphas for f in f_grid]
+        for alpha, k, f_dat, _, *dropped in rows:
+            pmf = interior_count_pmf(k, 100.0 * math.sqrt(f_dat), 100.0)
+            assert tuple(dropped) == dropped_count_mass(pmf, count_snr_weights(k, alpha))
+
+    def test_forms_each_law_once(self, monkeypatch):
+        calls = {"interior_count_pmf": 0, "count_snr_weights": 0, "receive_snr": 0}
+        for name in calls:
+            original = getattr(analytics, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(analytics, name, counted)
+        reliability_quantity_curve(FIG_PARAMS, 20, [2.5, 3.0, 4.0], [0.2, 0.5, 0.8, 1.0])
+        assert calls == {"interior_count_pmf": 4, "count_snr_weights": 3, "receive_snr": 0}
+
+    @pytest.mark.parametrize("f_dat", [0.0, -0.1, 1.5])
+    def test_rejects_fraction_outside_unit_interval(self, f_dat):
+        with pytest.raises(ValueError, match="data fractions"):
+            reliability_quantity_curve(FIG_PARAMS, 20, [3.0], [0.5, f_dat])
+
+    def test_divergent_all_inclusive_names_k_devices_and_alpha(self):
+        with pytest.raises(ValueError, match=r"k_devices=2, alpha=4\.0"):
+            reliability_quantity_curve(FIG_PARAMS, 2, [3.0, 4.0], [0.5])
 
 
 class TestEverScheduledProbability:

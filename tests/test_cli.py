@@ -440,6 +440,16 @@ class TestTradeoffCommand:
         [at_005] = [r[5] for r in rows if r[0] == 4.0 and r[2] == 0.05]
         assert at_005 == pytest.approx(0.00193, abs=5e-6)
 
+    def test_gain_is_finite_where_the_interior_snr_overflows(self, tmp_path):
+        # At alpha = 399 the receive SNR at r_in = 0.22 m overflows, but the
+        # gain, in which p0, m, n0 and E1(g_th) cancel, is finite.
+        path = tmp_path / "edge.cfg"
+        path.write_text("cell_radius_m = 1.0\nr_max_grid = 1.0\np0_watts = 1e60\nalpha_grid = 3.0, 399.0\n")
+        assert cli.main(["tradeoff", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = _csv_rows(tmp_path / "out" / "gain_vs_data_fraction.csv")
+        assert {row["alpha"] for row in rows} == {"3", "399"}
+        assert all(0.0 < float(row["snr_gain"]) < math.inf for row in rows)
+
 
 class TestLatencyCommand:
     def test_analog_constant_across_devices(self):
