@@ -111,28 +111,6 @@ class ScenarioParams:
             raise ValueError(f"q_dim must be >= 1, got {self.q_dim}")
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
-    """Ordered (abscissa, ordinate) pairs."""
-
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple((float(x), float(y)) for x, y in self.points))
-        xs = [x for x, _ in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("curve abscissae must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    """Per-round communication latency of both aggregation schemes."""
-
-    t_analog_s: float
-    t_digital_s: float
-    reduction_ratio: float
-
-
 def _normal(value, what: str, params: SystemParams, r):
     """``value``, ``what`` at the distances ``r`` (a numpy scalar, or an
     array of ``r``'s shape), when every entry is a positive, finite, normal
@@ -247,20 +225,26 @@ def receive_snr(params: SystemParams, r_max):
     return aligned_receive_power(params, r_max) / params.n0
 
 
-def snr_truncation_curve(params: SystemParams, r_max: float, zeta_grid) -> TradeoffCurve:
-    """Receive SNR as a function of the truncation ratio.
+def snr_truncation_curve(params: SystemParams, alpha_grid, r_max_grid, zeta_grid) -> list:
+    """Receive SNR against the truncation ratio: rows (alpha, r_max, zeta,
+    g_th, snr_linear, snr_db), alpha-major, then r_max.
 
-    Each grid point zeta in (0, 1) is mapped through the cutoff threshold
-    g = -ln(1 - zeta), which replaces ``params.g_th``; the resulting curve
-    is strictly increasing in zeta.
+    Each zeta in (0, 1) is mapped once through the cutoff threshold
+    g_th = -ln(1 - zeta), which replaces ``params.g_th``; the SNR is
+    strictly increasing in zeta.
     """
-    points = []
+    cutoffs = []
     for zeta in zeta_grid:
         if not 0.0 < zeta < 1.0:
             raise ValueError(f"zeta grid values must lie strictly in (0, 1), got {zeta}")
-        cut = replace(params, g_th=cutoff_for_ratio(zeta))
-        points.append((float(zeta), receive_snr(cut, r_max)))
-    return TradeoffCurve(tuple(points))
+        cutoffs.append(cutoff_for_ratio(zeta))
+    rows = []
+    for alpha in alpha_grid:
+        for r_max in r_max_grid:
+            for zeta, g_th in zip(zeta_grid, cutoffs):
+                snr = float(receive_snr(replace(params, alpha=alpha, g_th=g_th), r_max))
+                rows.append((alpha, r_max, zeta, g_th, snr, 10.0 * math.log10(snr)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +511,26 @@ def latency_reduction_ratio(params: SystemParams, scenario: ScenarioParams, r_ma
     return _normal(ratio, "the latency reduction ratio", params, r_max)
 
 
-def latency_report(params: SystemParams, scenario: ScenarioParams, r_max: float) -> LatencyReport:
-    """Analog and digital per-round latency plus their closed-form ratio."""
-    return LatencyReport(
-        t_analog_s=latency_baa(scenario.q_dim, params),
-        t_digital_s=latency_digital(params, scenario, r_max),
-        reduction_ratio=latency_reduction_ratio(params, scenario, r_max),
-    )
+def latency_report(params: SystemParams, scenario: ScenarioParams, k_grid, q_bits_grid, ber_grid,
+                   r_max_grid) -> list:
+    """Analog and digital per-round latency and their closed-form ratio:
+    rows (k_devices, q_bits, ber, r_max, t_analog_s, t_digital_s,
+    reduction_ratio, ratio_x_log2k_over_k), K-major, then q_bits, ber and
+    r_max.  The last column, the scaling-law diagnostic ratio / K * log2(K),
+    is 0 at K = 1; log2(K) / K <= 0.531, so it is finite wherever the
+    ratio is.
+    """
+    t_analog = latency_baa(scenario.q_dim, params)
+    rows = []
+    for k in k_grid:
+        scenario_k = replace(scenario, k_devices=k)
+        for q_bits in q_bits_grid:
+            for ber in ber_grid:
+                params_qb = replace(params, q_bits=q_bits, ber=ber)
+                for r_max in r_max_grid:
+                    t_digital = latency_digital(params_qb, scenario_k, r_max)
+                    ratio = latency_reduction_ratio(params_qb, scenario_k, r_max)
+                    rows.append(
+                        (k, q_bits, ber, r_max, t_analog, t_digital, ratio, float(ratio) / k * math.log2(k))
+                    )
+    return rows

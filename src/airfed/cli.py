@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,56 +34,24 @@ from .tables import Table
 BEAM_TIE_RTOL = 1e-12
 
 
-@contextmanager
-def _closed_form_domain():
-    """Report a closed form or a training run that the config takes outside
-    its domain as a config error.  The expected receive SNRs need K >= 2
-    under cell-interior scheduling and 2K > alpha, which the config range
-    does not guarantee.  Every receive SNR, and each rate or latency formed
-    from one, must be a positive, finite, normal float; the load rule
-    checks that at the configured radii, exponents and cutoffs, but not at
-    a round's furthest scheduled device, a ``zeta_grid`` cutoff, a
-    ``k_grid`` device count or ``montecarlo``'s 1 m unit.  And a training
-    run stops when its model leaves the float range."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # tradeoff
 # ---------------------------------------------------------------------------
 
 def cmd_tradeoff(config: ExperimentConfig) -> dict:
     values = config.values
-    snr_rows = []
-    with _closed_form_domain():
-        for alpha in values["alpha_grid"]:
-            params = replace(config.system, alpha=alpha)
-            for r_max in values["r_max_grid"]:
-                curve = analytics.snr_truncation_curve(params, r_max, values["zeta_grid"])
-                for zeta, snr in curve.points:
-                    snr_rows.append(
-                        (
-                            alpha,
-                            r_max,
-                            zeta,
-                            analytics.cutoff_for_ratio(zeta),
-                            snr,
-                            10.0 * math.log10(snr),
-                        )
-                    )
-        gain_rows = analytics.reliability_quantity_curve(
-            config.system, config.scenario.k_devices, values["alpha_grid"], values["f_dat_grid"]
-        )
     return {
         "snr_truncation": Table(
-            ("alpha", "r_max_m", "zeta", "g_th", "snr_linear", "snr_db"), snr_rows
+            ("alpha", "r_max_m", "zeta", "g_th", "snr_linear", "snr_db"),
+            analytics.snr_truncation_curve(
+                config.system, values["alpha_grid"], values["r_max_grid"], values["zeta_grid"]
+            ),
         ),
         "gain_vs_data_fraction": Table(
             ("alpha", "k_devices", "f_dat", "snr_gain", "p_fewer_than_two", "p_infinite_mean"),
-            gain_rows,
+            analytics.reliability_quantity_curve(
+                config.system, config.scenario.k_devices, values["alpha_grid"], values["f_dat_grid"]
+            ),
         ),
     }
 
@@ -157,10 +124,9 @@ def montecarlo_rows(config: ExperimentConfig):
     trials = config.trials
     seed = config.seed
     rows = []
-    with _closed_form_domain():
-        expected_all = analytics.expected_snr_all_inclusive(params, k)
-        expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
-        snr_unit = analytics.receive_snr(params, 1.0)
+    expected_all = analytics.expected_snr_all_inclusive(params, k)
+    expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
+    snr_unit = analytics.receive_snr(params, 1.0)
 
     # The interior SNR is a joint expectation: a K_in that adds no term adds 0.
     pmf = analytics.interior_count_pmf(k, r_in, r_cell)
@@ -200,9 +166,7 @@ def montecarlo_rows(config: ExperimentConfig):
         ("snr_all_inclusive", expected_all, r_max, np.where(np.arange(k + 1) == k, 1.0, 0.0), 0.02),
         ("snr_cell_interior", expected_interior, interior_max[:n_usable], pmf, 0.03),
     ):
-        with _closed_form_domain():
-            row = _snr_row(name, analytic, furthest, trials, law, params.alpha, snr_unit, tolerance)
-        rows.append(row)
+        rows.append(_snr_row(name, analytic, furthest, trials, law, params.alpha, snr_unit, tolerance))
 
     # Probability that every device is ever scheduled under i.i.d. mobility;
     # a run is one row of n_cr consecutive topologies.
@@ -237,34 +201,6 @@ def cmd_montecarlo(config: ExperimentConfig) -> dict:
 
 def cmd_latency(config: ExperimentConfig) -> dict:
     values = config.values
-    rows = []
-    for k in values["k_grid"]:
-        for q_bits in values["q_bits_grid"]:
-            for ber in values["ber_grid"]:
-                params = replace(config.system, q_bits=q_bits, ber=ber)
-                scenario = replace(config.scenario, k_devices=k)
-                for r_max in values["r_max_grid"]:
-                    with _closed_form_domain():
-                        report = analytics.latency_report(params, scenario, r_max)
-                        # Python floats overflow to inf without a warning.
-                        scaled = float(report.reduction_ratio) * math.log2(k) / k
-                        if math.isinf(scaled):
-                            raise ValueError(
-                                f"ratio_x_log2k_over_k overflows at k_devices = {k}: "
-                                f"reduction_ratio = {report.reduction_ratio}"
-                            )
-                    rows.append(
-                        (
-                            k,
-                            q_bits,
-                            ber,
-                            r_max,
-                            report.t_analog_s,
-                            report.t_digital_s,
-                            report.reduction_ratio,
-                            scaled,
-                        )
-                    )
     return {
         "latency": Table(
             (
@@ -277,7 +213,14 @@ def cmd_latency(config: ExperimentConfig) -> dict:
                 "reduction_ratio",
                 "ratio_x_log2k_over_k",
             ),
-            rows,
+            analytics.latency_report(
+                config.system,
+                config.scenario,
+                values["k_grid"],
+                values["q_bits_grid"],
+                values["ber_grid"],
+                values["r_max_grid"],
+            ),
         )
     }
 
@@ -325,18 +268,17 @@ def _run_once(config: ExperimentConfig, train_set, test_set, aggregation=None,
     params = config.system if g_th is None else replace(config.system, g_th=g_th)
     scheme = config.scheme if r_in is None else replace(config.scheme, r_in=r_in)
     train_cfg = config.train if aggregation is None else replace(config.train, aggregation=aggregation)
-    with _closed_form_domain():
-        return learning.federated_train(
-            train_set,
-            config.partition,
-            train_cfg,
-            params,
-            config.scenario,
-            scheme,
-            config.seed,
-            test_set,
-            mobility=config.mobility,
-        )
+    return learning.federated_train(
+        train_set,
+        config.partition,
+        train_cfg,
+        params,
+        config.scenario,
+        scheme,
+        config.seed,
+        test_set,
+        mobility=config.mobility,
+    )
 
 
 def cmd_train(config: ExperimentConfig, grid: bool = False) -> dict:
@@ -462,10 +404,24 @@ COMMANDS = {
 
 
 def run_command(command: str, config: ExperimentConfig, grid: bool = False) -> dict:
-    """Tables of one subcommand; ``grid`` is read by ``train`` only."""
+    """Tables of one subcommand; ``grid`` is read by ``train`` only.
+
+    A ValueError the command raises becomes a ConfigError with the same
+    message: the config took a closed form or a training run outside its
+    domain where the load rule does not look.  The expected receive SNRs
+    need K >= 2 under cell-interior scheduling and 2K > alpha; every
+    receive SNR, and each rate or latency formed from one, must be a
+    normal float, also at a round's furthest scheduled device, a
+    ``zeta_grid`` cutoff, a ``k_grid`` device count or ``montecarlo``'s
+    1 m unit; and a training run stops when its model leaves the float
+    range.
+    """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    return COMMANDS[command](config, grid)
+    try:
+        return COMMANDS[command](config, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def write_outputs(tables: dict, config: ExperimentConfig, out_dir, fmt: str) -> list:

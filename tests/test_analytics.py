@@ -18,7 +18,6 @@ from airfed import analytics
 from airfed.analytics import (
     ScenarioParams,
     SystemParams,
-    TradeoffCurve,
     count_snr_weights,
     cutoff_for_ratio,
     dropped_count_mass,
@@ -120,36 +119,42 @@ class TestReceiveSnr:
         with pytest.raises(ValueError):
             SystemParams(g_th=0.0)
 
+    @staticmethod
+    def _snrs(zeta_grid, alpha=3.0, r_max=100.0):
+        return [row[4] for row in snr_truncation_curve(FIG_PARAMS, [alpha], [r_max], zeta_grid)]
+
     def test_reference_point_curve_increasing(self):
         # 0.1 W, 1000 sub-channels, 100 m, -80 dBm: SNR rises monotonically
         # with the tolerated truncation ratio.
-        curve = snr_truncation_curve(FIG_PARAMS, 100.0, np.arange(0.1, 0.91, 0.1))
-        assert len(curve.points) == 9
-        ys = tuple(y for _, y in curve.points)
+        ys = self._snrs(np.arange(0.1, 0.91, 0.1))
+        assert len(ys) == 9
         assert all(b > a for a, b in zip(ys, ys[1:]))
 
     def test_curve_roundtrip_matches_threshold_form(self):
         for g_th in [0.1, 0.5, 1.2]:
             zeta = truncation_ratio(g_th)
-            curve = snr_truncation_curve(FIG_PARAMS, 100.0, [zeta])
+            [row] = snr_truncation_curve(FIG_PARAMS, [3.0], [100.0], [zeta])
             direct = receive_snr(replace(FIG_PARAMS, g_th=cutoff_for_ratio(zeta)), 100.0)
-            assert curve.points[0][1] == direct
+            assert row[3] == cutoff_for_ratio(zeta)
+            assert row[4] == direct
+            assert row[5] == 10.0 * math.log10(direct)
+
+    def test_rows_are_alpha_major_then_r_max(self):
+        rows = snr_truncation_curve(FIG_PARAMS, [2.5, 3.5], [50.0, 100.0], [0.2, 0.6])
+        assert [row[:3] for row in rows] == [
+            (alpha, r_max, zeta) for alpha in (2.5, 3.5) for r_max in (50.0, 100.0) for zeta in (0.2, 0.6)
+        ]
+        for alpha, r_max, zeta, g_th, snr, _ in rows:
+            assert snr == receive_snr(replace(FIG_PARAMS, alpha=alpha, g_th=g_th), r_max)
 
     def test_unbounded_growth_near_full_truncation(self):
-        low = snr_truncation_curve(FIG_PARAMS, 100.0, [0.5]).points[0][1]
-        high = snr_truncation_curve(FIG_PARAMS, 100.0, [1 - 1e-9]).points[0][1]
+        low, high = self._snrs([0.5, 1 - 1e-9])
         assert high > 1e6 * low
 
     @pytest.mark.parametrize("zeta", [0.0, 1.0, -0.2, 1.4])
     def test_grid_rejects_boundary(self, zeta):
         with pytest.raises(ValueError):
-            snr_truncation_curve(FIG_PARAMS, 100.0, [zeta])
-
-
-class TestTradeoffCurveType:
-    def test_rejects_non_increasing_abscissae(self):
-        with pytest.raises(ValueError):
-            TradeoffCurve(((0.2, 1.0), (0.2, 2.0)))
+            snr_truncation_curve(FIG_PARAMS, [3.0], [100.0], [zeta])
 
 
 class TestInteriorFraction:
@@ -524,10 +529,18 @@ class TestLatency:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_report_bundles_all_three(self):
-        report = latency_report(FIG_PARAMS, self.SCENARIO, 50.0)
-        assert report.t_analog_s == latency_baa(582026, FIG_PARAMS)
-        assert report.t_digital_s == latency_digital(FIG_PARAMS, self.SCENARIO, 50.0)
-        assert report.reduction_ratio == latency_reduction_ratio(FIG_PARAMS, self.SCENARIO, 50.0)
+        k_grid, q_bits_grid, ber_grid, r_max_grid = (1, 3, 200), (8, 16), (1e-2, 1e-4), (30.0, 100.0)
+        rows = latency_report(FIG_PARAMS, self.SCENARIO, k_grid, q_bits_grid, ber_grid, r_max_grid)
+        keys = [(k, q, ber, r) for k in k_grid for q in q_bits_grid for ber in ber_grid for r in r_max_grid]
+        assert [row[:4] for row in rows] == keys
+        for (k, q_bits, ber, r_max, t_analog, t_digital, ratio, scaled) in rows:
+            params = replace(FIG_PARAMS, q_bits=q_bits, ber=ber)
+            scenario = replace(self.SCENARIO, k_devices=k)
+            assert t_analog == latency_baa(582026, params)
+            assert t_digital == latency_digital(params, scenario, r_max)
+            assert ratio == latency_reduction_ratio(params, scenario, r_max)
+            assert scaled == ratio / k * math.log2(k)
+            assert (scaled == 0.0) == (k == 1)
 
 
 class TestDigitalRate:

@@ -490,6 +490,17 @@ class TestLatencyCommand:
         assert len(rows) == 120
         assert np.isfinite(np.array([row[4:] for row in rows])).all()
 
+    def test_scaled_ratio_is_finite_where_ratio_times_log2k_overflows(self, tmp_path):
+        # At the smallest SNR the load rule admits (3e-308 at 100 m, alpha 4,
+        # g_th 0.05) the reduction ratio nears 3e307, so ratio * log2(K)
+        # overflows; ratio / K * log2(K) is at most 0.531 times the ratio.
+        path = tmp_path / "p0.cfg"
+        path.write_text("p0_watts = 7.403695465529922e-308\n")
+        assert cli.main(["latency", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = _csv_rows(tmp_path / "out" / "latency.csv")
+        assert len(rows) == 120
+        assert all(math.isfinite(float(row["ratio_x_log2k_over_k"])) for row in rows)
+
 
 class TestMonteCarloCommand:
     def test_report_structure_and_passes(self):
@@ -765,6 +776,27 @@ class TestTrainCompareCommands:
         assert summary["digital"][2] > 0.0
 
 
+class TestRunCommand:
+    """``run_command`` is where a command's ValueError becomes a config
+    error, which ``main`` reports as one ``error:`` line and exit 2."""
+
+    def test_command_value_error_becomes_config_error(self, monkeypatch, tmp_path, capsys):
+        def cmd_extensions(config):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "cmd_extensions", cmd_extensions)
+        with pytest.raises(ConfigError) as info:
+            run_command("extensions", load_config(None))
+        assert str(info.value) == "boom"
+        assert cli.main(["extensions", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: boom"]
+
+    def test_unknown_command_stays_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="unknown command 'nope'") as info:
+            run_command("nope", load_config(None))
+        assert not isinstance(info.value, ConfigError)
+
+
 def _rewrite_images(corpus, transform):
     path = corpus / "train-images-idx3-ubyte"
     path.write_bytes(transform(path.read_bytes()))
@@ -1029,7 +1061,7 @@ class TestReceiveSnrEdges:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(text=edge_configs(), command=st.sampled_from(sorted(COMMANDS)))
     # The smallest SNR the load rule checks (100 m, alpha 4, g_th 0.05) is
-    # 3e-308: the latency ratio times log2(K) / K overflows.
+    # 3e-308: the latency ratio nears 3e307, where ratio * log2(K) would overflow.
     @example(text="p0_watts = 7.403695465529922e-308\n", command="latency")
     def test_snr_edges_exit_cleanly_or_write_finite_values(self, text, command):
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,8 +1,13 @@
-"""Every command's output at the defaults against its committed snapshot.
+"""Every command's output at the defaults, and ``compare`` at a non-default
+config, against its committed snapshot.
 
 ``tests/snapshots/<command>/`` holds what ``python -m airfed <command>
---out tests/snapshots/<command>`` writes.  A change that moves an output
-regenerates the snapshot with that command and records the change.
+--out tests/snapshots/<command>`` writes, and
+``tests/snapshots/compare-nondefault/`` what ``compare --config
+tests/snapshots/nondefault.cfg`` writes: 5 classes, non-IID shards,
+i.i.d. mobility, minibatches and alternating scheduling.  A change that
+moves an output regenerates the snapshot with that command and records
+the change.
 
 Strings and headers must match exactly.  Numbers match at a relative
 1e-12: numpy's AVX-512 ``power`` can round differently in the last bit,
@@ -23,6 +28,9 @@ from airfed import cli
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 COMMANDS = ("tradeoff", "latency", "montecarlo", "extensions", "compare", "train")
+# Snapshot directory -> command line.
+RUNS = {command: [command] for command in COMMANDS}
+RUNS["compare-nondefault"] = ["compare", "--config", str(SNAPSHOTS / "nondefault.cfg")]
 RTOL = 1e-12
 
 
@@ -59,11 +67,11 @@ def _without_versions(text: str) -> dict:
     return manifest
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_output_matches_snapshot(command, tmp_path):
+@pytest.mark.parametrize("snapshot", RUNS)
+def test_output_matches_snapshot(snapshot, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([command, "--out", str(tmp_path)]) == 0
-    snapshot = SNAPSHOTS / command
+        assert cli.main([*RUNS[snapshot], "--out", str(tmp_path)]) == 0
+    snapshot = SNAPSHOTS / snapshot
     names = sorted(path.name for path in snapshot.iterdir())
     assert sorted(path.name for path in tmp_path.iterdir()) == names
     mismatches = []
