@@ -309,7 +309,7 @@ def cmd_train(config: ExperimentConfig, grid: bool = False) -> dict:
                         r_in_frac,
                         g_th,
                         sweep.final_accuracy,
-                        float(np.mean(sweep.latency_trace)),
+                        float(np.mean([record.latency_s for record in sweep.records])),
                     )
                 )
         out["accuracy_grid"] = Table(

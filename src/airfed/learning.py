@@ -25,7 +25,6 @@ given that seed.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -37,8 +36,6 @@ from .analytics import ScenarioParams, SystemParams, digital_device_snr
 from .datasets import LabeledDataset
 from .rng import derived_rng
 from .tables import Table
-
-logger = logging.getLogger(__name__)
 
 AGGREGATIONS = ("ideal", "baa", "digital")
 PARTITION_MODES = ("iid", "noniid-shards")
@@ -113,18 +110,18 @@ class TrainConfig:
 
 
 class RoundRecord(NamedTuple):
-    """One round's trace row; its fields are the trace columns, in order."""
+    """One round's trace row; its fields are the trace columns, in order.
+
+    The defaults describe a round that sends nothing over the air: ideal
+    averaging, or a round that schedules nobody."""
 
     round: int
     accuracy: float
     loss: float
-    latency_s: float
-    rho0_db: float
-    truncation_frac: float
-    k_scheduled: int
-
-
-TRACE_COLUMNS = RoundRecord._fields
+    latency_s: float = 0.0
+    rho0_db: float = float("nan")
+    truncation_frac: float = float("nan")
+    k_scheduled: int = 0
 
 
 @dataclass(frozen=True)
@@ -135,10 +132,6 @@ class TrainResult:
     @property
     def accuracy_trace(self) -> np.ndarray:
         return np.array([r.accuracy for r in self.records])
-
-    @property
-    def latency_trace(self) -> np.ndarray:
-        return np.array([r.latency_s for r in self.records])
 
     @property
     def final_accuracy(self) -> float:
@@ -350,28 +343,27 @@ def _snr_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
-# The trace's channel columns (latency_s, rho0_db, truncation_frac) of a
-# round that sends nothing over the air: ideal averaging or an empty round.
-_NO_CHANNEL = (0.0, float("nan"), float("nan"))
-
-
 def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed, rnd):
     """One round's aggregation step: the new global model from the local
-    models of the devices at distances ``scheduled``, and the round's
-    channel columns.  Only ``baa`` and ``digital`` derive the round's
-    ``channel`` stream."""
+    models of the devices at distances ``scheduled``, and the
+    :class:`RoundRecord` channel columns it forms, by field name.  Only
+    ``baa`` and ``digital`` derive the round's ``channel`` stream."""
     if aggregation == "ideal":
-        return global_average(locals_), _NO_CHANNEL
+        return global_average(locals_), {}
     channel = derived_rng(seed, "channel", rnd)
     if aggregation == "baa":
         norm_spec = phy.normalization_from_values(weights)
         symbols = phy.normalize_updates(locals_, norm_spec)
         aggregate, diag = phy.baa_round(symbols, scheduled, params, channel)
-        columns = (diag.latency_s, _snr_db(diag.rho0 / params.n0), float(diag.truncation_fraction.mean()))
+        columns = {
+            "latency_s": diag.latency_s,
+            "rho0_db": _snr_db(diag.rho0 / params.n0),
+            "truncation_frac": float(diag.truncation_fraction.mean()),
+        }
         return phy.denormalize(aggregate, norm_spec, 1), columns
     result = phy.digital_round(locals_, scheduled, params, scenario, channel)
     furthest_snr = digital_device_snr(params, scheduled.size, scheduled.max())
-    columns = (result.round_latency_s, _snr_db(furthest_snr), float("nan"))
+    columns = {"latency_s": result.round_latency_s, "rho0_db": _snr_db(furthest_snr)}
     return result.aggregate, columns
 
 
@@ -390,7 +382,8 @@ def federated_train(
     """Run the full per-round loop and return traces plus the final model.
 
     Rounds whose scheduled set is empty leave the model untouched and are
-    recorded with zero latency.  The scenario's model dimension is replaced
+    recorded with the :class:`RoundRecord` defaults: zero latency and no
+    device scheduled.  The scenario's model dimension is replaced
     by the actual model size derived from the data.  ``mobility`` is one of
     ``MOBILITY_MODES``.  ``topology_seed`` pins the first drop independently
     of the training randomness, for sweeps that hold one deployment fixed.
@@ -426,10 +419,8 @@ def federated_train(
                         radii, params.r_cell, None if static else derived_rng(seed, "mobility", rnd)
                     )
                 ids = network.schedule(radii, scheme, rnd)
-                if ids.size == 0:
-                    logger.info("round %d: no device inside r_in, skipping aggregation", rnd)
-                    channel = _NO_CHANNEL
-                else:
+                channel = {}
+                if ids.size > 0:
                     locals_ = local_sgd(
                         weights,
                         features[ids],
@@ -444,7 +435,7 @@ def federated_train(
                         train_cfg.aggregation, weights, locals_, radii[ids], params, scenario, seed, rnd
                     )
                 evaluation = accuracy(weights, test_set), global_loss(weights, features, labels, n_classes)
-                records.append(RoundRecord(rnd, *evaluation, *channel, ids.size))
+                records.append(RoundRecord(rnd, *evaluation, k_scheduled=ids.size, **channel))
     except FloatingPointError as exc:
         raise ValueError(
             f"round {rnd} of {train_cfg.aggregation} training: the model left the float range ({exc})"
@@ -454,7 +445,7 @@ def federated_train(
 
 def trace_table(result: TrainResult) -> Table:
     """Per-round trace as a table with the standard column schema."""
-    return Table(TRACE_COLUMNS, list(result.records))
+    return Table(RoundRecord._fields, list(result.records))
 
 
 def trace_csv(result: TrainResult) -> str:

@@ -8,8 +8,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Table:
@@ -39,8 +37,4 @@ def _cell(value) -> str:
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return _cell(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     return value

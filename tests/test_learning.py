@@ -539,6 +539,21 @@ class TestFederatedTrain:
         accs = result.accuracy_trace
         assert np.all(accs == accs[0])
 
+    def test_a_round_that_schedules_nobody_is_the_default_row(self):
+        assert repr(learning.RoundRecord(3, 0.5, 1.2)) == (
+            "RoundRecord(round=3, accuracy=0.5, loss=1.2, latency_s=0.0, rho0_db=nan, "
+            "truncation_frac=nan, k_scheduled=0)"
+        )
+        data = toy_dataset(n=40, seed=34)
+        cfg = TrainConfig(eta=0.3, tau=1, n_cr=4, batch_size=None, aggregation="baa")
+        # Interior radius so small that no device qualifies.
+        result = federated_train(
+            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4),
+            SchedulingScheme.cell_interior(1e-6), 55, data,
+        )
+        for record in result.records:
+            assert repr(record) == repr(learning.RoundRecord(record.round, record.accuracy, record.loss))
+
     def test_desk_scale_ideal_baseline_golden_trace(self):
         # Fixed-seed regression baseline: 20 devices, ideal aggregation,
         # 50 rounds on the 2000-sample synthetic mixture.  Accuracy values

@@ -1,21 +1,26 @@
-"""Every command's output at the defaults, and ``compare`` at a non-default
-config, against its committed snapshot.
+"""Every command's output at the defaults, ``compare`` at a non-default
+config and ``train --grid`` on a reduced grid, against its committed
+snapshot.
 
 ``tests/snapshots/<command>/`` holds what ``python -m airfed <command>
---out tests/snapshots/<command>`` writes, and
+--out tests/snapshots/<command>`` writes,
 ``tests/snapshots/compare-nondefault/`` what ``compare --config
-tests/snapshots/nondefault.cfg`` writes: 5 classes, non-IID shards,
-i.i.d. mobility, minibatches and alternating scheduling.  A change that
-moves an output regenerates the snapshot with that command and records
-the change.
+tests/snapshots/nondefault.cfg`` writes (5 classes, non-IID shards,
+i.i.d. mobility, minibatches and alternating scheduling), and
+``tests/snapshots/train-grid/`` what ``train --grid --config
+tests/snapshots/grid.cfg`` writes (20 devices, 12 rounds, a 2 x 2 grid,
+and rounds that schedule nobody).  A change that moves an output
+regenerates the snapshot with that command and records the change.
 
 Strings and headers must match exactly.  Numbers match at a relative
 1e-12: numpy's AVX-512 ``power`` can round differently in the last bit,
 so byte equality across hosts is not assured.  The version fields of
 ``manifest.json`` are left out.
+
+The same tables, rendered as JSON, must hold what their CSV holds: each
+row's keys are the header, and each value formats to its CSV cell.
 """
 
-import contextlib
 import csv
 import io
 import json
@@ -25,12 +30,14 @@ from pathlib import Path
 import pytest
 
 from airfed import cli
+from airfed.config import load_config
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 COMMANDS = ("tradeoff", "latency", "montecarlo", "extensions", "compare", "train")
 # Snapshot directory -> command line.
 RUNS = {command: [command] for command in COMMANDS}
 RUNS["compare-nondefault"] = ["compare", "--config", str(SNAPSHOTS / "nondefault.cfg")]
+RUNS["train-grid"] = ["train", "--grid", "--config", str(SNAPSHOTS / "grid.cfg")]
 RTOL = 1e-12
 
 
@@ -61,6 +68,32 @@ def _csv_mismatches(name: str, expected_text: str, actual_text: str) -> list:
     return mismatches
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def _json_mismatches(name: str, json_text: str, csv_text: str) -> list:
+    """Each row of a table's JSON against its CSV row: the keys are the
+    header, a string or an int equals its cell, a float formats to it at
+    12 significant digits, and a non-finite float is the string the CSV
+    writes."""
+    header, *csv_rows = csv.reader(io.StringIO(csv_text))
+    rows = json.loads(json_text, parse_constant=_refuse_constant)
+    if len(rows) != len(csv_rows):
+        return [f"{name}: {len(rows)} rows != csv {len(csv_rows)}"]
+    mismatches = []
+    for row, (values, cells) in enumerate(zip(rows, csv_rows), start=1):
+        if sorted(values) != sorted(header):
+            mismatches.append(f"{name} row {row}: keys {sorted(values)} != header {header}")
+            continue
+        for column, cell in zip(header, cells):
+            value = values[column]
+            text = format(value, ".12g") if isinstance(value, float) else str(value)
+            if text != cell:
+                mismatches.append(f"{name} row {row} column {column}: {value!r} != csv {cell}")
+    return mismatches
+
+
 def _without_versions(text: str) -> dict:
     manifest = json.loads(text)
     manifest.pop("versions")
@@ -69,8 +102,10 @@ def _without_versions(text: str) -> dict:
 
 @pytest.mark.parametrize("snapshot", RUNS)
 def test_output_matches_snapshot(snapshot, tmp_path):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([*RUNS[snapshot], "--out", str(tmp_path)]) == 0
+    args = cli.build_parser().parse_args(RUNS[snapshot])
+    config = load_config(args.config)
+    tables = cli.run_command(args.command, config, grid=getattr(args, "grid", False))
+    cli.write_outputs(tables, config, tmp_path, "csv")
     snapshot = SNAPSHOTS / snapshot
     names = sorted(path.name for path in snapshot.iterdir())
     assert sorted(path.name for path in tmp_path.iterdir()) == names
@@ -82,6 +117,9 @@ def test_output_matches_snapshot(snapshot, tmp_path):
                 mismatches.append(f"{name}: {actual} != snapshot {expected}")
         else:
             mismatches.extend(_csv_mismatches(name, expected, actual))
+    for name, table in sorted(tables.items()):
+        csv_text = (tmp_path / f"{name}.csv").read_text()
+        mismatches.extend(_json_mismatches(f"{name}.json", table.render("json"), csv_text))
     assert not mismatches, "\n".join(mismatches[:20])
 
 
@@ -94,3 +132,14 @@ def test_a_moved_number_names_its_file_row_and_column():
     assert _csv_mismatches("validation.csv", snapshot, snapshot.replace("pass", "fail")) == [
         "validation.csv row 1 column status: fail != snapshot pass"
     ]
+
+
+def test_a_json_value_that_differs_from_its_csv_cell_is_named():
+    csv_text = "check,analytic,status\nmax_distance_mean,95.2380952381,pass\n"
+    row = '"analytic": %s, "check": "max_distance_mean", "status": "pass"'
+    assert _json_mismatches("validation.json", "[{%s}]" % (row % "95.23809523809524"), csv_text) == []
+    assert _json_mismatches("validation.json", "[{%s}]" % (row % "95.2380952382"), csv_text) == [
+        "validation.json row 1 column analytic: 95.2380952382 != csv 95.2380952381"
+    ]
+    with pytest.raises(ValueError, match="bare NaN"):
+        _json_mismatches("validation.json", "[{%s}]" % (row % "NaN"), csv_text)
