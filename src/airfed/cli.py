@@ -1,4 +1,4 @@
-"""Experiment harness.
+"""Experiment harness: each subcommand wires its config into library calls.
 
 Subcommands map onto the study's result sets:
 
@@ -16,22 +16,18 @@ versions).  Outputs are byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import analytics, extensions, learning, network
+from . import analytics, extensions, learning
 from .config import ConfigError, ExperimentConfig, load_config, manifest_json
 from .datasets import load_mnist_idx, synth_gaussian_mixture
-from .rng import derived_rng, row_blocks
+from .rng import derived_rng
 from .tables import Table
-
-# With one user both beams are the same MRC beam, so the aggregation
-# objective and the best SDMA SNR tie exactly and differ only by rounding.
-BEAM_TIE_RTOL = 1e-12
+from .validation import montecarlo_rows
 
 
 # ---------------------------------------------------------------------------
@@ -59,132 +55,6 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # montecarlo
 # ---------------------------------------------------------------------------
-
-def evaluate_check(name: str, analytic: float, empirical: float, tolerance: float, metric: str):
-    """One validation row; ``metric`` is 'rel', 'abs' or 'tv'."""
-    if metric == "rel":
-        error = abs(empirical - analytic) / abs(analytic)
-    else:
-        error = abs(empirical - analytic)
-    status = "pass" if error < tolerance else "fail"
-    return (name, analytic, empirical, error, tolerance, metric, status)
-
-
-def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
-    """``network.sample_radii(width, r_cell, rng, size=n_rows)`` drawn in
-    the consecutive row blocks of :func:`rng.row_blocks`; yields (first
-    row, block).  Consecutive draws give the same numbers as one."""
-    for start, stop in row_blocks(n_rows, width):
-        yield start, network.sample_radii(width, r_cell, rng, size=stop - start)
-
-
-def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_unit, tolerance):
-    """Row ``name`` of an expected receive SNR.  ``pmf[j]`` is the
-    probability that a trial schedules j devices; it adds a term where the
-    count's :func:`analytics.count_snr_weights` is positive.  ``furthest``
-    holds, in trial order, the furthest distance of each trial that adds a
-    term and becomes those terms, snr_unit * distance^-alpha, in place
-    (``**=`` keeps the bits of ``**``).  ``undersampled`` when the run expects
-    under one such trial; ``heavy-tailed`` when it expects one whose term
-    has infinite variance: its square, the term at 2 alpha, has no mean.
-    Raises ValueError when the estimate overflows, which a term can do at
-    a small distance even where ``snr_unit`` is normal."""
-    k = len(pmf) - 1
-    adds = analytics.count_snr_weights(k, alpha) > 0.0
-    with np.errstate(over="ignore", divide="ignore"):
-        furthest **= -alpha
-        furthest *= snr_unit
-        estimate = float(furthest.sum()) / trials
-    if not math.isfinite(estimate):
-        raise ValueError(
-            f"the {name} estimate, a mean over {trials} trials of receive SNRs "
-            f"{snr_unit} * distance^-{alpha} (the receive SNR at 1 m times the path "
-            "gain), overflows"
-        )
-    row = evaluate_check(name, analytic, estimate, tolerance, "rel")
-    if trials * pmf[adds].sum() < 1.0:
-        return row[:-1] + ("undersampled",)
-    if trials * pmf[adds & (analytics.count_snr_weights(k, 2.0 * alpha) == 0.0)].sum() >= 1.0:
-        return row[:-1] + ("heavy-tailed",)
-    return row
-
-
-def montecarlo_rows(config: ExperimentConfig):
-    """Rows of ``validation.csv``: each closed form against its Monte Carlo
-    estimate.  Topologies are drawn in the row blocks of
-    :func:`rng.row_blocks` and each block is reduced to what the rows
-    read: its interior-count histogram, added into one (K+1) count
-    vector, each trial's furthest distance, and the furthest interior
-    distance of the trials that add an interior SNR term.  So two float64
-    are kept per trial: peak RSS grows by 16 bytes per trial, measured at
-    1M and 2M trials.  A row's status is ``pass`` or ``fail``, or for the
-    SNR rows ``undersampled`` or ``heavy-tailed`` (:func:`_snr_row`)."""
-    params, scenario = config.system, config.scenario
-    k, r_cell, r_in = scenario.k_devices, params.r_cell, scenario.r_in
-    trials = config.trials
-    seed = config.seed
-    rows = []
-    expected_all = analytics.expected_snr_all_inclusive(params, k)
-    expected_interior, _ = analytics.expected_snr_cell_interior(params, scenario)
-    snr_unit = analytics.receive_snr(params, 1.0)
-
-    # The interior SNR is a joint expectation: a K_in that adds no term adds 0.
-    pmf = analytics.interior_count_pmf(k, r_in, r_cell)
-    usable_counts = analytics.count_snr_weights(k, params.alpha) > 0.0
-
-    # Per-block reductions of the topology draws: the interior-count
-    # histogram, the furthest distance per trial and, for the usable trials
-    # only and in trial order, the furthest interior distance.
-    k_in_counts = np.zeros(k + 1, dtype=np.intp)
-    r_max = np.empty(trials)
-    interior_max = np.empty(trials)
-    n_usable = 0
-    for start, radii in _radii_blocks(k, r_cell, derived_rng(seed, "mc", "topology"), trials):
-        inside = radii <= r_in
-        k_in = np.count_nonzero(inside, axis=1)
-        k_in_counts += np.bincount(k_in, minlength=k + 1)
-        r_max[start : start + len(radii)] = radii.max(axis=1)
-        # Radii are >= 0, so zeroing the exterior ones leaves the interior max.
-        radii *= inside
-        block_max = radii.max(axis=1)[usable_counts[k_in]]
-        interior_max[n_usable : n_usable + len(block_max)] = block_max
-        n_usable += len(block_max)
-
-    # Interior-count histogram against the binomial law (total variation).
-    tv = 0.5 * float(np.abs(k_in_counts / trials - pmf).sum())
-    rows.append(evaluate_check("interior_count_histogram", 0.0, tv, 0.01, "tv"))
-
-    # Furthest-device mean distance.
-    _, mean_expected = analytics.max_distance_moments(k, r_cell)
-    rows.append(
-        evaluate_check("max_distance_mean", mean_expected, float(r_max.mean()), 0.005, "rel")
-    )
-
-    # Expected receive SNR: every trial schedules all K devices, or the
-    # K_in interior ones.
-    for name, analytic, furthest, law, tolerance in (
-        ("snr_all_inclusive", expected_all, r_max, np.where(np.arange(k + 1) == k, 1.0, 0.0), 0.02),
-        ("snr_cell_interior", expected_interior, interior_max[:n_usable], pmf, 0.03),
-    ):
-        rows.append(_snr_row(name, analytic, furthest, trials, law, params.alpha, snr_unit, tolerance))
-
-    # Probability that every device is ever scheduled under i.i.d. mobility;
-    # a run is one row of n_cr consecutive topologies.
-    runs = min(trials, 2000)
-    n_cr = config.train.n_cr
-    p_in = analytics.fraction_exploited(r_in, r_cell)
-    ever_in = np.empty(runs, dtype=bool)
-    for start, radii in _radii_blocks(n_cr * k, r_cell, derived_rng(seed, "mc", "mobility"), runs):
-        # A device is ever inside when its nearest drop is; all are when the
-        # furthest of those nearest drops is.
-        nearest = radii.reshape(len(radii), n_cr, k).min(axis=1)
-        ever_in[start : start + len(radii)] = nearest.max(axis=1) <= r_in
-    exact = analytics.p_all_exploited(k, n_cr, p_in)
-    rows.append(
-        evaluate_check("all_data_exploited_prob", exact, float(ever_in.mean()), 0.02, "abs")
-    )
-    return rows
-
 
 def cmd_montecarlo(config: ExperimentConfig) -> dict:
     return {
@@ -336,37 +206,10 @@ def cmd_compare(config: ExperimentConfig) -> dict:
 
 def cmd_extensions(config: ExperimentConfig) -> dict:
     values = config.values
-    seed = config.seed
-    n_trials = min(config.trials, 10000)
-    gammas = values["gamma_grid"]
-    codes = [extensions.pn_code(gamma, derived_rng(seed, "ext", "dsss", gamma)) for gamma in gammas]
-    measured = extensions.suppression_ratios(codes, n_trials, derived_rng(seed, "ext", "dsss", "chips"))
-    suppression_rows = [
-        (gamma, n_trials, ratio, float(gamma)) for gamma, ratio in zip(gammas, measured)
-    ]
-
-    beam_rows = []
-    n, k = values["beam_antennas"], values["beam_users"]
-    instances = [(n, k), (n, 1), (max(2, k - 1), k)]  # last one has n < k when beam_users >= 3
-    for idx, (n_ant, k_dev) in enumerate(instances):
-        rng = derived_rng(seed, "ext", "beam", idx)
-        h = (rng.standard_normal((n_ant, k_dev)) + 1j * rng.standard_normal((n_ant, k_dev))) / np.sqrt(2)
-        problem = extensions.BeamProblem(h_matrix=h, weak_set=tuple(range(k_dev)), n0=config.system.n0)
-        agg = extensions.aggregation_beamformer(problem)
-        sdma = extensions.sdma_beamformer(problem)
-        best_sdma = float(np.nanmax(sdma.per_user_snr)) if sdma.feasible else float("nan")
-        dominates = not sdma.feasible or agg.objective >= best_sdma * (1.0 - BEAM_TIE_RTOL)
-        beam_rows.append(
-            (
-                idx,
-                n_ant,
-                k_dev,
-                agg.objective,
-                "feasible" if sdma.feasible else "infeasible",
-                best_sdma,
-                "yes" if dominates else "no",
-            )
-        )
+    suppression_rows, beam_rows = extensions.extension_rows(
+        values["gamma_grid"], values["beam_antennas"], values["beam_users"],
+        config.system.n0, config.trials, config.seed,
+    )
     return {
         "dsss_suppression": Table(
             ("gamma", "trials", "measured_suppression", "expected"), suppression_rows

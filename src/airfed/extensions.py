@@ -21,12 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import row_blocks
+from .rng import derived_rng, row_blocks
 
 SYMBOLS_PER_TRIAL = 64
 # A zero-forcing projection shorter than this share of the user's channel
 # norm means the other users' channels span it: the user is infeasible.
 COLINEAR_TOL = 1e-10
+# With one user both beams are the same MRC beam, so the aggregation
+# objective and the best SDMA SNR tie exactly and differ only by rounding.
+BEAM_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -274,3 +277,35 @@ def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:
         infeasible_users=tuple(bad_users),
         reason="colinear channels leave no interference-free direction" if bad_users else "",
     )
+
+
+def extension_rows(gammas, antennas: int, users: int, n0: float, trials: int, seed: int):
+    """Rows of ``dsss_suppression.csv``, over min(trials, 10000) trials, and
+    of ``beamforming.csv``: antennas x users, antennas x 1 (a tie) and
+    max(2, users - 1) x users, which has n < k when users >= 3."""
+    n_trials = min(trials, 10000)
+    codes = [pn_code(gamma, derived_rng(seed, "ext", "dsss", gamma)) for gamma in gammas]
+    measured = suppression_ratios(codes, n_trials, derived_rng(seed, "ext", "dsss", "chips"))
+    suppression_rows = [(gamma, n_trials, ratio, float(gamma)) for gamma, ratio in zip(gammas, measured)]
+    beam_rows = []
+    instances = [(antennas, users), (antennas, 1), (max(2, users - 1), users)]
+    for idx, (n_ant, k_dev) in enumerate(instances):
+        rng = derived_rng(seed, "ext", "beam", idx)
+        h = (rng.standard_normal((n_ant, k_dev)) + 1j * rng.standard_normal((n_ant, k_dev))) / np.sqrt(2)
+        problem = BeamProblem(h_matrix=h, weak_set=tuple(range(k_dev)), n0=n0)
+        agg = aggregation_beamformer(problem)
+        sdma = sdma_beamformer(problem)
+        best_sdma = float(np.nanmax(sdma.per_user_snr)) if sdma.feasible else float("nan")
+        dominates = not sdma.feasible or agg.objective >= best_sdma * (1.0 - BEAM_TIE_RTOL)
+        beam_rows.append(
+            (
+                idx,
+                n_ant,
+                k_dev,
+                agg.objective,
+                "feasible" if sdma.feasible else "infeasible",
+                best_sdma,
+                "yes" if dominates else "no",
+            )
+        )
+    return suppression_rows, beam_rows

@@ -23,7 +23,6 @@ from airfed.cli import (
     cmd_latency,
     cmd_montecarlo,
     cmd_tradeoff,
-    evaluate_check,
     run_command,
     write_outputs,
 )
@@ -36,6 +35,7 @@ from airfed.config import (
     parse_config_text,
 )
 from airfed.datasets import load_mnist_idx
+from airfed.validation import evaluate_check
 from conftest import traced_peak, write_idx_pair
 
 SMALL_TRAIN = """
@@ -575,6 +575,17 @@ class TestMonteCarloCommand:
         assert status in statuses
         assert error == abs(empirical - analytic) / abs(analytic)
         assert (tolerance, metric) == (0.02, "rel")
+
+    # With alpha < K <= 1.5 alpha the per-trial SNR has a finite variance but
+    # an infinite third moment, so 20,011 trials can miss the 2% tolerance on
+    # a correct estimator: the row reads fail at an error of 0.0274.  A status
+    # drawn from the estimator's law must flip this.
+    @pytest.mark.xfail(strict=True, reason="alpha < K <= 1.5 alpha is graded like a light tail")
+    def test_all_inclusive_snr_with_infinite_third_moment_does_not_fail(self):
+        overrides = {"k_devices": 4, "path_loss_exponent": 3.5, "seed": 5, "trials": 20011}
+        config = load_config(None, overrides=overrides)
+        rows = {row[0]: row for row in cli.montecarlo_rows(config)}
+        assert rows["snr_all_inclusive"][-1] != "fail"
 
     # A counted interior count 2 <= K_in <= alpha gives the per-trial interior
     # SNR infinite variance. Its binomial probability is 0.43 at K = 10,
