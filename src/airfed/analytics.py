@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -225,9 +226,12 @@ def receive_snr(params: SystemParams, r_max):
     return aligned_receive_power(params, r_max) / params.n0
 
 
+SnrTruncationRow = namedtuple("SnrTruncationRow", "alpha r_max_m zeta g_th snr_linear snr_db")
+
+
 def snr_truncation_curve(params: SystemParams, alpha_grid, r_max_grid, zeta_grid) -> list:
-    """Receive SNR against the truncation ratio: rows (alpha, r_max, zeta,
-    g_th, snr_linear, snr_db), alpha-major, then r_max.
+    """Receive SNR against the truncation ratio: :class:`SnrTruncationRow`
+    rows, alpha-major, then r_max.
 
     Each zeta in (0, 1) is mapped once through the cutoff threshold
     g_th = -ln(1 - zeta), which replaces ``params.g_th``; the SNR is
@@ -243,7 +247,7 @@ def snr_truncation_curve(params: SystemParams, alpha_grid, r_max_grid, zeta_grid
         for r_max in r_max_grid:
             for zeta, g_th in zip(zeta_grid, cutoffs):
                 snr = float(receive_snr(replace(params, alpha=alpha, g_th=g_th), r_max))
-                rows.append((alpha, r_max, zeta, g_th, snr, 10.0 * math.log10(snr)))
+                rows.append(SnrTruncationRow(alpha, r_max, zeta, g_th, snr, 10.0 * math.log10(snr)))
     return rows
 
 
@@ -381,9 +385,12 @@ def expected_snr_cell_interior(params: SystemParams, scenario: ScenarioParams):
     return _normal(snr, "the expected cell-interior receive SNR", params, scenario.r_in), c
 
 
+GainRow = namedtuple("GainRow", "alpha k_devices f_dat snr_gain p_fewer_than_two p_infinite_mean")
+
+
 def reliability_quantity_curve(params: SystemParams, k_devices: int, alpha_grid, f_dat_grid) -> list:
-    """SNR gain versus fraction of exploited data: rows (alpha, k_devices,
-    f_dat, snr_gain, p_fewer_than_two, p_infinite_mean), alpha-major.
+    """SNR gain versus fraction of exploited data: :class:`GainRow` rows,
+    alpha-major.
 
     A data fraction F in (0, 1] sets r_in = r_cell * sqrt(F).  The gain,
     expected cell-interior over all-inclusive receive SNR, is
@@ -404,7 +411,7 @@ def reliability_quantity_curve(params: SystemParams, k_devices: int, alpha_grid,
             with np.errstate(all="ignore"):
                 gain = _interior_factor(pmf, weights) * np.power(params.r_cell / r_in, alpha) / all_inclusive
             gain = _normal(gain, "the SNR gain", replace(params, alpha=alpha), r_in)
-            rows.append((alpha, k_devices, f_dat, float(gain), *dropped_count_mass(pmf, weights)))
+            rows.append(GainRow(alpha, k_devices, f_dat, float(gain), *dropped_count_mass(pmf, weights)))
     return rows
 
 
@@ -511,14 +518,18 @@ def latency_reduction_ratio(params: SystemParams, scenario: ScenarioParams, r_ma
     return _normal(ratio, "the latency reduction ratio", params, r_max)
 
 
+LatencyRow = namedtuple(
+    "LatencyRow",
+    "k_devices q_bits ber r_max_m t_analog_s t_digital_s reduction_ratio ratio_x_log2k_over_k",
+)
+
+
 def latency_report(params: SystemParams, scenario: ScenarioParams, k_grid, q_bits_grid, ber_grid,
                    r_max_grid) -> list:
     """Analog and digital per-round latency and their closed-form ratio:
-    rows (k_devices, q_bits, ber, r_max, t_analog_s, t_digital_s,
-    reduction_ratio, ratio_x_log2k_over_k), K-major, then q_bits, ber and
-    r_max.  The last column, the scaling-law diagnostic ratio / K * log2(K),
-    is 0 at K = 1; log2(K) / K <= 0.531, so it is finite wherever the
-    ratio is.
+    :class:`LatencyRow` rows, K-major, then q_bits, ber and r_max.  The
+    last column, the scaling-law diagnostic ratio / K * log2(K), is 0 at
+    K = 1; log2(K) / K <= 0.531, so it is finite wherever the ratio is.
     """
     t_analog = latency_baa(scenario.q_dim, params)
     rows = []
@@ -530,7 +541,7 @@ def latency_report(params: SystemParams, scenario: ScenarioParams, k_grid, q_bit
                 for r_max in r_max_grid:
                     t_digital = latency_digital(params_qb, scenario_k, r_max)
                     ratio = latency_reduction_ratio(params_qb, scenario_k, r_max)
-                    rows.append(
-                        (k, q_bits, ber, r_max, t_analog, t_digital, ratio, float(ratio) / k * math.log2(k))
-                    )
+                    rows.append(LatencyRow(
+                        k, q_bits, ber, r_max, t_analog, t_digital, ratio, float(ratio) / k * math.log2(k)
+                    ))
     return rows

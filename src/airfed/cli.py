@@ -27,7 +27,7 @@ from .config import ConfigError, ExperimentConfig, load_config, manifest_json
 from .datasets import load_mnist_idx, synth_gaussian_mixture
 from .rng import derived_rng
 from .tables import Table
-from .validation import montecarlo_rows
+from .validation import ValidationRow, montecarlo_rows
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +38,13 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
     values = config.values
     return {
         "snr_truncation": Table(
-            ("alpha", "r_max_m", "zeta", "g_th", "snr_linear", "snr_db"),
+            analytics.SnrTruncationRow._fields,
             analytics.snr_truncation_curve(
                 config.system, values["alpha_grid"], values["r_max_grid"], values["zeta_grid"]
             ),
         ),
         "gain_vs_data_fraction": Table(
-            ("alpha", "k_devices", "f_dat", "snr_gain", "p_fewer_than_two", "p_infinite_mean"),
+            analytics.GainRow._fields,
             analytics.reliability_quantity_curve(
                 config.system, config.scenario.k_devices, values["alpha_grid"], values["f_dat_grid"]
             ),
@@ -57,12 +57,7 @@ def cmd_tradeoff(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_montecarlo(config: ExperimentConfig) -> dict:
-    return {
-        "validation": Table(
-            ("check", "analytic", "empirical", "error", "tolerance", "metric", "status"),
-            montecarlo_rows(config),
-        )
-    }
+    return {"validation": Table(ValidationRow._fields, montecarlo_rows(config))}
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +68,7 @@ def cmd_latency(config: ExperimentConfig) -> dict:
     values = config.values
     return {
         "latency": Table(
-            (
-                "k_devices",
-                "q_bits",
-                "ber",
-                "r_max_m",
-                "t_analog_s",
-                "t_digital_s",
-                "reduction_ratio",
-                "ratio_x_log2k_over_k",
-            ),
+            analytics.LatencyRow._fields,
             analytics.latency_report(
                 config.system,
                 config.scenario,
@@ -211,21 +197,8 @@ def cmd_extensions(config: ExperimentConfig) -> dict:
         config.system.n0, config.trials, config.seed,
     )
     return {
-        "dsss_suppression": Table(
-            ("gamma", "trials", "measured_suppression", "expected"), suppression_rows
-        ),
-        "beamforming": Table(
-            (
-                "instance",
-                "n_antennas",
-                "k_devices",
-                "aggregation_objective",
-                "sdma_status",
-                "sdma_best_snr",
-                "aggregation_dominates",
-            ),
-            beam_rows,
-        ),
+        "dsss_suppression": Table(extensions.SuppressionRow._fields, suppression_rows),
+        "beamforming": Table(extensions.BeamRow._fields, beam_rows),
     }
 
 

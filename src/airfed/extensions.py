@@ -17,6 +17,7 @@ zero-forcing beams, which need at least as many antennas as users.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,14 +280,24 @@ def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:
     )
 
 
+SuppressionRow = namedtuple("SuppressionRow", "gamma trials measured_suppression expected")
+BeamRow = namedtuple(
+    "BeamRow",
+    "instance n_antennas k_devices aggregation_objective sdma_status sdma_best_snr aggregation_dominates",
+)
+
+
 def extension_rows(gammas, antennas: int, users: int, n0: float, trials: int, seed: int):
-    """Rows of ``dsss_suppression.csv``, over min(trials, 10000) trials, and
-    of ``beamforming.csv``: antennas x users, antennas x 1 (a tie) and
+    """:class:`SuppressionRow` rows of ``dsss_suppression.csv``, over
+    min(trials, 10000) trials, and :class:`BeamRow` rows of
+    ``beamforming.csv``: antennas x users, antennas x 1 (a tie) and
     max(2, users - 1) x users, which has n < k when users >= 3."""
     n_trials = min(trials, 10000)
     codes = [pn_code(gamma, derived_rng(seed, "ext", "dsss", gamma)) for gamma in gammas]
     measured = suppression_ratios(codes, n_trials, derived_rng(seed, "ext", "dsss", "chips"))
-    suppression_rows = [(gamma, n_trials, ratio, float(gamma)) for gamma, ratio in zip(gammas, measured)]
+    suppression_rows = [
+        SuppressionRow(gamma, n_trials, ratio, float(gamma)) for gamma, ratio in zip(gammas, measured)
+    ]
     beam_rows = []
     instances = [(antennas, users), (antennas, 1), (max(2, users - 1), users)]
     for idx, (n_ant, k_dev) in enumerate(instances):
@@ -297,15 +308,7 @@ def extension_rows(gammas, antennas: int, users: int, n0: float, trials: int, se
         sdma = sdma_beamformer(problem)
         best_sdma = float(np.nanmax(sdma.per_user_snr)) if sdma.feasible else float("nan")
         dominates = not sdma.feasible or agg.objective >= best_sdma * (1.0 - BEAM_TIE_RTOL)
-        beam_rows.append(
-            (
-                idx,
-                n_ant,
-                k_dev,
-                agg.objective,
-                "feasible" if sdma.feasible else "infeasible",
-                best_sdma,
-                "yes" if dominates else "no",
-            )
-        )
+        sdma_status = "feasible" if sdma.feasible else "infeasible"
+        verdict = "yes" if dominates else "no"
+        beam_rows.append(BeamRow(idx, n_ant, k_dev, agg.objective, sdma_status, best_sdma, verdict))
     return suppression_rows, beam_rows

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -11,14 +12,17 @@ from .config import ExperimentConfig
 from .rng import derived_rng, row_blocks
 
 
+ValidationRow = namedtuple("ValidationRow", "check analytic empirical error tolerance metric status")
+
+
 def evaluate_check(name: str, analytic: float, empirical: float, tolerance: float, metric: str):
-    """One validation row; ``metric`` is 'rel', 'abs' or 'tv'."""
+    """One :class:`ValidationRow`; ``metric`` is 'rel', 'abs' or 'tv'."""
     if metric == "rel":
         error = abs(empirical - analytic) / abs(analytic)
     else:
         error = abs(empirical - analytic)
     status = "pass" if error < tolerance else "fail"
-    return (name, analytic, empirical, error, tolerance, metric, status)
+    return ValidationRow(name, analytic, empirical, error, tolerance, metric, status)
 
 
 def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
@@ -54,15 +58,15 @@ def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_
         )
     row = evaluate_check(name, analytic, estimate, tolerance, "rel")
     if trials * pmf[adds].sum() < 1.0:
-        return row[:-1] + ("undersampled",)
+        return row._replace(status="undersampled")
     if trials * pmf[adds & (analytics.count_snr_weights(k, 2.0 * alpha) == 0.0)].sum() >= 1.0:
-        return row[:-1] + ("heavy-tailed",)
+        return row._replace(status="heavy-tailed")
     return row
 
 
 def montecarlo_rows(config: ExperimentConfig):
-    """Rows of ``validation.csv``: each closed form against its Monte Carlo
-    estimate.  Topologies are drawn in the row blocks of
+    """:class:`ValidationRow` rows of ``validation.csv``: each closed form
+    against its Monte Carlo estimate.  Topologies are drawn in the row blocks of
     :func:`rng.row_blocks` and each block is reduced to what the rows
     read: its interior-count histogram, added into one (K+1) count
     vector, each trial's furthest distance, and the furthest interior

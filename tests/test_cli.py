@@ -587,6 +587,17 @@ class TestMonteCarloCommand:
         rows = {row[0]: row for row in cli.montecarlo_rows(config)}
         assert rows["snr_all_inclusive"][-1] != "fail"
 
+    # all_data_exploited_prob is capped at 2,000 runs.  Where p is near 1/2
+    # its standard error nears 0.0112, so the 0.02 tolerance is about 1.8
+    # standard errors and a correct estimator misses it on about 7% of
+    # seeds: here p = 0.475 and the error is 0.0215, at any trial count.
+    # A status drawn from the estimator's law must flip this.
+    @pytest.mark.xfail(strict=True, reason="a 2,000-run estimate of p near 1/2 is graded at 1.8 sigma")
+    def test_all_data_exploited_prob_near_one_half_does_not_fail(self):
+        overrides = {"k_devices": 10, "n_rounds": 5, "r_in_frac": 0.64, "seed": 16}
+        rows = {row[0]: row for row in cli.montecarlo_rows(load_config(None, overrides=overrides))}
+        assert rows["all_data_exploited_prob"][-1] != "fail"
+
     # A counted interior count 2 <= K_in <= alpha gives the per-trial interior
     # SNR infinite variance. Its binomial probability is 0.43 at K = 10,
     # r_in_frac = 0.4 and 0.16 at K = 3, but 5e-21 at the defaults.

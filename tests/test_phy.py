@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from airfed import analytics, phy
 from airfed.analytics import ScenarioParams, SystemParams, exp_integral, truncation_ratio
+from airfed.config import dbm_to_watts
+from airfed.network import sample_radii
 from airfed.phy import (
     NormalizationSpec,
     align_rho0,
@@ -182,6 +184,31 @@ class TestBaaRound:
         aggregate, diag = baa_round(updates, radii, PARAMS, derived_rng(11, "noise"), fading=False)
         expected_std = math.sqrt(PARAMS.n0 / 2.0 / diag.rho0) / k
         assert aggregate.std() == pytest.approx(expected_std, rel=0.02)
+
+    # The aggregate-error law.  For i.i.d. N(0, 1) symbols, truncation
+    # drops each term with probability zeta = 1 - e^-g_th and the server
+    # divides by K, so e = K (a_hat - a_bar) is minus a sum of K
+    # Bernoulli(zeta)-masked symbols plus noise of variance
+    # s2 = n0 / (2 rho0).  Hence E[e^2] = K zeta + s2, and from the fourth
+    # moments Var[e^2] = 3 K zeta (1 - zeta) + 2 (K zeta + s2)^2.  Entries
+    # draw independent gains, so the mean over q entries has standard error
+    # sqrt(Var[e^2] / q) / K^2.
+    @pytest.mark.parametrize(
+        "k, g_th, noise_dbm, alpha",
+        [(10, 0.2, -80.0, 3.0), (50, 1.0, -60.0, 3.0), (4, 0.05, -50.0, 4.0)],
+    )
+    def test_aggregate_error_follows_the_truncation_and_noise_law(self, k, g_th, noise_dbm, alpha):
+        q = 100_000
+        params = replace(PARAMS, g_th=g_th, n0=dbm_to_watts(noise_dbm), alpha=alpha)
+        updates = derived_rng(12, "law", "updates", k).standard_normal((k, q))
+        radii = sample_radii(k, params.r_cell, derived_rng(12, "law", "radii", k))
+        aggregate, diag = baa_round(updates, radii, params, derived_rng(12, "law", "round", k))
+        mse = float(np.mean(np.square(aggregate - updates.mean(axis=0))))
+        zeta = truncation_ratio(g_th)
+        s2 = params.n0 / (2.0 * diag.rho0)
+        expected = (k * zeta + s2) / k**2
+        variance = 3.0 * k * zeta * (1.0 - zeta) + 2.0 * (k * zeta + s2) ** 2
+        assert abs(mse - expected) <= 5.0 * math.sqrt(variance / q) / k**2
 
     # q spans a partial first symbol, whole symbols and ragged last symbols.
     # The examples pin one-entry symbols, which numpy would sum pairwise
