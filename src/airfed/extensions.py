@@ -16,7 +16,6 @@ zero-forcing beams, which need at least as many antennas as users.
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -179,7 +178,7 @@ class BeamProblem:
 class AggregationBeamResult:
     f_matrix: np.ndarray
     objective: float
-    degenerate: bool = False
+    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -215,22 +214,18 @@ def aggregation_beamformer(problem: BeamProblem) -> AggregationBeamResult:
     Maximizes tr(F^H A F) / (n0 tr(F^H F)) with A built from the weak users'
     channel columns over the single aggregation beam F (shape (n, 1)); the
     optimum is the principal eigenvector of A and attains its largest
-    eigenvalue over n0.
+    eigenvalue over n0.  If every weak channel is zero, A = 0 and every beam
+    attains 0: the result is a unit eigenvector, flagged ``degenerate``.
     """
     if not problem.weak_set:
         raise ValueError("aggregation beamforming needs a nonempty weak_set")
     h_weak = problem.h_matrix[:, list(problem.weak_set)]
     a = h_weak @ h_weak.conj().T
-    if not np.any(a):
-        warnings.warn("zero channel matrix: beamformer is degenerate", RuntimeWarning, stacklevel=2)
-        return AggregationBeamResult(
-            f_matrix=np.zeros((problem.n_antennas, 1), dtype=complex),
-            objective=0.0,
-            degenerate=True,
-        )
     # eigh sorts ascending; the last column is the principal eigenvector.
     eigvals, eigvecs = np.linalg.eigh(a)
-    return AggregationBeamResult(f_matrix=eigvecs[:, -1:], objective=float(eigvals[-1] / problem.n0))
+    return AggregationBeamResult(
+        f_matrix=eigvecs[:, -1:], objective=float(eigvals[-1] / problem.n0), degenerate=not np.any(a)
+    )
 
 
 def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:
@@ -258,12 +253,9 @@ def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:
     snrs = np.full(k, np.nan)
     bad_users = []
     for user in range(k):
-        others = np.delete(h, user, axis=1)
-        if others.size:
-            q, _ = np.linalg.qr(others)
-            projection = h[:, user] - q @ (q.conj().T @ h[:, user])
-        else:
-            projection = h[:, user].copy()
+        # With one user the others' basis is empty: the projection is h itself.
+        q, _ = np.linalg.qr(np.delete(h, user, axis=1))
+        projection = h[:, user] - q @ (q.conj().T @ h[:, user])
         norm = np.linalg.norm(projection)
         if norm <= COLINEAR_TOL * max(np.linalg.norm(h[:, user]), 1e-300):
             bad_users.append(user)

@@ -38,7 +38,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +59,8 @@ class NormalizationSpec:
     std: float
 
     def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError(f"std must be positive, got {self.std}")
+        if not (math.isfinite(self.mean) and 0 < self.std < math.inf):
+            raise ValueError(f"mean and std must be finite, std positive: mean={self.mean}, std={self.std}")
 
 
 @dataclass(frozen=True)
@@ -210,20 +209,12 @@ def baa_round(
 def normalization_from_values(values) -> NormalizationSpec:
     """Mean/std spec computed from a reference vector (the broadcast model).
 
-    Degenerate inputs (all entries equal) fall back to std = 1 so the
-    round can proceed; a warning flags the fallback.
+    Zero spread (all entries equal) gives std = 1, so every symbol is 0.  A
+    non-finite mean or std (a non-finite entry, or one whose square
+    overflows) raises ValueError in :class:`NormalizationSpec`.
     """
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    std = float(values.std())
-    if std <= 0.0 or not math.isfinite(std):
-        warnings.warn(
-            "degenerate normalization (zero spread); falling back to std = 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        std = 1.0
-    return NormalizationSpec(mean=mean, std=std)
+    return NormalizationSpec(mean=float(values.mean()), std=float(values.std()) or 1.0)
 
 
 def normalize_updates(raw_updates, spec: NormalizationSpec) -> np.ndarray:

@@ -1033,11 +1033,8 @@ class TestReceiveSnrEdges:
     edges of the float range each run either exits 2 with one ``error:``
     line, or exits 0 with finite SNRs and latencies and nothing on stderr.
     The suite turns RuntimeWarnings into errors, so an over- or underflow
-    that numpy reports fails the run.  One warning the program issues on
-    purpose is ignored here: ``normalization_from_values``'s fallback when
-    a round that truncated every entry left the model with zero spread.  The
-    columns README documents as ``nan`` are exempt, and so are loss and
-    accuracy."""
+    that numpy reports fails the run.  The columns README documents as
+    ``nan`` are exempt, and so are loss and accuracy."""
 
     COMMANDS = {
         "tradeoff": "",
@@ -1079,7 +1076,6 @@ class TestReceiveSnrEdges:
             for row in _csv_rows(out / "summary.csv"):
                 finite(row, "total_latency_s")
 
-    @pytest.mark.filterwarnings("ignore:degenerate normalization")
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(text=edge_configs(), command=st.sampled_from(sorted(COMMANDS)))
     # The smallest SNR the load rule checks (100 m, alpha 4, g_th 0.05) is

@@ -178,10 +178,16 @@ class TestAggregationBeamformer:
 
     def test_zero_channels_degenerate(self):
         problem = BeamProblem(h_matrix=np.zeros((4, 2), dtype=complex), weak_set=(0, 1), n0=1.0)
-        with pytest.warns(RuntimeWarning):
-            result = aggregation_beamformer(problem)
+        result = aggregation_beamformer(problem)
         assert result.degenerate
         assert result.objective == 0.0
+        # Every beam attains 0 on a zero channel; the one returned is a unit
+        # beam that the module's own objective accepts.
+        assert np.linalg.norm(result.f_matrix) == pytest.approx(1.0, rel=1e-15)
+        assert beam_objective(problem, result.f_matrix) == 0.0
+
+    def test_nonzero_channels_are_not_degenerate(self):
+        assert not aggregation_beamformer(random_problem(4, 2, seed=19)).degenerate
 
 
 class TestSdmaBeamformer:
@@ -191,6 +197,13 @@ class TestSdmaBeamformer:
         agg = aggregation_beamformer(problem)
         assert sdma.feasible
         assert sdma.per_user_snr[0] == pytest.approx(agg.objective, rel=1e-8)
+
+    def test_single_user_beam_is_the_normalized_channel(self):
+        # With no other users to null, the zero-forcing beam is the MRC beam,
+        # bit for bit.
+        problem = random_problem(6, 1, seed=14)
+        h = problem.h_matrix[:, 0]
+        assert np.array_equal(sdma_beamformer(problem).beams[:, 0], h / np.linalg.norm(h))
 
     def test_zero_forcing_residuals(self):
         problem = random_problem(4, 2, seed=15)

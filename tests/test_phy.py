@@ -317,10 +317,9 @@ class TestNormalization:
         spec = normalization_from_values(values)
         assert np.max(np.abs(denormalize(normalize_updates(values, spec), spec, 1) - values)) < 1e-10
 
-    def test_constant_vector_falls_back_with_warning(self):
+    def test_constant_vector_gets_unit_std(self):
         constant = np.full(64, 2.5)
-        with pytest.warns(RuntimeWarning):
-            spec = normalization_from_values(constant)
+        spec = normalization_from_values(constant)
         assert spec.std == 1.0
         assert np.all(normalize_updates(constant, spec) == 0.0)
         assert np.all(denormalize(normalize_updates(constant, spec), spec, 1) == constant)
@@ -352,6 +351,17 @@ class TestNormalization:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             NormalizationSpec(mean=0.0, std=0.0)
+        with pytest.raises(ValueError):
+            NormalizationSpec(mean=0.0, std=math.inf)
+        with pytest.raises(ValueError):
+            NormalizationSpec(mean=math.nan, std=1.0)
+
+    @pytest.mark.parametrize("model", [[1.0, math.inf], [math.nan, 1.0], [1e200, -1e200]])
+    def test_non_finite_model_is_an_error(self, model):
+        # An infinite or nan entry makes the mean non-finite; entries whose
+        # squares overflow make the std infinite.
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+            normalization_from_values(np.array(model))
 
 
 class TestDigitalRound:
