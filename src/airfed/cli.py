@@ -10,7 +10,8 @@ Subcommands map onto the study's result sets:
 * ``extensions``  - spread-spectrum suppression and beamforming comparison
 
 Every run writes its tables plus a ``manifest.json`` (config hash, seed,
-versions).  Outputs are byte-identical for identical (config, seed).
+versions).  Outputs are byte-identical for identical (config, seed).  A check's
+ValueError reaches ``main``, the one place that prints ``error:`` and exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, extensions, learning
-from .config import ConfigError, ExperimentConfig, load_config, manifest_json
+from .config import ExperimentConfig, load_config, manifest_json
 from .datasets import load_mnist_idx, synth_gaussian_mixture
 from .rng import derived_rng
 from .tables import Table
@@ -101,7 +102,7 @@ def _build_datasets(config: ExperimentConfig):
     try:
         full = load_mnist_idx(values["dataset"])
     except ValueError as exc:
-        raise ConfigError(f"dataset = {values['dataset']}: {exc}") from exc
+        raise ValueError(f"dataset = {values['dataset']}: {exc}") from exc
     # The training set is what the corpus holds beyond the test set, up to
     # train_samples; the partition must fit that set, not train_samples.
     n_test, k = values["test_samples"], config.scenario.k_devices
@@ -109,7 +110,7 @@ def _build_datasets(config: ExperimentConfig):
     try:
         config.partition.per_device(n_train, k)
     except ValueError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"test_samples = {n_test} leaves {n_train} training samples in the "
             f"{len(full)}-sample corpus, k_devices = {k}: {exc}"
         ) from exc
@@ -139,7 +140,7 @@ def _run_once(config: ExperimentConfig, train_set, test_set, aggregation=None,
 
 def cmd_train(config: ExperimentConfig, grid: bool = False) -> dict:
     if grid and config.scheme.kind == "all-inclusive":
-        raise ConfigError(
+        raise ValueError(
             "train --grid sweeps r_in, which scheme = all-inclusive ignores; use "
             "scheme = cell-interior (r_in_frac = 1 schedules every device)"
         )
@@ -222,22 +223,18 @@ COMMANDS = {
 def run_command(command: str, config: ExperimentConfig, grid: bool = False) -> dict:
     """Tables of one subcommand; ``grid`` is read by ``train`` only.
 
-    A ValueError the command raises becomes a ConfigError with the same
-    message: the config took a closed form or a training run outside its
-    domain where the load rule does not look.  The expected receive SNRs
-    need K >= 2 under cell-interior scheduling and 2K > alpha; every
-    receive SNR, and each rate or latency formed from one, must be a
-    normal float, also at a round's furthest scheduled device, a
-    ``zeta_grid`` cutoff, a ``k_grid`` device count or ``montecarlo``'s
-    1 m unit; and a training run stops when its model leaves the float
-    range.
+    A ValueError the command raises propagates unchanged: the config took
+    a closed form or a training run outside its domain where the load rule
+    does not look.  The expected receive SNRs need K >= 2 under
+    cell-interior scheduling and 2K > alpha; every receive SNR, and each
+    rate or latency formed from one, must be a normal float, also at a
+    round's furthest scheduled device, a ``zeta_grid`` cutoff, a ``k_grid``
+    device count or ``montecarlo``'s 1 m unit; and a training run stops
+    when its model leaves the float range.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    try:
-        return COMMANDS[command](config, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return COMMANDS[command](config, grid)
 
 
 def write_outputs(tables: dict, config: ExperimentConfig, out_dir, fmt: str) -> list:
@@ -282,7 +279,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides)
         tables = run_command(args.command, config, grid=getattr(args, "grid", False))
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -6,17 +6,17 @@ on load.  Every value has a default mirroring the reference deployment:
 100 m cell, path-loss exponent 3, 1000 sub-channels, 0.1 W per-device power
 budget, -80 dBm noise, 200 devices, 16-bit quantization at target BER 1e-3.
 
-Loading checks each value once.  This module rejects non-finite numbers,
+Loading checks each value once, and a value it rejects raises the ValueError of
+its check, which ``cli.main`` reports.  This module rejects non-finite numbers,
 values outside ``RANGES``, grids that must increase but do not, and a
 ``mobility`` outside ``learning.MOBILITY_MODES``.  Every other key goes
 straight to the type that owns it: ``SystemParams``, ``ScenarioParams``,
-``TrainConfig``, ``SchedulingScheme`` (``scheme``, ``alternation_period``)
-and ``PartitionSpec`` (``partition_mode``, ``shard_size``,
-``shards_per_device``).  Those types check every field they are given, so an
-unknown mode, or a bad period or shard count, is rejected even under a
-scheme or partition mode that does not read it.  ``PartitionSpec.per_device``
-then checks that the partition fits ``train_samples`` samples on
-``k_devices`` devices.
+``TrainConfig``, ``SchedulingScheme`` (``scheme``, ``alternation_period``) and
+``PartitionSpec`` (``partition_mode``, ``shard_size``, ``shards_per_device``).
+Those types check every field they are given, so an unknown mode, or a bad
+period or shard count, is rejected even under a scheme or partition mode that
+does not read it.  ``PartitionSpec.per_device`` then checks that the partition
+fits ``train_samples`` samples on ``k_devices`` devices.
 """
 
 from __future__ import annotations
@@ -125,10 +125,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-class ConfigError(ValueError):
-    """Raised for unknown keys, malformed values, or invalid combinations."""
-
-
 def _parse_scalar(key: str, text: str, template):
     try:
         if isinstance(template, tuple):
@@ -138,7 +134,7 @@ def _parse_scalar(key: str, text: str, template):
             return tuple(map(type(template[0]), parts))
         return type(template)(text)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {text!r} ({exc})") from exc
+        raise ValueError(f"config key {key!r}: cannot parse {text!r} ({exc})") from exc
 
 
 def parse_config_text(text: str) -> dict:
@@ -149,12 +145,12 @@ def parse_config_text(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
         values[key] = _parse_scalar(key, value, DEFAULTS[key])
     return values
 
@@ -206,16 +202,10 @@ def _within(value, bound: str) -> bool:
     return above and (value <= hi if bound[-1] == "]" else value < hi)
 
 
-def _entries(values: dict, key: str, grid: str) -> list:
-    """(key, value) of a scalar key and of each entry of the grid that
-    sweeps it."""
-    return [(key, values[key])] + [(grid, v) for v in values[grid]]
-
-
 def _extremes(values: dict, key: str, grid: str) -> tuple:
-    """The smallest and the largest of :func:`_entries`, each the first
-    entry holding its value."""
-    entries = _entries(values, key, grid)
+    """The smallest and the largest (key, value) of a scalar key and the
+    grid that sweeps it, each the first entry holding its value."""
+    entries = [(key, values[key])] + [(grid, v) for v in values[grid]]
     return min(entries, key=lambda entry: entry[1]), max(entries, key=lambda entry: entry[1])
 
 
@@ -236,7 +226,7 @@ def _require_normal_snr(values: dict, system: SystemParams) -> None:
                     receive_snr(params, radius[1])
                 except ValueError as exc:
                     where = ", ".join(f"{key} = {value}" for key, value in (radius, alpha, g_th))
-                    raise ConfigError(f"the receive SNR at {where}: {exc}") from exc
+                    raise ValueError(f"the receive SNR at {where}: {exc}") from exc
 
 
 def _build(values: dict) -> ExperimentConfig:
@@ -245,17 +235,17 @@ def _build(values: dict) -> ExperimentConfig:
             continue
         entries = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-            raise ConfigError(f"{key} must be finite, got {value}")
+            raise ValueError(f"{key} must be finite, got {value}")
         bound = RANGES.get(key)
         if bound and not all(_within(v, bound) for v in entries):
             verb = "be" if bound.startswith(">") else "lie in"
-            raise ConfigError(f"{key} must {verb} {bound}, got {value}")
+            raise ValueError(f"{key} must {verb} {bound}, got {value}")
     for key in INCREASING_GRIDS:
         grid = values[key]
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError(f"{key} must be strictly increasing, got {grid}")
+            raise ValueError(f"{key} must be strictly increasing, got {grid}")
     if values["mobility"] not in MOBILITY_MODES:
-        raise ConfigError(f"mobility must be one of {MOBILITY_MODES}, got {values['mobility']!r}")
+        raise ValueError(f"mobility must be one of {MOBILITY_MODES}, got {values['mobility']!r}")
 
     system = SystemParams(
         p0=values["p0_watts"],
@@ -289,7 +279,7 @@ def _build(values: dict) -> ExperimentConfig:
     try:
         partition.per_device(n_train, k)
     except ValueError as exc:
-        raise ConfigError(f"train_samples = {n_train}, k_devices = {k}: {exc}") from exc
+        raise ValueError(f"train_samples = {n_train}, k_devices = {k}: {exc}") from exc
 
     return ExperimentConfig(
         system=system,
@@ -310,24 +300,18 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     ``overrides`` (e.g. from CLI flags) are applied after parsing and are
     validated against the same schema.
     """
+    text = ""
     if path:
         try:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        values = parse_config_text(text)
-    else:
-        values = dict(DEFAULTS)
+            raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    values = parse_config_text(text)
     for key, value in (overrides or {}).items():
         if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         values[key] = value
-    try:
-        return _build(values)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(values)
 
 
 def manifest_json(config: ExperimentConfig) -> str:

@@ -214,7 +214,9 @@ def normalization_from_values(values) -> NormalizationSpec:
     overflows) raises ValueError in :class:`NormalizationSpec`.
     """
     values = np.asarray(values, dtype=float)
-    return NormalizationSpec(mean=float(values.mean()), std=float(values.std()) or 1.0)
+    with np.errstate(invalid="ignore"):  # an inf entry gives a nan, rejected below
+        mean, std = float(values.mean()), float(values.std())
+    return NormalizationSpec(mean=mean, std=std or 1.0)
 
 
 def normalize_updates(raw_updates, spec: NormalizationSpec) -> np.ndarray:

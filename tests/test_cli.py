@@ -27,7 +27,6 @@ from airfed.cli import (
     write_outputs,
 )
 from airfed.config import (
-    ConfigError,
     DEFAULTS,
     RANGES,
     dbm_to_watts,
@@ -73,29 +72,36 @@ class TestConfig:
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text("p0_watts = 0.1\nwarp_drive = 9\n")
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ConfigError, match="expected 'key = value'"):
+        with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_text("just some text\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config_text("k_devices = twenty\n")
 
-    def test_ber_bound_is_config_error(self, tmp_path):
+    def test_ber_bound_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("target_ber = 0.3\n")
-        with pytest.raises(ConfigError, match="target_ber"):
+        with pytest.raises(ValueError, match="target_ber"):
             load_config(path)
 
     @pytest.mark.parametrize("text", ["quant_bits = 64\n", "q_bits_grid = 8, 64\n"])
     def test_unrepresentable_quant_bits_rejected(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
-        with pytest.raises(ConfigError, match="q_bits"):
+        with pytest.raises(ValueError, match="q_bits"):
             load_config(path)
+
+    def test_rejection_is_the_checks_own_value_error(self):
+        with pytest.raises(ValueError) as info:
+            load_config(None, {"eta": -1.0})
+        assert type(info.value) is ValueError
+        assert str(info.value) == "eta must be positive, got -1.0"
+        assert info.value.__cause__ is None
 
     def test_bad_q_bits_grid_exits_cleanly(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -235,7 +241,7 @@ class TestConfig:
         try:
             load_config(None, overrides)
             loaded = True
-        except ConfigError as exc:
+        except ValueError as exc:
             assert str(exc).startswith("the receive SNR at ")
             loaded = False
         assert loaded == normal
@@ -295,7 +301,7 @@ class TestConfig:
         assert f"error: {key} must be finite, got " in capsys.readouterr().err
 
     def test_non_finite_override_rejected(self):
-        with pytest.raises(ConfigError, match="noise_dbm must be finite, got nan"):
+        with pytest.raises(ValueError, match="noise_dbm must be finite, got nan"):
             load_config(None, {"noise_dbm": float("nan")})
 
     # The reports' closed forms need K >= 2 (cell-interior scheduling) and
@@ -799,24 +805,25 @@ class TestTrainCompareCommands:
 
 
 class TestRunCommand:
-    """``run_command`` is where a command's ValueError becomes a config
-    error, which ``main`` reports as one ``error:`` line and exit 2."""
+    """``run_command`` lets a command's ValueError through unchanged, and
+    ``main`` reports it as one ``error:`` line and exit 2."""
 
-    def test_command_value_error_becomes_config_error(self, monkeypatch, tmp_path, capsys):
+    def test_command_value_error_reaches_main_unchanged(self, monkeypatch, tmp_path, capsys):
+        boom = ValueError("boom")
+
         def cmd_extensions(config):
-            raise ValueError("boom")
+            raise boom
 
         monkeypatch.setattr(cli, "cmd_extensions", cmd_extensions)
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValueError) as info:
             run_command("extensions", load_config(None))
-        assert str(info.value) == "boom"
+        assert info.value is boom
         assert cli.main(["extensions", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: boom"]
 
     def test_unknown_command_stays_a_plain_value_error(self):
-        with pytest.raises(ValueError, match="unknown command 'nope'") as info:
+        with pytest.raises(ValueError, match="unknown command 'nope'"):
             run_command("nope", load_config(None))
-        assert not isinstance(info.value, ConfigError)
 
 
 def _rewrite_images(corpus, transform):

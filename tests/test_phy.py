@@ -363,6 +363,19 @@ class TestNormalization:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
             normalization_from_values(np.array(model))
 
+    @pytest.mark.parametrize(
+        "model", [[1.0, math.inf], [-math.inf, 1.0], [math.nan, 1.0], [math.inf, -math.inf]]
+    )
+    def test_non_finite_entry_is_an_error_without_errstate(self, model):
+        # The nan that numpy forms from an inf entry raises no warning, so the
+        # spec's ValueError is what the caller sees.
+        with pytest.raises(ValueError, match="must be finite"):
+            normalization_from_values(np.array(model))
+
+    def test_overflow_follows_the_callers_errstate(self):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            normalization_from_values(np.array([1e200, -1e200]))
+
 
 class TestDigitalRound:
     def test_update_dimension_must_match_the_scenario(self):
