@@ -11,7 +11,9 @@ stream, so the sweep draws the chips of its widest code only.
 Beamforming compares two multi-antenna strategies on a shared channel
 matrix: sum-SNR maximization over the weak-user subspace (a Rayleigh
 quotient solved by a Hermitian eigendecomposition) versus per-user
-zero-forcing beams, which need at least as many antennas as users.
+zero-forcing beams.  A user is infeasible for zero-forcing when its channel
+lies in the span of the others' channels, which is every user's when there
+are fewer antennas than users.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 from .rng import derived_rng, row_blocks
 
 SYMBOLS_PER_TRIAL = 64
-# A zero-forcing projection shorter than this share of the user's channel
-# norm means the other users' channels span it: the user is infeasible.
+# Relative rank tolerance of zero-forcing: the others' basis drops singular
+# values below this share of the largest, and a user whose projection is
+# shorter than this share of its channel norm lies in their span.
 COLINEAR_TOL = 1e-10
 # With one user both beams are the same MRC beam, so the aggregation
 # objective and the best SDMA SNR tie exactly and differ only by rounding.
@@ -165,14 +168,6 @@ class BeamProblem:
         object.__setattr__(self, "h_matrix", h)
         object.__setattr__(self, "weak_set", weak)
 
-    @property
-    def n_antennas(self) -> int:
-        return self.h_matrix.shape[0]
-
-    @property
-    def k_devices(self) -> int:
-        return self.h_matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class AggregationBeamResult:
@@ -183,11 +178,16 @@ class AggregationBeamResult:
 
 @dataclass(frozen=True)
 class SdmaBeamResult:
-    feasible: bool
-    beams: np.ndarray | None
-    per_user_snr: np.ndarray | None
+    """Zero-forcing beams (n, k) and per-user SNRs (k,); an infeasible user
+    has a zero beam and a NaN SNR."""
+
+    beams: np.ndarray
+    per_user_snr: np.ndarray
     infeasible_users: tuple
-    reason: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return not self.infeasible_users
 
 
 def beam_objective(problem: BeamProblem, f_matrix: np.ndarray) -> float:
@@ -198,7 +198,7 @@ def beam_objective(problem: BeamProblem, f_matrix: np.ndarray) -> float:
     hold the beam solvers' objectives to.
     """
     f = np.atleast_2d(np.asarray(f_matrix, dtype=complex))
-    if f.shape[0] != problem.n_antennas:
+    if f.shape[0] != problem.h_matrix.shape[0]:
         f = f.T
     h_weak = problem.h_matrix[:, list(problem.weak_set)]
     num = float(np.real(np.trace(f.conj().T @ h_weak @ h_weak.conj().T @ f)))
@@ -214,11 +214,10 @@ def aggregation_beamformer(problem: BeamProblem) -> AggregationBeamResult:
     Maximizes tr(F^H A F) / (n0 tr(F^H F)) with A built from the weak users'
     channel columns over the single aggregation beam F (shape (n, 1)); the
     optimum is the principal eigenvector of A and attains its largest
-    eigenvalue over n0.  If every weak channel is zero, A = 0 and every beam
-    attains 0: the result is a unit eigenvector, flagged ``degenerate``.
+    eigenvalue over n0.  If the weak set is empty or every weak channel is
+    zero, A = 0 and every beam attains 0: the result is a unit eigenvector,
+    flagged ``degenerate``.
     """
-    if not problem.weak_set:
-        raise ValueError("aggregation beamforming needs a nonempty weak_set")
     h_weak = problem.h_matrix[:, list(problem.weak_set)]
     a = h_weak @ h_weak.conj().T
     # eigh sorts ascending; the last column is the principal eigenvector.
@@ -229,32 +228,24 @@ def aggregation_beamformer(problem: BeamProblem) -> AggregationBeamResult:
 
 
 def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:
-    """Per-user zero-forcing beams, or a structured infeasibility result.
+    """Per-user zero-forcing beams, with infeasible users flagged.
 
     Each beam is the unit-norm projection of the user's channel onto the
-    orthogonal complement of all other users' channels.  Needs at least as
-    many antennas as devices; users whose channel is swallowed by the
-    others' span are flagged individually.
+    orthogonal complement of the span of all other users' channels.  A user
+    whose channel lies in that span is infeasible; with fewer antennas than
+    users the others span the whole space, so every user is.
     """
-    n, k = problem.n_antennas, problem.k_devices
-    if n < k:
-        return SdmaBeamResult(
-            feasible=False,
-            beams=None,
-            per_user_snr=None,
-            infeasible_users=tuple(range(k)),
-            reason=(
-                f"zero-forcing needs n_antennas >= k_devices to have enough "
-                f"degrees of freedom (n={n}, k={k})"
-            ),
-        )
     h = problem.h_matrix
+    n, k = h.shape
     beams = np.zeros((n, k), dtype=complex)
     snrs = np.full(k, np.nan)
     bad_users = []
     for user in range(k):
-        # With one user the others' basis is empty: the projection is h itself.
-        q, _ = np.linalg.qr(np.delete(h, user, axis=1))
+        # An orthonormal basis of the others' span: the left singular vectors
+        # of nonnegligible singular values.  With one user the basis is empty
+        # and the projection is h itself.
+        u, s, _ = np.linalg.svd(np.delete(h, user, axis=1), full_matrices=False)
+        q = u[:, s > COLINEAR_TOL * np.max(s, initial=0.0)]
         projection = h[:, user] - q @ (q.conj().T @ h[:, user])
         norm = np.linalg.norm(projection)
         if norm <= COLINEAR_TOL * max(np.linalg.norm(h[:, user]), 1e-300):
@@ -263,13 +254,7 @@ def sdma_beamformer(problem: BeamProblem) -> SdmaBeamResult:
         beam = projection / norm
         beams[:, user] = beam
         snrs[user] = float(np.abs(beam.conj() @ h[:, user]) ** 2 / problem.n0)
-    return SdmaBeamResult(
-        feasible=not bad_users,
-        beams=beams,
-        per_user_snr=snrs,
-        infeasible_users=tuple(bad_users),
-        reason="colinear channels leave no interference-free direction" if bad_users else "",
-    )
+    return SdmaBeamResult(beams=beams, per_user_snr=snrs, infeasible_users=tuple(bad_users))
 
 
 SuppressionRow = namedtuple("SuppressionRow", "gamma trials measured_suppression expected")

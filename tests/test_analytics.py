@@ -401,6 +401,16 @@ class TestReliabilityQuantityCurve:
         with pytest.raises(ValueError, match=r"k_devices=2, alpha=4\.0"):
             reliability_quantity_curve(FIG_PARAMS, 2, [3.0, 4.0], [0.5])
 
+    # At alpha = 399 and F = 1e-4 only the count j = K = 200 carries weight,
+    # and the gain is sqrt(F) = 0.01 (400 * F^200 * F^-199.5 / 400).  The
+    # cancelled form underflows c to 0 and overflows (R / r_in)^alpha to inf,
+    # so it raises on a nan.  Summing each count's term in log space must
+    # flip this.
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="c underflows and (R / r_in)^alpha overflows")
+    def test_gain_stays_finite_where_its_factors_leave_the_float_range(self):
+        [gain] = self.gains(SystemParams(r_cell=1.0, p0=1e60), 200, [399.0], [1e-4])
+        assert gain == pytest.approx(0.01, rel=1e-9)
+
 
 class TestEverScheduledProbability:
     def test_certain_interior(self):

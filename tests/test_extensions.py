@@ -186,6 +186,16 @@ class TestAggregationBeamformer:
         assert np.linalg.norm(result.f_matrix) == pytest.approx(1.0, rel=1e-15)
         assert beam_objective(problem, result.f_matrix) == 0.0
 
+    def test_empty_weak_set_degenerate(self):
+        # No weak user gives A = 0: the same degenerate unit beam as a zero
+        # weak channel.
+        problem = BeamProblem(h_matrix=random_problem(4, 3, seed=20).h_matrix, weak_set=(), n0=1e-2)
+        result = aggregation_beamformer(problem)
+        assert result.degenerate
+        assert result.objective == 0.0
+        assert np.linalg.norm(result.f_matrix) == pytest.approx(1.0, rel=1e-15)
+        assert beam_objective(problem, result.f_matrix) == 0.0
+
     def test_nonzero_channels_are_not_degenerate(self):
         assert not aggregation_beamformer(random_problem(4, 2, seed=19)).degenerate
 
@@ -221,7 +231,6 @@ class TestSdmaBeamformer:
         sdma = sdma_beamformer(problem)
         assert not sdma.feasible
         assert sdma.infeasible_users == (0, 1, 2)
-        assert "degrees of freedom" in sdma.reason
 
     def test_colinear_channels_flagged_per_user(self):
         rng = derived_rng(17, "colinear")
@@ -243,3 +252,55 @@ class TestSdmaBeamformer:
             sdma = sdma_beamformer(problem)
             assert sdma.feasible
             assert agg.objective >= np.nanmax(sdma.per_user_snr) - 1e-9
+
+
+def zero_forcing_instance(rng, kind):
+    """An n x k channel matrix S @ C with n, k in 1..6: S is an n x k complex
+    Gaussian mixing and C the k x k integer coefficients of each user.  C is
+    the identity for ``generic``; ``dependent`` makes one user a nonzero
+    multiple or sum of others, ``zero`` zeroes one user.  For a generic S,
+    rank(S @ C') = min(n, rank C') for every column subset C' of C, so a user
+    lies in the others' span exactly when dropping its column leaves
+    min(n, rank) unchanged.  Returns the matrix and that infeasible set."""
+    n, k = (int(v) for v in rng.integers(1, 7, size=2))
+    coeffs = np.eye(k)
+    target = int(rng.integers(k))
+    others = [user for user in range(k) if user != target]
+    if kind == "dependent" and others:
+        sources = rng.choice(others, size=min(len(others), int(rng.integers(1, 3))), replace=False)
+        coeffs[:, target] = coeffs[:, sources] @ rng.choice([-2.0, -1.0, 1.0, 2.0], size=sources.size)
+    elif kind == "zero":
+        coeffs[:, target] = 0.0
+    mixing = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
+
+    def rank(columns):
+        return min(n, np.linalg.matrix_rank(coeffs[:, columns])) if columns else 0
+
+    full = rank(list(range(k)))
+    infeasible = tuple(u for u in range(k) if rank([v for v in range(k) if v != u]) == full)
+    return mixing @ coeffs, infeasible
+
+
+class TestZeroForcingProperty:
+    @pytest.mark.parametrize("kind", ["generic", "dependent", "zero"])
+    def test_beams_null_exactly_the_others_span(self, kind):
+        rng, n0 = derived_rng(31, "zero-forcing", kind), 1e-2
+        for _ in range(300):
+            h, infeasible = zero_forcing_instance(rng, kind)
+            sdma = sdma_beamformer(BeamProblem(h_matrix=h, weak_set=(), n0=n0))
+            assert sdma.infeasible_users == infeasible
+            assert sdma.feasible == (not infeasible)
+            for user in range(h.shape[1]):
+                beam, snr = sdma.beams[:, user], sdma.per_user_snr[user]
+                if user in infeasible:
+                    assert not np.any(beam) and np.isnan(snr)
+                    continue
+                others = np.delete(h, user, axis=1)
+                residual = h[:, user] - others @ np.linalg.lstsq(others, h[:, user], rcond=None)[0]
+                # Far from COLINEAR_TOL, so the verdict does not hinge on rounding.
+                assert np.linalg.norm(residual) > 1e-6 * np.linalg.norm(h[:, user])
+                assert np.linalg.norm(beam) == pytest.approx(1.0, rel=1e-12)
+                for other in range(h.shape[1]):
+                    if other != user:
+                        assert abs(np.vdot(beam, h[:, other])) <= 1e-10 * np.linalg.norm(h[:, other])
+                assert snr == pytest.approx(np.linalg.norm(residual) ** 2 / n0, rel=1e-9)
