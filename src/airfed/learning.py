@@ -347,20 +347,27 @@ def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed,
     """One round's aggregation step: the new global model from the local
     models of the devices at distances ``scheduled``, and the
     :class:`RoundRecord` channel columns it forms, by field name.  Only
-    ``baa`` and ``digital`` derive the round's ``channel`` stream."""
+    ``baa`` and ``digital`` derive the round's ``channel`` stream.  ``baa``
+    normalizes the float64 (k, q) ``locals_`` into symbols in place, so it
+    allocates no second (k, q) array; the caller reads ``locals_`` no more."""
     if aggregation == "ideal":
         return global_average(locals_), {}
     channel = derived_rng(seed, "channel", rnd)
     if aggregation == "baa":
+        # normalize_updates and denormalize(..., 1), in place: the same
+        # IEEE operations in the same order.
         norm_spec = phy.normalization_from_values(weights)
-        symbols = phy.normalize_updates(locals_, norm_spec)
-        aggregate, diag = phy.baa_round(symbols, scheduled, params, channel)
+        locals_ -= norm_spec.mean
+        locals_ /= norm_spec.std
+        aggregate, diag = phy.baa_round(locals_, scheduled, params, channel)
+        aggregate *= norm_spec.std
+        aggregate += norm_spec.mean
         columns = {
             "latency_s": diag.latency_s,
             "rho0_db": _snr_db(diag.rho0 / params.n0),
             "truncation_frac": float(diag.truncation_fraction.mean()),
         }
-        return phy.denormalize(aggregate, norm_spec, 1), columns
+        return aggregate, columns
     result = phy.digital_round(locals_, scheduled, params, scenario, channel)
     furthest_snr = digital_device_snr(params, scheduled.size, scheduled.max())
     columns = {"latency_s": result.round_latency_s, "rho0_db": _snr_db(furthest_snr)}

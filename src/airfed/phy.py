@@ -18,11 +18,12 @@ Conventions:
   uses are drawn: a final OFDM symbol that the update fills in part draws
   just the gains of its occupied sub-channels.  The analog round walks the
   update matrix one OFDM symbol at a time, so its working memory is
-  O(K M) beyond the (K, q) input and the boolean truncation mask.  Each
-  symbol writes its truncation decisions straight into that mask and does
-  its masking and gain inversion in place, in the gain draw and in buffers
-  allocated once per round; the contributor counts and truncation
-  fractions are counted from the mask after the last symbol.
+  K q / 8 bytes for the bit-packed truncation mask plus O(K M) beyond the
+  (K, q) input.  Each symbol draws its gains, takes its truncation
+  decisions and does its masking and gain inversion in (K, M) buffers
+  allocated once per round.  It packs its decisions into the mask, 8 to a
+  byte, and counts the contributors per entry and the sent entries per
+  device while they are still in those buffers.
 * The analog round takes its aligned receive power rho0 from
   :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
   from :func:`analytics.latency_baa`.
@@ -65,15 +66,31 @@ class NormalizationSpec:
 
 @dataclass(frozen=True)
 class BaaDiagnostics:
-    """Per-round bookkeeping emitted by :func:`baa_round`; ``truncation_mask``
-    is the (k, q) inversion mask, True where a device's entry was sent."""
+    """Per-round bookkeeping emitted by :func:`baa_round`.
+
+    ``truncation_fraction`` and ``tx_power`` hold one value per device and
+    ``contributor_counts`` the number of devices sent per entry.  The
+    truncation decisions are kept bit-packed, one bit per entry:
+    ``sent_bits[i, s]`` is ``np.packbits`` of device i's decisions on the
+    ``symbol_width`` sub-channels of OFDM symbol s, zero-padded on a ragged
+    last symbol.  :attr:`truncation_mask` unpacks them.
+    """
 
     rho0: float
     latency_s: float
     truncation_fraction: np.ndarray
     tx_power: np.ndarray
     contributor_counts: np.ndarray
-    truncation_mask: np.ndarray
+    sent_bits: np.ndarray
+    symbol_width: int
+
+    @property
+    def truncation_mask(self) -> np.ndarray:
+        """The (k, q) inversion mask, True where a device's entry was sent;
+        unpacked from ``sent_bits`` on each access."""
+        k, q = self.sent_bits.shape[0], self.contributor_counts.size
+        mask = np.unpackbits(self.sent_bits, axis=2, count=self.symbol_width).view(bool)
+        return mask.reshape(k, -1)[:, :q]
 
 
 @dataclass(frozen=True)
@@ -83,12 +100,14 @@ class DigitalRoundResult:
     round_latency_s: float
 
 
-def draw_channels(k_devices: int, width: int, rng) -> np.ndarray:
+def draw_channels(k_devices: int, width: int, rng, out=None) -> np.ndarray:
     """I.i.d. Rayleigh power gains |h|^2 ~ Exp(1), shape (k_devices, width):
-    one gain per device and sub-channel of one OFDM symbol."""
+    one gain per device and sub-channel of one OFDM symbol.  ``out``, a
+    C-contiguous float64 array of that shape, receives the same draws that
+    a call without it returns."""
     if min(k_devices, width) < 1:
         raise ValueError("k_devices and width must both be >= 1")
-    return rng.standard_exponential((k_devices, width))
+    return rng.standard_exponential((k_devices, width), out=out)
 
 
 def align_rho0(distances, params: SystemParams) -> float:
@@ -155,18 +174,35 @@ def baa_round(
     m = params.m
     # Unit gains pass a zero threshold, so nothing is truncated without fading.
     g_th = params.g_th if fading else 0.0
+    # Every OFDM symbol but a ragged last one carries symbol_width entries.
+    symbol_width = min(m, q)
     received = np.empty(q)
-    sent_mask = np.empty((k, q), dtype=bool)
+    contributor_counts = np.empty(q, dtype=np.intp)
+    sent_counts = np.zeros(k, dtype=np.intp)
+    sent_bits = np.zeros((k, -(-q // m), -(-symbol_width // 8)), dtype=np.uint8)
     inverse_gain_sum = np.zeros(k)
+    gain_buf = np.empty(k * symbol_width)
+    sent_block = np.empty((k, symbol_width), dtype=bool)
     # numpy sums a single column pairwise, not in device order, so the terms
     # sit in rows at least two wide; columns past the last entry stay 0.
-    terms = np.zeros((k, max(min(m, q), 2)))
+    terms = np.zeros((k, max(symbol_width, 2)))
     column_sums = np.empty(terms.shape[1])
-    for lo in range(0, q, m):
+    for s, lo in enumerate(range(0, q, m)):
         hi = min(lo + m, q)
         width = hi - lo
-        gains = draw_channels(k, width, rng) if fading else np.ones((k, width))
-        sent = np.greater_equal(gains, g_th, out=sent_mask[:, lo:hi])
+        # The buffer's prefix, viewed as (k, width), is C-contiguous for any width.
+        gains = gain_buf[: k * width].reshape(k, width)
+        if fading:
+            draw_channels(k, width, rng, out=gains)
+        else:
+            gains.fill(1.0)
+        sent = np.greater_equal(gains, g_th, out=sent_block[:, :width])
+        sent_bits[:, s, : -(-width // 8)] = np.packbits(sent, axis=1)
+        # Counted while the block is in cache.  A symbol's counts are at most
+        # k and M, and numpy sums a bool block into int32 about twice as
+        # fast as into intp.
+        contributor_counts[lo:hi] = sent.sum(axis=0, dtype=np.int32)
+        sent_counts += sent.sum(axis=1, dtype=np.int32)
         # terms = np.where(sent, updates, 0.0) bit for bit, without a
         # temporary: AND each entry's bits with all ones if sent, else 0.
         # A product with the mask would turn a truncated inf or nan into nan
@@ -185,7 +221,7 @@ def baa_round(
     if noise:
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.
         received += rng.normal(0.0, math.sqrt(params.n0 / 2.0), q) / math.sqrt(rho0)
-    aggregate = received / k
+    received /= k
 
     # Per-device audit: average per-symbol transmit power sum_m |p|^2, where
     # a sent entry costs rho0 r^alpha / g and a truncated one nothing.
@@ -194,12 +230,13 @@ def baa_round(
     diag = BaaDiagnostics(
         rho0=rho0,
         latency_s=latency_baa(q, params),
-        truncation_fraction=1.0 - np.count_nonzero(sent_mask, axis=1) / q,
+        truncation_fraction=1.0 - sent_counts / q,
         tx_power=tx_power,
-        contributor_counts=np.count_nonzero(sent_mask, axis=0),
-        truncation_mask=sent_mask,
+        contributor_counts=contributor_counts,
+        sent_bits=sent_bits,
+        symbol_width=symbol_width,
     )
-    return aggregate, diag
+    return received, diag
 
 
 # ---------------------------------------------------------------------------

@@ -596,13 +596,33 @@ class TestMonteCarloCommand:
     # all_data_exploited_prob is capped at 2,000 runs.  Where p is near 1/2
     # its standard error nears 0.0112, so the 0.02 tolerance is about 1.8
     # standard errors and a correct estimator misses it on about 7% of
-    # seeds: here p = 0.475 and the error is 0.0215, at any trial count.
-    # A status drawn from the estimator's law must flip this.
-    @pytest.mark.xfail(strict=True, reason="a 2,000-run estimate of p near 1/2 is graded at 1.8 sigma")
+    # seeds: here p = 0.475 and the error is 0.0215 (1.9 standard errors),
+    # at any trial count.  The row reads undersampled, with its tolerance
+    # and error as they were.
     def test_all_data_exploited_prob_near_one_half_does_not_fail(self):
         overrides = {"k_devices": 10, "n_rounds": 5, "r_in_frac": 0.64, "seed": 16}
         rows = {row[0]: row for row in cli.montecarlo_rows(load_config(None, overrides=overrides))}
-        assert rows["all_data_exploited_prob"][-1] != "fail"
+        _, analytic, empirical, error, tolerance, metric, status = rows["all_data_exploited_prob"]
+        assert status == "undersampled"
+        assert error == abs(empirical - analytic) > tolerance
+        assert (tolerance, metric) == (0.02, "abs")
+
+    # Shifting the closed form by 0.05 puts a correct estimator 0.05 off the
+    # probability it is graded against: at p near 1/2 (seed 1 has an error
+    # of 0.0025) and at the defaults' p = 0.99989.
+    @pytest.mark.parametrize(
+        "overrides, shift",
+        [
+            ({"k_devices": 10, "n_rounds": 5, "r_in_frac": 0.64, "seed": 1}, 0.05),
+            ({"k_devices": 10, "n_rounds": 5, "r_in_frac": 0.64, "seed": 1}, -0.05),
+            ({}, -0.05),
+        ],
+    )
+    def test_all_data_exploited_prob_off_by_five_points_fails(self, monkeypatch, overrides, shift):
+        exact = analytics.p_all_exploited
+        monkeypatch.setattr(analytics, "p_all_exploited", lambda *args: exact(*args) + shift)
+        rows = {row[0]: row for row in cli.montecarlo_rows(load_config(None, overrides=overrides))}
+        assert rows["all_data_exploited_prob"][-1] == "fail"
 
     # A counted interior count 2 <= K_in <= alpha gives the per-trial interior
     # SNR infinite variance. Its binomial probability is 0.43 at K = 10,

@@ -31,7 +31,7 @@ from airfed.learning import (
 )
 from airfed.network import SchedulingScheme
 from airfed.rng import derived_rng
-from conftest import write_idx_pair
+from conftest import traced_peak, write_idx_pair
 
 PARAMS = SystemParams(p0=0.1, m=1000, b=1e6, alpha=3.0, r_cell=100.0, g_th=0.2, n0=1e-11)
 
@@ -321,6 +321,34 @@ class TestGlobalAverage:
             fading=False, noise=False,
         )
         assert np.max(np.abs(phy.denormalize(aggregate, spec, 1) - global_average(models))) < 1e-9
+
+
+class TestAggregateStep:
+    # 20 OFDM symbols of M = 1000 sub-channels.
+    K, Q = 50, 20_000
+    SCENARIO = ScenarioParams(k_devices=K, r_in=100.0, q_dim=Q)
+
+    def inputs(self):
+        weights = derived_rng(8, "weights").normal(0.0, 0.1, self.Q)
+        locals_ = weights + derived_rng(8, "locals").normal(0.0, 0.01, (self.K, self.Q))
+        return weights, locals_, np.linspace(25.0, 95.0, self.K)
+
+    def test_baa_step_equals_normalize_round_denormalize_bytewise(self):
+        weights, locals_, radii = self.inputs()
+        spec = phy.normalization_from_values(weights)
+        aggregate, _ = phy.baa_round(
+            phy.normalize_updates(locals_, spec), radii, PARAMS, derived_rng(8, "channel", 3)
+        )
+        expected = phy.denormalize(aggregate, spec, 1)
+        got, _ = learning._aggregate("baa", weights, locals_, radii, PARAMS, self.SCENARIO, 8, 3)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_baa_step_allocates_less_than_one_float_matrix(self):
+        # The step normalizes the local models in place and the round
+        # streams them, so no second float64 (K, q) array is made.
+        weights, locals_, radii = self.inputs()
+        peak = traced_peak(learning._aggregate, "baa", weights, locals_, radii, PARAMS, self.SCENARIO, 8, 3)
+        assert peak < 8 * self.K * self.Q
 
 
 class TestPartition:

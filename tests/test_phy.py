@@ -277,6 +277,29 @@ class TestBaaRound:
             assert actual.dtype == oracle.dtype and actual.shape == oracle.shape
             assert actual.tobytes() == oracle.tobytes()
 
+    # M not a multiple of 8 pads each packed symbol to ceil(M/8) bytes; q
+    # below M, at one symbol plus one entry and with a ragged last symbol.
+    @pytest.mark.parametrize("m", [5, 7])
+    @pytest.mark.parametrize("q_of_m", [lambda m: m - 2, lambda m: m + 1, lambda m: 3 * m + 2])
+    @pytest.mark.parametrize("fading", [True, False])
+    def test_round_with_m_not_a_multiple_of_8_equals_allocating_round_bytewise(self, m, q_of_m, fading):
+        params = replace(PARAMS, m=m)
+        k, q = 6, q_of_m(m)
+        updates = derived_rng(26, "updates").normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
+        aggregate, diag = baa_round(updates, radii, params, derived_rng(26, "round"), fading=fading)
+        got = (
+            aggregate,
+            diag.tx_power,
+            diag.truncation_fraction,
+            diag.contributor_counts,
+            diag.truncation_mask,
+        )
+        expected = allocating_baa_round(updates, radii, params, derived_rng(26, "round"), fading, True)
+        for actual, oracle in zip(got, expected):
+            assert actual.dtype == oracle.dtype and actual.shape == oracle.shape
+            assert actual.tobytes() == oracle.tobytes()
+
     def test_truncated_entry_adds_nothing_whatever_it_holds(self):
         # A truncated device sends nothing, so an inf it holds reaches the
         # aggregate only where it was sent.
@@ -295,6 +318,17 @@ class TestBaaRound:
         updates = derived_rng(23, "updates").normal(0.0, 1.0, size=(k, q))
         radii = np.linspace(25.0, 95.0, k)
         assert traced_peak(baa_round, updates, radii, PARAMS, derived_rng(23, "round")) < 8 * k * q
+
+    def test_working_memory_is_the_packed_mask_plus_symbol_blocks(self):
+        # 40 OFDM symbols of 200 devices: a bool (K, q) mask would take 8 MB,
+        # more than all else the round allocates.  Packed, it takes K q / 8
+        # bytes; beside it the round holds a few float64 (K, M) blocks and
+        # q-vectors.
+        k, q, m = 200, 40_000, PARAMS.m
+        updates = derived_rng(25, "updates").normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
+        bound = k * q // 8 + 3 * 8 * k * m + 6 * 8 * q
+        assert traced_peak(baa_round, updates, radii, PARAMS, derived_rng(25, "round")) < bound
 
     @pytest.mark.parametrize("aggregation", ["baa", "digital"])
     def test_dimension_mismatch_rejected(self, aggregation):
