@@ -21,6 +21,7 @@ underflow would otherwise leave inf, 0 or a subnormal in its place.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -133,11 +134,13 @@ def _normal(value, what: str, params: SystemParams, r):
 # Special function
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=128)
 def exp_integral(x: float) -> float:
     """Upper exponential integral E1(x) = int_x^inf exp(-t)/t dt.
 
     Power series for x < 1, modified-Lentz continued fraction for x >= 1;
-    absolute error below 1e-10 on (0, inf).
+    absolute error below 1e-10 on (0, inf).  A pure function of one float,
+    cached per argument: callers pass the same cutoff g_th again and again.
 
     Raises:
         ValueError: if x <= 0 (the integral diverges at the origin).

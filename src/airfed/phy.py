@@ -24,6 +24,14 @@ Conventions:
   allocated once per round.  It packs its decisions into the mask, 8 to a
   byte, and counts the contributors per entry and the sent entries per
   device while they are still in those buffers.
+* The round draws from its ``rng`` in a fixed order: the gains of each
+  OFDM symbol in turn, then the receiver noise.  When a symbol carries at
+  least ``_PREFETCH_MIN_GAINS`` gains and the update spans several symbols,
+  a worker thread draws the gains of symbol s + 1 into a second (K, M)
+  float64 buffer while the caller masks, sums and inverts symbol s; the
+  caller draws symbol 0, and each draw starts after the previous one has
+  finished, so the stream and every output are those of the serial round.
+  Smaller rounds start no thread and allocate no second buffer.
 * The analog round takes its aligned receive power rho0 from
   :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
   from :func:`analytics.latency_baa`.
@@ -39,6 +47,8 @@ Conventions:
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,7 +114,9 @@ def draw_channels(k_devices: int, width: int, rng, out=None) -> np.ndarray:
     """I.i.d. Rayleigh power gains |h|^2 ~ Exp(1), shape (k_devices, width):
     one gain per device and sub-channel of one OFDM symbol.  ``out``, a
     C-contiguous float64 array of that shape, receives the same draws that
-    a call without it returns."""
+    a call without it returns.  The fill raises no floating-point error, so
+    :func:`baa_round` may call it on a worker thread, outside its caller's
+    ``np.errstate``; an error raised there is raised again by the round."""
     if min(k_devices, width) < 1:
         raise ValueError("k_devices and width must both be >= 1")
     return rng.standard_exponential((k_devices, width), out=out)
@@ -141,6 +153,92 @@ def _as_update_matrix(updates, radii):
 # A float64's 64 bits, all set: ANDed with an entry, they keep it whole.
 _ALL_BITS = np.uint64(np.iinfo(np.uint64).max)
 
+# Gains per OFDM symbol from which drawing the next symbol on a worker
+# thread pays for starting the thread (about 70 us) and for handing each
+# symbol over (about 10-20 us).  On a 2-core x86 host, median of 81 rounds:
+# at 16,000 gains a 2-symbol round ran 31 % slower threaded, a 4-symbol one
+# 13 % slower and a 32-symbol one 18 % faster; at 32,000 gains 2 symbols
+# broke even and 3 or 16 ran 9 % and 37 % faster.
+_PREFETCH_MIN_GAINS = 1 << 15
+
+
+def _symbol_gains(k: int, q: int, m: int, rng, fading: bool):
+    """Yield each OFDM symbol's (k, width) sub-channel gains, in symbol order.
+
+    Each array is a view of a reused buffer: the caller may overwrite it,
+    and it holds other draws once the next symbol has been requested.
+    Without fading every gain is 1.  The draws consume ``rng`` in symbol
+    order, and the last one has finished when the last array is yielded.
+    Above the size threshold a worker thread draws symbol s + 1 while the
+    caller works on symbol s; an error in its draw is raised here, and it
+    has stopped when the generator finishes or is closed.
+    """
+    n_symbols = -(-q // m)
+    width = min(m, q)
+    buffer = np.empty(k * width)
+    if not (fading and n_symbols > 1 and k * width >= _PREFETCH_MIN_GAINS):
+        for lo in range(0, q, m):
+            w = min(m, q - lo)
+            # A buffer's prefix, viewed as (k, w), is C-contiguous for any w.
+            gains = buffer[: k * w].reshape(k, w)
+            if fading:
+                draw_channels(k, w, rng, out=gains)
+            else:
+                gains.fill(1.0)
+            yield gains
+        return
+
+    buffers = (buffer, np.empty(k * width))
+
+    def view(s):
+        w = min(m, q - s * m)
+        return buffers[s % 2][: k * w].reshape(k, w)
+
+    # Two locks hand the symbols over strictly in turn: the worker takes
+    # `free` before each draw and releases `drawn` after it, and the caller,
+    # once it holds symbol s, releases `free` so that the draw of s + 1 may
+    # take the buffer of s - 1.
+    drawn, free, stop = threading.Lock(), threading.Lock(), threading.Event()
+    drawn.acquire()
+    failure = []
+
+    def draw_ahead():
+        try:
+            for s in range(1, n_symbols):
+                free.acquire()
+                if stop.is_set():
+                    return
+                gains = view(s)
+                # A module global, so a tracer's rebinding times this call too.
+                draw_channels(k, gains.shape[1], rng, out=gains)
+                drawn.release()
+        except BaseException as exc:
+            # Raised again by the caller, which would otherwise wait on
+            # `drawn` for ever.
+            failure.append(exc)
+            drawn.release()
+
+    gains = view(0)
+    draw_channels(k, width, rng, out=gains)
+    worker = threading.Thread(target=draw_ahead, name="airfed-gain-draws")
+    worker.start()
+    try:
+        yield gains
+        for s in range(1, n_symbols):
+            drawn.acquire()
+            if failure:
+                raise failure[0]
+            free.release()
+            yield view(s)
+    finally:
+        stop.set()
+        # Only the caller releases `free`.  If it is held, the worker is
+        # drawing, waiting for it or finished; released, the worker's next
+        # take sees `stop`.
+        if free.locked():
+            free.release()
+        worker.join()
+
 
 def baa_round(
     updates,
@@ -166,6 +264,13 @@ def baa_round(
     Returns:
         (aggregate, BaaDiagnostics): the q-vector estimate of the mean
         update, still in normalized symbol space, plus diagnostics.
+
+    A large round draws the next symbol's gains on a worker thread (see the
+    module docstring).  Those draws run outside the caller's
+    ``np.errstate``, which they do not need: Exp(1) fills raise no
+    floating-point error.  The caller's errstate governs everything else.
+    An error in a draw is raised here, and no draw is still running when
+    the round returns or raises.
     """
     mat, radii = _as_update_matrix(updates, radii)
     k, q = mat.shape
@@ -181,42 +286,37 @@ def baa_round(
     sent_counts = np.zeros(k, dtype=np.intp)
     sent_bits = np.zeros((k, -(-q // m), -(-symbol_width // 8)), dtype=np.uint8)
     inverse_gain_sum = np.zeros(k)
-    gain_buf = np.empty(k * symbol_width)
     sent_block = np.empty((k, symbol_width), dtype=bool)
     # numpy sums a single column pairwise, not in device order, so the terms
     # sit in rows at least two wide; columns past the last entry stay 0.
     terms = np.zeros((k, max(symbol_width, 2)))
     column_sums = np.empty(terms.shape[1])
-    for s, lo in enumerate(range(0, q, m)):
-        hi = min(lo + m, q)
-        width = hi - lo
-        # The buffer's prefix, viewed as (k, width), is C-contiguous for any width.
-        gains = gain_buf[: k * width].reshape(k, width)
-        if fading:
-            draw_channels(k, width, rng, out=gains)
-        else:
-            gains.fill(1.0)
-        sent = np.greater_equal(gains, g_th, out=sent_block[:, :width])
-        sent_bits[:, s, : -(-width // 8)] = np.packbits(sent, axis=1)
-        # Counted while the block is in cache.  A symbol's counts are at most
-        # k and M, and numpy sums a bool block into int32 about twice as
-        # fast as into intp.
-        contributor_counts[lo:hi] = sent.sum(axis=0, dtype=np.int32)
-        sent_counts += sent.sum(axis=1, dtype=np.int32)
-        # terms = np.where(sent, updates, 0.0) bit for bit, without a
-        # temporary: AND each entry's bits with all ones if sent, else 0.
-        # A product with the mask would turn a truncated inf or nan into nan
-        # and a truncated negative entry into -0.0.
-        bits = terms[:, :width].view(np.uint64)
-        np.multiply(sent, _ALL_BITS, out=bits)
-        np.bitwise_and(bits, mat[:, lo:hi].view(np.uint64), out=bits)
-        np.sum(terms, axis=0, out=column_sums)
-        received[lo:hi] = column_sums[:width]
-        # Inverse gains in place; a truncated entry divides 0 by at least
-        # g_th > 0, never 0 by 0.
-        np.maximum(gains, g_th, out=gains)
-        np.divide(sent, gains, out=gains)
-        inverse_gain_sum += gains.sum(axis=1)
+    with closing(_symbol_gains(k, q, m, rng, fading)) as symbols:
+        for s, gains in enumerate(symbols):
+            lo = s * m
+            width = gains.shape[1]
+            hi = lo + width
+            sent = np.greater_equal(gains, g_th, out=sent_block[:, :width])
+            sent_bits[:, s, : -(-width // 8)] = np.packbits(sent, axis=1)
+            # Counted while the block is in cache.  A symbol's counts are at
+            # most k and M, and numpy sums a bool block into int32 about
+            # twice as fast as into intp.
+            contributor_counts[lo:hi] = sent.sum(axis=0, dtype=np.int32)
+            sent_counts += sent.sum(axis=1, dtype=np.int32)
+            # terms = np.where(sent, updates, 0.0) bit for bit, without a
+            # temporary: AND each entry's bits with all ones if sent, else 0.
+            # A product with the mask would turn a truncated inf or nan into
+            # nan and a truncated negative entry into -0.0.
+            bits = terms[:, :width].view(np.uint64)
+            np.multiply(sent, _ALL_BITS, out=bits)
+            np.bitwise_and(bits, mat[:, lo:hi].view(np.uint64), out=bits)
+            np.sum(terms, axis=0, out=column_sums)
+            received[lo:hi] = column_sums[:width]
+            # Inverse gains in place; a truncated entry divides 0 by at least
+            # g_th > 0, never 0 by 0.
+            np.maximum(gains, g_th, out=gains)
+            np.divide(sent, gains, out=gains)
+            inverse_gain_sum += gains.sum(axis=1)
 
     if noise:
         # Real part of CN(0, n0), then undo the sqrt(rho0) amplitude scaling.

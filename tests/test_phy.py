@@ -6,6 +6,8 @@ empirically; normalization is checked by composition.
 """
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -342,6 +344,102 @@ class TestBaaRound:
             run([np.zeros(4), np.zeros(5)], [10.0, 20.0])
         with pytest.raises(ValueError, match=r"radii must have shape \(2,\), got \(1,\)"):
             run(np.zeros((2, 4)), [10.0])
+
+
+class TestGainPrefetch:
+    """Rounds whose OFDM symbols carry at least ``_PREFETCH_MIN_GAINS`` gains
+    draw the next symbol's gains on a worker thread."""
+
+    # The fewest devices whose M-wide symbols reach the threshold.
+    K_THREADED = phy._PREFETCH_MIN_GAINS // PARAMS.m + 1
+
+    @staticmethod
+    def round_bytes(k, q, params, seed, fading=True, noise=True):
+        updates = derived_rng(seed, "updates").normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
+        aggregate, diag = baa_round(
+            updates, radii, params, derived_rng(seed, "round"), fading=fading, noise=noise
+        )
+        arrays = (aggregate, diag.tx_power, diag.truncation_fraction, diag.contributor_counts, diag.sent_bits)
+        return b"".join(a.tobytes() for a in arrays)
+
+    def test_concurrent_rounds_return_their_serial_bytes(self):
+        # Three callers, each with its own Generator, run pipelined rounds at
+        # the same time, with the interpreter switching threads as often as
+        # it can: each gets the bytes its round gives alone.  A draw into a
+        # buffer the caller still reads, or out of stream order, changes them.
+        k, q = self.K_THREADED, 5 * PARAMS.m + 17
+        alone = {seed: self.round_bytes(k, q, PARAMS, seed) for seed in (31, 32, 33)}
+        barrier = threading.Barrier(len(alone))
+        got = {seed: [] for seed in alone}
+
+        def run(seed):
+            barrier.wait()
+            for _ in range(3):
+                got[seed].append(self.round_bytes(k, q, PARAMS, seed))
+
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in alone]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == {seed: [alone[seed]] * 3 for seed in alone}
+
+    @pytest.mark.parametrize("failing_call", [2, 4])
+    def test_draw_error_reaches_the_caller_and_stops_the_worker(self, monkeypatch, failing_call):
+        # Call 1 draws symbol 0 on the caller; later calls run on the worker.
+        real_draw, calls = phy.draw_channels, []
+
+        def draw_failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise RuntimeError("draw failed")
+            return real_draw(*args, **kwargs)
+
+        monkeypatch.setattr(phy, "draw_channels", draw_failing_once)
+        k, q = self.K_THREADED, 6 * PARAMS.m
+        updates = derived_rng(33, "updates").normal(0.0, 1.0, size=(k, q))
+        radii = np.linspace(25.0, 95.0, k)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            baa_round(updates, radii, PARAMS, derived_rng(33, "round"))
+        assert threading.active_count() == threads_before
+        assert len(calls) == failing_call
+        # The same stream runs clean through the patched draw next time.
+        aggregate, diag = baa_round(updates, radii, PARAMS, derived_rng(33, "round"))
+        expected = allocating_baa_round(updates, radii, PARAMS, derived_rng(33, "round"), True, True)
+        assert aggregate.tobytes() == expected[0].tobytes()
+        assert diag.truncation_mask.tobytes() == expected[4].tobytes()
+
+    def test_caller_error_stops_the_worker(self):
+        # inf and -inf sent on one sub-channel sum to nan, which the
+        # caller's errstate turns into an error mid-round.
+        k, q = self.K_THREADED, 6 * PARAMS.m
+        updates = derived_rng(34, "updates").normal(0.0, 1.0, size=(k, q))
+        updates[: k // 2, 3 * PARAMS.m] = np.inf
+        updates[k // 2 :, 3 * PARAMS.m] = -np.inf
+        threads_before = threading.active_count()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            baa_round(updates, np.linspace(25.0, 95.0, k), PARAMS, derived_rng(34, "round"))
+        assert threading.active_count() == threads_before
+
+    def test_rounds_below_the_threshold_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # Many symbols of 50 gains; one fl-desk-sized symbol; and no fading.
+        self.round_bytes(10, 170, replace(PARAMS, m=5), 35)
+        self.round_bytes(200, 170, PARAMS, 35)
+        self.round_bytes(self.K_THREADED, 3 * PARAMS.m, PARAMS, 35, fading=False)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            self.round_bytes(self.K_THREADED, 3 * PARAMS.m, PARAMS, 35)
 
 
 class TestNormalization:
