@@ -58,14 +58,16 @@ class SchedulingScheme:
         return cls("alternating", r_in=r_in, period=period)
 
 
-def sample_radii(k_devices: int, r_cell: float, rng, size: int | None = None) -> np.ndarray:
+def sample_radii(k_devices: int, r_cell: float, rng, size: int | None = None, out=None) -> np.ndarray:
     """Distances of uniformly dropped devices: r = R * sqrt(U).
 
     With ``size`` set, returns a (size, k_devices) matrix of independent
-    topology draws for Monte Carlo use.
+    topology draws for Monte Carlo use.  ``out``, a C-contiguous float64
+    array of the returned shape, receives the same draws that a call
+    without it returns.
     """
     shape = (k_devices,) if size is None else (size, k_devices)
-    radii = rng.random(shape)
+    radii = rng.random(shape, out=out)
     np.sqrt(radii, out=radii)
     radii *= r_cell
     return radii

@@ -27,11 +27,12 @@ Conventions:
 * The round draws from its ``rng`` in a fixed order: the gains of each
   OFDM symbol in turn, then the receiver noise.  When a symbol carries at
   least ``_PREFETCH_MIN_GAINS`` gains and the update spans several symbols,
-  a worker thread draws the gains of symbol s + 1 into a second (K, M)
-  float64 buffer while the caller masks, sums and inverts symbol s; the
-  caller draws symbol 0, and each draw starts after the previous one has
-  finished, so the stream and every output are those of the serial round.
-  Smaller rounds start no thread and allocate no second buffer.
+  :func:`rng.drawn_ahead` draws the gains of symbol s + 1 on a worker
+  thread, into a second (K, M) float64 buffer, while the caller masks,
+  sums and inverts symbol s; the caller draws symbol 0, and each draw
+  starts after the previous one has finished, so the stream and every
+  output are those of the serial round.  Smaller rounds start no thread
+  and allocate no second buffer.
 * The analog round takes its aligned receive power rho0 from
   :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
   from :func:`analytics.latency_baa`.
@@ -47,7 +48,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import closing
 from dataclasses import dataclass, replace
 
@@ -60,6 +60,7 @@ from .analytics import (
     latency_baa,
     latency_digital,
 )
+from .rng import drawn_ahead
 
 
 @dataclass(frozen=True)
@@ -169,75 +170,28 @@ def _symbol_gains(k: int, q: int, m: int, rng, fading: bool):
     and it holds other draws once the next symbol has been requested.
     Without fading every gain is 1.  The draws consume ``rng`` in symbol
     order, and the last one has finished when the last array is yielded.
-    Above the size threshold a worker thread draws symbol s + 1 while the
-    caller works on symbol s; an error in its draw is raised here, and it
-    has stopped when the generator finishes or is closed.
+    Above the size threshold :func:`rng.drawn_ahead` draws symbol s + 1 on
+    a worker thread, into a second buffer, while the caller works on
+    symbol s; an error in its draw is raised here, and it has stopped when
+    the generator finishes or is closed.
     """
-    n_symbols = -(-q // m)
     width = min(m, q)
-    buffer = np.empty(k * width)
-    if not (fading and n_symbols > 1 and k * width >= _PREFETCH_MIN_GAINS):
-        for lo in range(0, q, m):
+    threaded = fading and q > m and k * width >= _PREFETCH_MIN_GAINS
+    buffers = [np.empty(k * width) for _ in range(1 + threaded)]
+
+    def draws():
+        for s, lo in enumerate(range(0, q, m)):
             w = min(m, q - lo)
             # A buffer's prefix, viewed as (k, w), is C-contiguous for any w.
-            gains = buffer[: k * w].reshape(k, w)
+            gains = buffers[s % len(buffers)][: k * w].reshape(k, w)
             if fading:
+                # A module global, so a tracer's rebinding times this call too.
                 draw_channels(k, w, rng, out=gains)
             else:
                 gains.fill(1.0)
             yield gains
-        return
 
-    buffers = (buffer, np.empty(k * width))
-
-    def view(s):
-        w = min(m, q - s * m)
-        return buffers[s % 2][: k * w].reshape(k, w)
-
-    # Two locks hand the symbols over strictly in turn: the worker takes
-    # `free` before each draw and releases `drawn` after it, and the caller,
-    # once it holds symbol s, releases `free` so that the draw of s + 1 may
-    # take the buffer of s - 1.
-    drawn, free, stop = threading.Lock(), threading.Lock(), threading.Event()
-    drawn.acquire()
-    failure = []
-
-    def draw_ahead():
-        try:
-            for s in range(1, n_symbols):
-                free.acquire()
-                if stop.is_set():
-                    return
-                gains = view(s)
-                # A module global, so a tracer's rebinding times this call too.
-                draw_channels(k, gains.shape[1], rng, out=gains)
-                drawn.release()
-        except BaseException as exc:
-            # Raised again by the caller, which would otherwise wait on
-            # `drawn` for ever.
-            failure.append(exc)
-            drawn.release()
-
-    gains = view(0)
-    draw_channels(k, width, rng, out=gains)
-    worker = threading.Thread(target=draw_ahead, name="airfed-gain-draws")
-    worker.start()
-    try:
-        yield gains
-        for s in range(1, n_symbols):
-            drawn.acquire()
-            if failure:
-                raise failure[0]
-            free.release()
-            yield view(s)
-    finally:
-        stop.set()
-        # Only the caller releases `free`.  If it is held, the worker is
-        # drawing, waiting for it or finished; released, the worker's next
-        # take sees `stop`.
-        if free.locked():
-            free.release()
-        worker.join()
+    return drawn_ahead(draws(), threaded)
 
 
 def baa_round(

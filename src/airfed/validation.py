@@ -1,15 +1,21 @@
-"""Simulation-versus-closed-form checks: the rows of ``validation.csv``."""
+"""Simulation-versus-closed-form checks: the rows of ``validation.csv``.
+
+The topology and mobility streams are drawn in row blocks, and a worker
+thread draws each stream's next block while the current one is reduced
+(:func:`rng.drawn_row_blocks`), so every row keeps its bits.
+"""
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import closing
 
 import numpy as np
 
 from . import analytics, network
 from .config import ExperimentConfig
-from .rng import derived_rng, row_blocks
+from .rng import derived_rng, drawn_row_blocks
 
 
 ValidationRow = namedtuple("ValidationRow", "check analytic empirical error tolerance metric status")
@@ -27,10 +33,13 @@ def evaluate_check(name: str, analytic: float, empirical: float, tolerance: floa
 
 def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
     """``network.sample_radii(width, r_cell, rng, size=n_rows)`` drawn in
-    the consecutive row blocks of :func:`rng.row_blocks`; yields (first
-    row, block).  Consecutive draws give the same numbers as one."""
-    for start, stop in row_blocks(n_rows, width):
-        yield start, network.sample_radii(width, r_cell, rng, size=stop - start)
+    the consecutive row blocks of :func:`rng.drawn_row_blocks`; yields
+    (first row, block).  Consecutive draws give the same numbers as one.
+    A block is the caller's to overwrite until it asks for the next."""
+    # A module global, so a tracer's rebinding times each draw too.
+    return drawn_row_blocks(
+        n_rows, width, lambda out: network.sample_radii(width, r_cell, rng, size=len(out), out=out)
+    )
 
 
 def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_unit, tolerance):
@@ -114,16 +123,18 @@ def montecarlo_rows(config: ExperimentConfig):
     r_max = np.empty(trials)
     interior_max = np.empty(trials)
     n_usable = 0
-    for start, radii in _radii_blocks(k, r_cell, derived_rng(seed, "mc", "topology"), trials):
-        inside = radii <= r_in
-        k_in = np.count_nonzero(inside, axis=1)
-        k_in_counts += np.bincount(k_in, minlength=k + 1)
-        r_max[start : start + len(radii)] = radii.max(axis=1)
-        # Radii are >= 0, so zeroing the exterior ones leaves the interior max.
-        radii *= inside
-        block_max = radii.max(axis=1)[usable_counts[k_in]]
-        interior_max[n_usable : n_usable + len(block_max)] = block_max
-        n_usable += len(block_max)
+    topologies = _radii_blocks(k, r_cell, derived_rng(seed, "mc", "topology"), trials)
+    with closing(topologies):
+        for start, radii in topologies:
+            inside = radii <= r_in
+            k_in = np.count_nonzero(inside, axis=1)
+            k_in_counts += np.bincount(k_in, minlength=k + 1)
+            r_max[start : start + len(radii)] = radii.max(axis=1)
+            # Radii are >= 0, so zeroing the exterior ones leaves the interior max.
+            radii *= inside
+            block_max = radii.max(axis=1)[usable_counts[k_in]]
+            interior_max[n_usable : n_usable + len(block_max)] = block_max
+            n_usable += len(block_max)
 
     # Interior-count histogram against the binomial law (total variation).
     tv = 0.5 * float(np.abs(k_in_counts / trials - pmf).sum())
@@ -149,11 +160,13 @@ def montecarlo_rows(config: ExperimentConfig):
     n_cr = config.train.n_cr
     p_in = analytics.fraction_exploited(r_in, r_cell)
     ever_in = np.empty(runs, dtype=bool)
-    for start, radii in _radii_blocks(n_cr * k, r_cell, derived_rng(seed, "mc", "mobility"), runs):
-        # A device is ever inside when its nearest drop is; all are when the
-        # furthest of those nearest drops is.
-        nearest = radii.reshape(len(radii), n_cr, k).min(axis=1)
-        ever_in[start : start + len(radii)] = nearest.max(axis=1) <= r_in
+    drops = _radii_blocks(n_cr * k, r_cell, derived_rng(seed, "mc", "mobility"), runs)
+    with closing(drops):
+        for start, radii in drops:
+            # A device is ever inside when its nearest drop is; all are when
+            # the furthest of those nearest drops is.
+            nearest = radii.reshape(len(radii), n_cr, k).min(axis=1)
+            ever_in[start : start + len(radii)] = nearest.max(axis=1) <= r_in
     exact = analytics.p_all_exploited(k, n_cr, p_in)
     rows.append(_probability_row("all_data_exploited_prob", exact, float(ever_in.mean()), runs, 0.02))
     return rows

@@ -1,7 +1,39 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and a per-test time limit."""
 
+import contextlib
+import faulthandler
+import os
 import struct
+import threading
 import tracemalloc
+
+import pytest
+
+# A test still running after this many seconds, such as one deadlocked in a
+# thread hand-off, dumps every thread's traceback and ends the run.  The
+# slowest test takes under 2 s.
+TEST_TIME_LIMIT_S = 120
+
+# The terminal's stderr, duplicated while output capture is suspended, so
+# that the tracebacks are not lost in a capture file when the process exits.
+_hang_report = []
+
+
+def pytest_configure(config):
+    capture = config.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        _hang_report.append(os.dup(2))
+
+
+def pytest_unconfigure(config):
+    os.close(_hang_report.pop())
+
+
+@pytest.fixture(autouse=True)
+def _fail_on_hang():
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=_hang_report[0])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -12,6 +44,18 @@ def traced_peak(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def started_threads(monkeypatch) -> list:
+    """A list that grows by the name of each thread started from now on."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
 
 
 def write_idx_pair(directory, images, labels):

@@ -35,7 +35,7 @@ from airfed.config import (
 )
 from airfed.datasets import load_mnist_idx
 from airfed.validation import evaluate_check
-from conftest import traced_peak, write_idx_pair
+from conftest import started_threads, traced_peak, write_idx_pair
 
 SMALL_TRAIN = """
 k_devices = 4
@@ -522,6 +522,19 @@ class TestMonteCarloCommand:
             "all_data_exploited_prob",
         ]
         assert all(row[-1] == "pass" for row in table.rows)
+
+    def test_threaded_draws_give_the_serial_rows(self, monkeypatch):
+        # 62 topology blocks and 334 mobility blocks, each stream drawn ahead
+        # on its own worker.  Forced serial, the same streams give the same
+        # bits.
+        config = load_config(None, overrides={"trials": 20011})
+        started = started_threads(monkeypatch)
+        threaded = cli.montecarlo_rows(config)
+        assert started == ["airfed-draw-ahead"] * 2
+        drawn_ahead = rng.drawn_ahead
+        monkeypatch.setattr(rng, "drawn_ahead", lambda items, threaded: drawn_ahead(items, False))
+        assert cli.montecarlo_rows(config) == threaded
+        assert len(started) == 2
 
     def test_interior_snr_is_a_joint_expectation(self):
         # With few devices, many trials have fewer than two interior devices.

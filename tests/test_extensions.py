@@ -17,6 +17,7 @@ from airfed.extensions import (
     suppression_ratios,
 )
 from airfed.rng import derived_rng
+from conftest import started_threads
 
 
 class TestSpreadDespread:
@@ -112,6 +113,18 @@ class TestAdversarySuppression:
                 raw_power += own @ own
                 despread_power += symbols @ symbols
             assert ratio == pytest.approx(raw_power / code.gamma / despread_power, rel=1e-12)
+
+    def test_threaded_draws_give_the_serial_ratios(self, monkeypatch):
+        # 125 chip blocks: a worker draws block i + 1 while block i is
+        # despread.  Forced serial, the same stream gives the same bits.
+        codes = [pn_code(gamma, derived_rng(16, "code", gamma)) for gamma in (1, 4, 16, 64)]
+        started = started_threads(monkeypatch)
+        threaded = suppression_ratios(codes, 2000, derived_rng(16, "chips"))
+        assert started == ["airfed-draw-ahead"]
+        drawn_ahead = rng.drawn_ahead
+        monkeypatch.setattr(rng, "drawn_ahead", lambda items, threaded: drawn_ahead(items, False))
+        assert suppression_ratios(codes, 2000, derived_rng(16, "chips")) == threaded
+        assert len(started) == 1
 
     def test_aggregate_unchanged_by_interference_on_average(self):
         rng = derived_rng(9, "adv")

@@ -35,6 +35,14 @@ class TestSampleTopology:
         assert radii_a.shape == (50,)
         assert np.array_equal(radii_a, radii_b)
 
+    @pytest.mark.parametrize("size", [None, 1, 37])
+    def test_out_receives_the_allocating_draws(self, size):
+        expected = sample_radii(23, R_CELL, derived_rng(8, "out"), size=size)
+        out = np.empty(expected.shape)
+        radii = sample_radii(23, R_CELL, derived_rng(8, "out"), size=size, out=out)
+        assert radii is out
+        assert radii.tobytes() == expected.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_topology(0, R_CELL, derived_rng(1, "topology"))

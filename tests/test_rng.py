@@ -2,16 +2,21 @@
 
 None is not a seed: a function handed ``rng=None`` must fail rather than
 seed a stream of its own from OS entropy, which would make two runs with
-the same root seed differ.
+the same root seed differ.  A stream drawn ahead on a worker thread gives
+the caller the items it gives without the worker.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from airfed import extensions, learning, network, phy
+from airfed import extensions, learning, network, phy, validation
 from airfed.analytics import SystemParams
+from airfed.config import load_config
 from airfed.datasets import synth_gaussian_mixture
-from airfed.rng import derived_rng
+from airfed.rng import derived_rng, drawn_ahead
 
 PARAMS = SystemParams(p0=0.1, m=4, b=1e6, alpha=3.0, r_cell=100.0, g_th=0.5, n0=1e-11)
 DATA = synth_gaussian_mixture(3, 2, 12, seed=1)
@@ -32,3 +37,71 @@ def test_no_generator_raises_instead_of_drawing(name):
     draw(derived_rng(1, name))
     with pytest.raises(AttributeError):
         draw(None)
+
+
+def normal_blocks(rng, buffers, n_blocks):
+    """``n_blocks`` standard-normal fills of ``rng``, cycling over ``buffers``."""
+    for i in range(n_blocks):
+        yield rng.standard_normal(out=buffers[i % len(buffers)])
+
+
+class TestDrawnAhead:
+    def test_threaded_stream_gives_the_serial_bytes(self):
+        # The caller holds each block a while before reading it: a draw into
+        # the buffer it holds, or out of stream order, changes the bytes.
+        blocks = normal_blocks(derived_rng(1, "s"), [np.empty(999)], 9)
+        serial = [block.tobytes() for block in drawn_ahead(blocks, False)]
+        blocks = normal_blocks(derived_rng(1, "s"), [np.empty(999), np.empty(999)], 9)
+        threaded = []
+        for block in drawn_ahead(blocks, True):
+            time.sleep(0.002)
+            threaded.append(block.tobytes())
+        assert threaded == serial
+
+    @pytest.mark.parametrize("failing_item", [2, 4])
+    def test_error_in_an_item_reaches_the_caller_and_stops_the_worker(self, failing_item):
+        # Item 0 is produced by the caller, later ones by the worker.
+        def items():
+            for i in range(6):
+                if i == failing_item:
+                    raise RuntimeError("item failed")
+                yield i
+
+        threads_before = threading.active_count()
+        got = []
+        with pytest.raises(RuntimeError, match="item failed"):
+            for item in drawn_ahead(items(), True):
+                got.append(item)
+        assert got == list(range(failing_item))
+        assert threading.active_count() == threads_before
+
+    def test_closing_mid_iteration_joins_the_worker(self):
+        produced = []
+
+        def items():
+            for i in range(10):
+                produced.append(i)
+                yield i
+
+        threads_before = threading.active_count()
+        stream = drawn_ahead(items(), True)
+        assert [next(stream), next(stream)] == [0, 1]
+        assert threading.active_count() == threads_before + 1
+        stream.close()
+        assert threading.active_count() == threads_before
+        # At most one item past the one the caller holds was started.
+        assert produced in ([0, 1], [0, 1, 2])
+
+    def test_streams_below_the_threshold_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # One chip block, one block of each montecarlo stream, and the helper
+        # itself told to run serially.
+        codes = [extensions.pn_code(gamma, derived_rng(2, gamma)) for gamma in (1, 4)]
+        extensions.suppression_ratios(codes, 200, derived_rng(2, "chips"))
+        validation.montecarlo_rows(load_config(None, overrides={"trials": 6}))
+        assert list(drawn_ahead(range(3), False)) == [0, 1, 2]
+        with pytest.raises(AssertionError, match="a thread was started"):
+            list(drawn_ahead(range(3), True))
