@@ -1,10 +1,11 @@
 """Experiment configuration: flat key=value files, validation, manifests.
 
 Config files are deliberately flat (one ``key = value`` per line, ``#``
-comments) so that result manifests diff cleanly.  Unknown keys are rejected
-on load.  Every value has a default mirroring the reference deployment:
-100 m cell, path-loss exponent 3, 1000 sub-channels, 0.1 W per-device power
-budget, -80 dBm noise, 200 devices, 16-bit quantization at target BER 1e-3.
+comments) so that result manifests diff cleanly.  Unknown keys, a key set
+twice and an override whose type is not its default's are rejected on load.
+Every value has a default mirroring the reference deployment: 100 m cell,
+path-loss exponent 3, 1000 sub-channels, 0.1 W per-device power budget,
+-80 dBm noise, 200 devices, 16-bit quantization at target BER 1e-3.
 
 Loading checks each value once, and a value it rejects raises the ValueError of
 its check, which ``cli.main`` reports.  This module rejects non-finite numbers,
@@ -137,9 +138,20 @@ def _parse_scalar(key: str, text: str, template):
         raise ValueError(f"config key {key!r}: cannot parse {text!r} ({exc})") from exc
 
 
+def _of_type(value, template) -> bool:
+    """Whether ``value`` has the type of the default ``template``: an int
+    passes for a float, a grid is a nonempty tuple checked entry by entry,
+    and a bool passes for nothing."""
+    if isinstance(template, tuple):
+        return isinstance(value, tuple) and bool(value) and all(_of_type(v, template[0]) for v in value)
+    kinds = (int, float) if isinstance(template, float) else type(template)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def parse_config_text(text: str) -> dict:
-    """Parse flat key=value lines against the default schema (fail-fast)."""
+    """Parse flat key=value lines, each key set once, against the default schema (fail-fast)."""
     values = dict(DEFAULTS)
+    set_on = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -151,6 +163,9 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if key not in DEFAULTS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: config key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _parse_scalar(key, value, DEFAULTS[key])
     return values
 
@@ -298,7 +313,8 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Load and validate a config file; None gives the pure defaults.
 
     ``overrides`` (e.g. from CLI flags) are applied after parsing and are
-    validated against the same schema.
+    validated against the same schema; one whose type is not its default's
+    raises ValueError (:func:`_of_type`).
     """
     text = ""
     if path:
@@ -310,6 +326,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     for key, value in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
+        if not _of_type(value, DEFAULTS[key]):
+            raise ValueError(
+                f"config key {key!r} must have the type of its default {DEFAULTS[key]!r}, got {value!r}"
+            )
         values[key] = value
     return _build(values)
 

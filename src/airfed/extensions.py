@@ -6,9 +6,9 @@ a common +/-1 chip sequence, and despreading at the server recovers their
 sum while white interference loses a factor of the spreading gain.  A
 sweep over spreading factors measures that loss with common random
 numbers: the codes of the sweep despread leading chips of one shared chip
-stream, so the sweep draws the chips of its widest code only.  A worker
-thread draws the next block of chips while the current one is despread
-(:func:`rng.drawn_row_blocks`), so the chips keep their stream order.
+stream, so the sweep draws the chips of its widest code only, in row
+blocks, by :func:`rng.drawn_blocks`: its worker thread draws the next block
+in stream order while the current one is despread.
 
 Beamforming compares two multi-antenna strategies on a shared channel
 matrix: sum-SNR maximization over the weak-user subspace (a Rayleigh
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import derived_rng, drawn_row_blocks
+from .rng import derived_rng, drawn_blocks, row_blocks
 
 SYMBOLS_PER_TRIAL = 64
 # Relative rank tolerance of zero-forcing: the others' basis drops singular
@@ -127,18 +127,18 @@ def suppression_ratios(codes, trials: int, rng) -> list:
     first ``SYMBOLS_PER_TRIAL * gamma`` of them.  So each ratio keeps the
     law of its own i.i.d. N(0, 1) chips, and depends on the other codes
     only through the widest factor.  The chips are drawn and despread in
-    the row blocks of :func:`rng.drawn_row_blocks`, so memory stays
-    bounded at any ``trials``; with more than one block, a worker thread
-    draws block i + 1 while the caller despreads block i."""
+    the row blocks of :func:`rng.row_blocks` by :func:`rng.drawn_blocks`,
+    so memory stays bounded at any ``trials``; with more than one block, a
+    worker thread draws block i + 1 while the caller despreads block i."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     widths = [SYMBOLS_PER_TRIAL * code.gamma for code in codes]
     widest = max(widths)
     raw_power = [0.0] * len(codes)
     despread_power = [0.0] * len(codes)
-    chip_blocks = drawn_row_blocks(trials, widest, lambda out: rng.standard_normal(out=out))
+    chip_blocks = drawn_blocks(row_blocks(trials, widest), lambda out: rng.standard_normal(out=out))
     with closing(chip_blocks):
-        for _, interference in chip_blocks:
+        for interference in chip_blocks:
             for i, (code, width) in enumerate(zip(codes, widths)):
                 chips = interference[:, :width]
                 raw_power[i] += float(np.square(chips).sum())

@@ -25,14 +25,13 @@ Conventions:
   byte, and counts the contributors per entry and the sent entries per
   device while they are still in those buffers.
 * The round draws from its ``rng`` in a fixed order: the gains of each
-  OFDM symbol in turn, then the receiver noise.  When a symbol carries at
-  least ``_PREFETCH_MIN_GAINS`` gains and the update spans several symbols,
-  :func:`rng.drawn_ahead` draws the gains of symbol s + 1 on a worker
-  thread, into a second (K, M) float64 buffer, while the caller masks,
-  sums and inverts symbol s; the caller draws symbol 0, and each draw
-  starts after the previous one has finished, so the stream and every
-  output are those of the serial round.  Smaller rounds start no thread
-  and allocate no second buffer.
+  OFDM symbol in turn, then the receiver noise.  The gains come from
+  :func:`rng.drawn_blocks`, one (K, width) block per symbol in two reused
+  buffers; under its one rule (several symbols, the first of at least
+  ``rng.BLOCK_ENTRIES // 2`` gains) a worker thread draws symbol s + 1
+  while the caller masks, sums and inverts symbol s, and the stream and
+  every output are those of the serial round.  Without fading every gain
+  is 1: nothing is drawn and no thread starts.
 * The analog round takes its aligned receive power rho0 from
   :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
   from :func:`analytics.latency_baa`.
@@ -60,7 +59,7 @@ from .analytics import (
     latency_baa,
     latency_digital,
 )
-from .rng import drawn_ahead
+from .rng import drawn_blocks
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def _as_update_matrix(updates, radii):
     radii of its devices."""
     # numpy itself raises ValueError on ragged rows.
     mat = np.asarray(updates, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1:
+    if mat.ndim != 2 or 0 in mat.shape:
         raise ValueError("updates must form a nonempty (k, q) matrix")
     radii = np.asarray(radii, dtype=float)
     if radii.shape != mat.shape[:1]:
@@ -153,46 +152,6 @@ def _as_update_matrix(updates, radii):
 
 # A float64's 64 bits, all set: ANDed with an entry, they keep it whole.
 _ALL_BITS = np.uint64(np.iinfo(np.uint64).max)
-
-# Gains per OFDM symbol from which drawing the next symbol on a worker
-# thread pays for starting the thread (about 70 us) and for handing each
-# symbol over (about 10-20 us).  On a 2-core x86 host, median of 81 rounds:
-# at 16,000 gains a 2-symbol round ran 31 % slower threaded, a 4-symbol one
-# 13 % slower and a 32-symbol one 18 % faster; at 32,000 gains 2 symbols
-# broke even and 3 or 16 ran 9 % and 37 % faster.
-_PREFETCH_MIN_GAINS = 1 << 15
-
-
-def _symbol_gains(k: int, q: int, m: int, rng, fading: bool):
-    """Yield each OFDM symbol's (k, width) sub-channel gains, in symbol order.
-
-    Each array is a view of a reused buffer: the caller may overwrite it,
-    and it holds other draws once the next symbol has been requested.
-    Without fading every gain is 1.  The draws consume ``rng`` in symbol
-    order, and the last one has finished when the last array is yielded.
-    Above the size threshold :func:`rng.drawn_ahead` draws symbol s + 1 on
-    a worker thread, into a second buffer, while the caller works on
-    symbol s; an error in its draw is raised here, and it has stopped when
-    the generator finishes or is closed.
-    """
-    width = min(m, q)
-    threaded = fading and q > m and k * width >= _PREFETCH_MIN_GAINS
-    buffers = [np.empty(k * width) for _ in range(1 + threaded)]
-
-    def draws():
-        for s, lo in enumerate(range(0, q, m)):
-            w = min(m, q - lo)
-            # A buffer's prefix, viewed as (k, w), is C-contiguous for any w.
-            gains = buffers[s % len(buffers)][: k * w].reshape(k, w)
-            if fading:
-                # A module global, so a tracer's rebinding times this call too.
-                draw_channels(k, w, rng, out=gains)
-            else:
-                gains.fill(1.0)
-            yield gains
-
-    return drawn_ahead(draws(), threaded)
-
 
 def baa_round(
     updates,
@@ -245,7 +204,13 @@ def baa_round(
     # sit in rows at least two wide; columns past the last entry stay 0.
     terms = np.zeros((k, max(symbol_width, 2)))
     column_sums = np.empty(terms.shape[1])
-    with closing(_symbol_gains(k, q, m, rng, fading)) as symbols:
+    shapes = [(k, min(m, q - lo)) for lo in range(0, q, m)]
+    if fading:
+        # A module global, so a tracer's rebinding times each draw too.
+        symbols = drawn_blocks(shapes, lambda gains: draw_channels(k, gains.shape[1], rng, out=gains))
+    else:
+        symbols = (np.ones(shape) for shape in shapes)
+    with closing(symbols):
         for s, gains in enumerate(symbols):
             lo = s * m
             width = gains.shape[1]

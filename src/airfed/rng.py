@@ -12,15 +12,17 @@ stochastic function draws from the ``np.random.Generator`` it is given
 OS entropy.
 Large Monte Carlo draws are split by :func:`row_blocks` into blocks of
 about ``BLOCK_ENTRIES`` entries; consecutive draws from one stream give
-the same numbers as one.  :func:`drawn_row_blocks` draws them into two
-reused block buffers, and :func:`drawn_ahead` lets a worker thread draw
-the next block of a stream while the caller reduces the current one; the
-draws keep their order, so every output keeps its bytes.
+the same numbers as one.  :func:`drawn_blocks` draws any stream block by
+block (Monte Carlo row blocks, OFDM symbols' gains) into two reused
+buffers and, by one rule, lets a worker thread draw the next block while
+the caller reduces the current one (:func:`drawn_ahead`); the draws keep
+their order, so every output keeps its bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 
 import numpy as np
@@ -45,53 +47,60 @@ def derived_rng(root_seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root_seed, *labels))
 
 
-def row_blocks(n_rows: int, row_entries: int):
-    """Consecutive ``(start, stop)`` row ranges covering ``n_rows`` rows of
-    ``row_entries`` entries each, about ``BLOCK_ENTRIES`` entries (and at
-    least one row) per range."""
+def row_blocks(n_rows: int, row_entries: int) -> list:
+    """Shapes ``(rows, row_entries)`` of consecutive row blocks covering
+    ``n_rows`` rows of ``row_entries`` entries each, about ``BLOCK_ENTRIES``
+    entries (and at least one row) per block."""
     step = max(1, BLOCK_ENTRIES // row_entries)
-    for start in range(0, n_rows, step):
-        yield start, min(start + step, n_rows)
+    return [(min(step, n_rows - start), row_entries) for start in range(0, n_rows, step)]
 
 
-def drawn_row_blocks(n_rows: int, row_entries: int, draw):
-    """Yield ``(start, block)`` for each row range of :func:`row_blocks`,
-    where ``draw(out)`` fills ``out``, a (rows, ``row_entries``) float64
-    view of a reused buffer, and returns it.
+# Drawing ahead pays for starting the worker (about 70 us) and for handing
+# each block over (about 10-20 us) once a block holds BLOCK_ENTRIES // 2 =
+# 2^15 entries.  On a 2-core x86 host, median of 81 analog rounds: at 16,000
+# gains per OFDM symbol a 2-symbol round ran 31 % slower threaded, a
+# 4-symbol one 13 % slower and a 32-symbol one 18 % faster; at 32,000 gains
+# 2 symbols broke even and 3 or 16 ran 9 % and 37 % faster.  A stream of
+# several row_blocks has a first block that large: floor(x) >= x / 2, x >= 1.
+def drawn_blocks(shapes, draw):
+    """Yield one float64 block per shape of the list ``shapes``, in order,
+    each filled by ``draw(block)``.
 
-    The caller may overwrite a block; it holds other draws once the next
-    block has been requested.  With more than one block, a worker thread
-    draws block i + 1 into a second buffer while the caller works on
-    block i (:func:`drawn_ahead`).
+    Each block is a C-contiguous prefix view of one of two reused buffers
+    sized to the largest block: the caller may overwrite it, and it holds
+    other draws once the next block has been requested.  The draws run in
+    order and the last has finished when the last block is yielded.  With
+    more than one block and a first block of at least ``BLOCK_ENTRIES // 2``
+    entries, :func:`drawn_ahead` draws block i + 1 on a worker thread while
+    the caller works on block i; otherwise no thread starts and the second
+    buffer is not allocated.
     """
-    blocks = list(row_blocks(n_rows, row_entries))
-    threaded = len(blocks) > 1
-    buffers = [np.empty((blocks[0][1], row_entries)) for _ in range(1 + threaded)]
+    sizes = [math.prod(shape) for shape in shapes]
+    ahead = len(shapes) > 1 and sizes[0] >= BLOCK_ENTRIES // 2
+    buffers = [np.empty(max(sizes)) for _ in range(1 + ahead)]
 
     def draws():
-        for i, (start, stop) in enumerate(blocks):
-            yield start, draw(buffers[i % len(buffers)][: stop - start])
+        for i, (shape, size) in enumerate(zip(shapes, sizes)):
+            block = buffers[i % len(buffers)][:size].reshape(shape)
+            draw(block)
+            yield block
 
-    return drawn_ahead(draws(), threaded)
+    return drawn_ahead(draws()) if ahead else draws()
 
 
-def drawn_ahead(items, threaded: bool):
-    """Yield the items of the iterable ``items`` in order.
+def drawn_ahead(items):
+    """Yield the items of the iterable ``items``, at least one, in order.
 
-    With ``threaded``, a worker thread produces item i + 1 while the caller
-    works on item i.  The caller produces item 0, and each item starts only
-    after the previous one has finished, so a random stream drawn by
-    ``items`` is consumed in the same order as without the worker.  Item
+    A worker thread produces item i + 1 while the caller works on item i.
+    The caller produces item 0, and each item starts only after the
+    previous one has finished, so a random stream drawn by ``items`` is
+    consumed in the same order as without the worker.  Item
     i + 2 starts only once the caller has asked for item i + 1, so an item
     may reuse the buffer of the item two before it.  An error raised while
     producing an item is raised here, and the worker has been joined when
-    the generator finishes or is closed.  Without ``threaded`` no thread
-    starts; with it, ``items`` must hold at least one item.
+    the generator finishes or is closed.
     """
     items = iter(items)
-    if not threaded:
-        yield from items
-        return
     item = next(items)
     # Two locks hand the items over strictly in turn: the worker takes `free`
     # before producing each item and releases `drawn` after it, and the

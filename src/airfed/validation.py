@@ -1,8 +1,9 @@
 """Simulation-versus-closed-form checks: the rows of ``validation.csv``.
 
-The topology and mobility streams are drawn in row blocks, and a worker
-thread draws each stream's next block while the current one is reduced
-(:func:`rng.drawn_row_blocks`), so every row keeps its bits.
+The topology and mobility streams are drawn in the row blocks of
+:func:`rng.row_blocks` by :func:`rng.drawn_blocks`, which draws a stream's
+next block on a worker thread while the current one is reduced, so every
+row keeps its bits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import analytics, network
 from .config import ExperimentConfig
-from .rng import derived_rng, drawn_row_blocks
+from .rng import derived_rng, drawn_blocks, row_blocks
 
 
 ValidationRow = namedtuple("ValidationRow", "check analytic empirical error tolerance metric status")
@@ -29,17 +30,6 @@ def evaluate_check(name: str, analytic: float, empirical: float, tolerance: floa
         error = abs(empirical - analytic)
     status = "pass" if error < tolerance else "fail"
     return ValidationRow(name, analytic, empirical, error, tolerance, metric, status)
-
-
-def _radii_blocks(width: int, r_cell: float, rng, n_rows: int):
-    """``network.sample_radii(width, r_cell, rng, size=n_rows)`` drawn in
-    the consecutive row blocks of :func:`rng.drawn_row_blocks`; yields
-    (first row, block).  Consecutive draws give the same numbers as one.
-    A block is the caller's to overwrite until it asks for the next."""
-    # A module global, so a tracer's rebinding times each draw too.
-    return drawn_row_blocks(
-        n_rows, width, lambda out: network.sample_radii(width, r_cell, rng, size=len(out), out=out)
-    )
 
 
 def _snr_row(name: str, analytic: float, furthest, trials: int, pmf, alpha, snr_unit, tolerance):
@@ -123,13 +113,20 @@ def montecarlo_rows(config: ExperimentConfig):
     r_max = np.empty(trials)
     interior_max = np.empty(trials)
     n_usable = 0
-    topologies = _radii_blocks(k, r_cell, derived_rng(seed, "mc", "topology"), trials)
+    # A module global, so a tracer's rebinding of sample_radii times each draw.
+    topology_rng = derived_rng(seed, "mc", "topology")
+    topologies = drawn_blocks(
+        row_blocks(trials, k),
+        lambda out: network.sample_radii(k, r_cell, topology_rng, size=len(out), out=out),
+    )
     with closing(topologies):
-        for start, radii in topologies:
+        start = 0
+        for radii in topologies:
             inside = radii <= r_in
             k_in = np.count_nonzero(inside, axis=1)
             k_in_counts += np.bincount(k_in, minlength=k + 1)
             r_max[start : start + len(radii)] = radii.max(axis=1)
+            start += len(radii)
             # Radii are >= 0, so zeroing the exterior ones leaves the interior max.
             radii *= inside
             block_max = radii.max(axis=1)[usable_counts[k_in]]
@@ -160,13 +157,19 @@ def montecarlo_rows(config: ExperimentConfig):
     n_cr = config.train.n_cr
     p_in = analytics.fraction_exploited(r_in, r_cell)
     ever_in = np.empty(runs, dtype=bool)
-    drops = _radii_blocks(n_cr * k, r_cell, derived_rng(seed, "mc", "mobility"), runs)
+    mobility_rng = derived_rng(seed, "mc", "mobility")
+    drops = drawn_blocks(
+        row_blocks(runs, n_cr * k),
+        lambda out: network.sample_radii(n_cr * k, r_cell, mobility_rng, size=len(out), out=out),
+    )
     with closing(drops):
-        for start, radii in drops:
+        start = 0
+        for radii in drops:
             # A device is ever inside when its nearest drop is; all are when
             # the furthest of those nearest drops is.
             nearest = radii.reshape(len(radii), n_cr, k).min(axis=1)
             ever_in[start : start + len(radii)] = nearest.max(axis=1) <= r_in
+            start += len(radii)
     exact = analytics.p_all_exploited(k, n_cr, p_in)
     rows.append(_probability_row("all_data_exploited_prob", exact, float(ever_in.mean()), runs, 0.02))
     return rows

@@ -54,6 +54,14 @@ g_th_grid = 0.2
 """
 
 
+def small_train_with(line: str) -> str:
+    """SMALL_TRAIN with ``line``, a ``key = value`` line, in place of the
+    line that sets its key, or appended when none does."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in SMALL_TRAIN.splitlines() if old.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 class TestConfig:
     def test_defaults_mirror_reference_deployment(self):
         config = load_config(None)
@@ -102,6 +110,35 @@ class TestConfig:
         assert type(info.value) is ValueError
         assert str(info.value) == "eta must be positive, got -1.0"
         assert info.value.__cause__ is None
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # The second value used to replace the first without a word.
+        path = tmp_path / "twice.cfg"
+        path.write_text("g_th = 0.5\ng_th = 0.2\n")
+        assert cli.main(["latency", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: line 2: config key 'g_th' already set on line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k_devices", 2.5),
+            ("trials", "5"),
+            ("trials", True),
+            ("eta", False),
+            ("aggregation", 1),
+            ("gamma_grid", (1, 4.0)),
+            ("gamma_grid", [1, 4]),
+            ("zeta_grid", ()),
+        ],
+    )
+    def test_override_of_another_type_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must have the type of its default"):
+            load_config(None, {key: value})
+
+    def test_int_override_of_a_float_key_accepted(self):
+        config = load_config(None, {"eta": 1, "alpha_grid": (3, 3.5)})
+        assert config.train.eta == 1
+        assert config.values["alpha_grid"] == (3, 3.5)
 
     def test_bad_q_bits_grid_exits_cleanly(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -161,7 +198,7 @@ class TestConfig:
     )
     def test_out_of_range_value_exits_cleanly(self, tmp_path, capsys, line, command):
         path = tmp_path / "bad.cfg"
-        path.write_text(SMALL_TRAIN + line + "\n")
+        path.write_text(small_train_with(line))
         assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         key = line.split("=")[0].strip()
         assert f"error: {key} " in capsys.readouterr().err
@@ -201,7 +238,7 @@ class TestConfig:
     )
     def test_overflowing_receive_snr_exits_cleanly(self, tmp_path, capsys, line, command, named):
         path = tmp_path / "bad.cfg"
-        path.write_text(SMALL_TRAIN + line + "\n")
+        path.write_text(small_train_with(line))
         assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the receive SNR at ")
@@ -277,7 +314,7 @@ class TestConfig:
     )
     def test_value_its_owner_rejects_exits_cleanly(self, tmp_path, capsys, line, shown):
         path = tmp_path / "bad.cfg"
-        path.write_text(SMALL_TRAIN + line + "\n")
+        path.write_text(small_train_with(line))
         assert cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -295,7 +332,7 @@ class TestConfig:
     )
     def test_non_finite_value_exits_cleanly(self, tmp_path, capsys, line, command):
         path = tmp_path / "bad.cfg"
-        path.write_text(SMALL_TRAIN + line + "\n")
+        path.write_text(small_train_with(line))
         assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         key = line.split("=")[0].strip()
         assert f"error: {key} must be finite, got " in capsys.readouterr().err
@@ -364,7 +401,7 @@ class TestConfig:
     @pytest.mark.parametrize("command", ["latency", "train", "compare", "extensions"])
     def test_single_device_runs_where_no_closed_form_is_undefined(self, tmp_path, command):
         path = tmp_path / "one.cfg"
-        path.write_text(SMALL_TRAIN + "k_devices = 1\n")
+        path.write_text(small_train_with("k_devices = 1"))
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_grid_under_all_inclusive_is_rejected(self, tmp_path, capsys):
@@ -531,8 +568,7 @@ class TestMonteCarloCommand:
         started = started_threads(monkeypatch)
         threaded = cli.montecarlo_rows(config)
         assert started == ["airfed-draw-ahead"] * 2
-        drawn_ahead = rng.drawn_ahead
-        monkeypatch.setattr(rng, "drawn_ahead", lambda items, threaded: drawn_ahead(items, False))
+        monkeypatch.setattr(rng, "drawn_ahead", lambda items: items)
         assert cli.montecarlo_rows(config) == threaded
         assert len(started) == 2
 
@@ -812,7 +848,7 @@ class TestExtensionsCommand:
 class TestTrainCompareCommands:
     def test_train_trace_and_grid(self, tmp_path):
         path = tmp_path / "train.cfg"
-        path.write_text(SMALL_TRAIN + "scheme = cell-interior\n")
+        path.write_text(small_train_with("scheme = cell-interior"))
         config = load_config(path)
         tables = run_command("train", config, grid=True)
         trace = tables["trace_cell-interior_baa"]

@@ -121,8 +121,7 @@ class TestAdversarySuppression:
         started = started_threads(monkeypatch)
         threaded = suppression_ratios(codes, 2000, derived_rng(16, "chips"))
         assert started == ["airfed-draw-ahead"]
-        drawn_ahead = rng.drawn_ahead
-        monkeypatch.setattr(rng, "drawn_ahead", lambda items, threaded: drawn_ahead(items, False))
+        monkeypatch.setattr(rng, "drawn_ahead", lambda items: items)
         assert suppression_ratios(codes, 2000, derived_rng(16, "chips")) == threaded
         assert len(started) == 1
 

@@ -29,7 +29,7 @@ from airfed.phy import (
     normalization_from_values,
     normalize_updates,
 )
-from airfed.rng import derived_rng
+from airfed.rng import BLOCK_ENTRIES, derived_rng
 from conftest import traced_peak
 
 PARAMS = SystemParams(p0=0.1, m=1000, b=1e6, alpha=3.0, r_cell=100.0, g_th=0.5, n0=1e-11)
@@ -344,14 +344,17 @@ class TestBaaRound:
             run([np.zeros(4), np.zeros(5)], [10.0, 20.0])
         with pytest.raises(ValueError, match=r"radii must have shape \(2,\), got \(1,\)"):
             run(np.zeros((2, 4)), [10.0])
+        # An update with no entries, before any 0 / 0 in the power audit.
+        with pytest.raises(ValueError, match=r"nonempty \(k, q\) matrix"):
+            run(np.zeros((3, 0)), [10.0, 20.0, 30.0])
 
 
 class TestGainPrefetch:
-    """Rounds whose OFDM symbols carry at least ``_PREFETCH_MIN_GAINS`` gains
+    """Rounds whose OFDM symbols carry at least ``BLOCK_ENTRIES // 2`` gains
     draw the next symbol's gains on a worker thread."""
 
     # The fewest devices whose M-wide symbols reach the threshold.
-    K_THREADED = phy._PREFETCH_MIN_GAINS // PARAMS.m + 1
+    K_THREADED = BLOCK_ENTRIES // 2 // PARAMS.m + 1
 
     @staticmethod
     def round_bytes(k, q, params, seed, fading=True, noise=True):

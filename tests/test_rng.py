@@ -6,8 +6,10 @@ the same root seed differ.  A stream drawn ahead on a worker thread gives
 the caller the items it gives without the worker.
 """
 
+import math
 import threading
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from airfed import extensions, learning, network, phy, validation
 from airfed.analytics import SystemParams
 from airfed.config import load_config
 from airfed.datasets import synth_gaussian_mixture
-from airfed.rng import derived_rng, drawn_ahead
+from airfed.rng import BLOCK_ENTRIES, derived_rng, drawn_ahead, drawn_blocks
+from conftest import started_threads
 
 PARAMS = SystemParams(p0=0.1, m=4, b=1e6, alpha=3.0, r_cell=100.0, g_th=0.5, n0=1e-11)
 DATA = synth_gaussian_mixture(3, 2, 12, seed=1)
@@ -45,15 +48,18 @@ def normal_blocks(rng, buffers, n_blocks):
         yield rng.standard_normal(out=buffers[i % len(buffers)])
 
 
+HALF = BLOCK_ENTRIES // 2
+
+
 class TestDrawnAhead:
     def test_threaded_stream_gives_the_serial_bytes(self):
         # The caller holds each block a while before reading it: a draw into
         # the buffer it holds, or out of stream order, changes the bytes.
         blocks = normal_blocks(derived_rng(1, "s"), [np.empty(999)], 9)
-        serial = [block.tobytes() for block in drawn_ahead(blocks, False)]
+        serial = [block.tobytes() for block in blocks]
         blocks = normal_blocks(derived_rng(1, "s"), [np.empty(999), np.empty(999)], 9)
         threaded = []
-        for block in drawn_ahead(blocks, True):
+        for block in drawn_ahead(blocks):
             time.sleep(0.002)
             threaded.append(block.tobytes())
         assert threaded == serial
@@ -70,7 +76,7 @@ class TestDrawnAhead:
         threads_before = threading.active_count()
         got = []
         with pytest.raises(RuntimeError, match="item failed"):
-            for item in drawn_ahead(items(), True):
+            for item in drawn_ahead(items()):
                 got.append(item)
         assert got == list(range(failing_item))
         assert threading.active_count() == threads_before
@@ -84,7 +90,7 @@ class TestDrawnAhead:
                 yield i
 
         threads_before = threading.active_count()
-        stream = drawn_ahead(items(), True)
+        stream = drawn_ahead(items())
         assert [next(stream), next(stream)] == [0, 1]
         assert threading.active_count() == threads_before + 1
         stream.close()
@@ -92,16 +98,29 @@ class TestDrawnAhead:
         # At most one item past the one the caller holds was started.
         assert produced in ([0, 1], [0, 1, 2])
 
-    def test_streams_below_the_threshold_start_no_thread(self, monkeypatch):
-        def refuse(thread):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        # One chip block, one block of each montecarlo stream, and the helper
-        # itself told to run serially.
+    # Each case pairs a stream just below the draw-ahead threshold with one
+    # just at it: a first block of BLOCK_ENTRIES // 2 entries, and a second.
+    @pytest.mark.parametrize(
+        "below, at",
+        [
+            ([(1, HALF - 1), (1, HALF)], [(1, HALF), (1, HALF - 1)]),
+            ([(2, HALF)], [(2, HALF), (2, HALF)]),
+            ([(4, HALF // 4 - 1)] * 2 + [(4, 17)], [(4, HALF // 4)] * 2 + [(4, 17)]),
+        ],
+    )
+    def test_streams_below_the_threshold_start_no_thread(self, monkeypatch, below, at):
+        started = started_threads(monkeypatch)
+        # One chip block and one block of each montecarlo stream.
         codes = [extensions.pn_code(gamma, derived_rng(2, gamma)) for gamma in (1, 4)]
         extensions.suppression_ratios(codes, 200, derived_rng(2, "chips"))
         validation.montecarlo_rows(load_config(None, overrides={"trials": 6}))
-        assert list(drawn_ahead(range(3), False)) == [0, 1, 2]
-        with pytest.raises(AssertionError, match="a thread was started"):
-            list(drawn_ahead(range(3), True))
+        assert started == []
+        # Both streams give the bytes of one draw; only the one at the
+        # threshold draws ahead.
+        for shapes, threads in ((below, []), (at, ["airfed-draw-ahead"])):
+            stream = derived_rng(3, "blocks")
+            with closing(drawn_blocks(shapes, lambda out: stream.standard_normal(out=out))) as blocks:
+                drawn = b"".join(block.tobytes() for block in blocks)
+            entries = sum(math.prod(shape) for shape in shapes)
+            assert drawn == derived_rng(3, "blocks").standard_normal(entries).tobytes()
+            assert started == threads
