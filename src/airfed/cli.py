@@ -10,8 +10,10 @@ Subcommands map onto the study's result sets:
 * ``extensions``  - spread-spectrum suppression and beamforming comparison
 
 Every run writes its tables plus a ``manifest.json`` (config hash, seed,
-versions).  Outputs are byte-identical for identical (config, seed).  A check's
-ValueError reaches ``main``, the one place that prints ``error:`` and exits 2.
+versions of airfed, its result schema, Python and numpy, and the platform).
+Outputs are byte-identical for identical (config, seed) in one environment.
+A check's ValueError reaches ``main``, the one place that prints ``error:``
+and exits 2.
 """
 
 from __future__ import annotations

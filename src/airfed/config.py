@@ -25,8 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analytics import ScenarioParams, SystemParams, receive_snr
@@ -340,6 +343,12 @@ def manifest_json(config: ExperimentConfig) -> str:
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "trials": config.trials,
-        "versions": {"airfed": __version__, "result_schema": SCHEMA_VERSION},
+        "versions": {
+            "airfed": __version__,
+            "result_schema": SCHEMA_VERSION,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

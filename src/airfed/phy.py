@@ -356,6 +356,8 @@ def digital_round(
     k, q = mat.shape
     if q != scenario.q_dim:
         raise ValueError(f"updates have dimension {q}, scenario expects {scenario.q_dim}")
+    if not 0.0 <= bit_flip_prob <= 1.0:
+        raise ValueError(f"bit_flip_prob must lie in [0, 1], got {bit_flip_prob}")
 
     aggregate = _quantized_mean(mat, params.q_bits, params.m, rng, bit_flip_prob)
 

@@ -15,14 +15,16 @@ about ``BLOCK_ENTRIES`` entries; consecutive draws from one stream give
 the same numbers as one.  :func:`drawn_blocks` draws any stream block by
 block (Monte Carlo row blocks, OFDM symbols' gains) into two reused
 buffers and, by one rule, lets a worker thread draw the next block while
-the caller reduces the current one (:func:`drawn_ahead`); the draws keep
-their order, so every output keeps its bytes.
+the caller reduces the current one (:func:`drawn_ahead`): the caller asks
+for each block through one queue and the worker answers through another,
+so the draws keep their order and every output keeps its bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import queue
 import threading
 
 import numpy as np
@@ -94,56 +96,39 @@ def drawn_ahead(items):
     A worker thread produces item i + 1 while the caller works on item i.
     The caller produces item 0, and each item starts only after the
     previous one has finished, so a random stream drawn by ``items`` is
-    consumed in the same order as without the worker.  Item
-    i + 2 starts only once the caller has asked for item i + 1, so an item
-    may reuse the buffer of the item two before it.  An error raised while
-    producing an item is raised here, and the worker has been joined when
-    the generator finishes or is closed.
+    consumed in the same order as without the worker.  The threads share
+    two queues: before it yields item i the caller puts a request, and the
+    worker answers each request with the next item or with the error that
+    producing it raised.  So item i + 2 starts only once the caller has
+    asked for item i + 1, and an item may reuse the buffer of the item two
+    before it.  An error raised while producing an item is raised here, and
+    the worker has been joined when the generator finishes or is closed.
     """
     items = iter(items)
     item = next(items)
-    # Two locks hand the items over strictly in turn: the worker takes `free`
-    # before producing each item and releases `drawn` after it, and the
-    # caller, once it holds item i, releases `free` so that item i + 1 may
-    # start.
-    drawn, free, stop = threading.Lock(), threading.Lock(), threading.Event()
-    drawn.acquire()
-    ahead, failure = [], []
+    requests, answers = queue.SimpleQueue(), queue.SimpleQueue()
     done = object()
 
     def produce():
-        try:
-            while True:
-                free.acquire()
-                if stop.is_set():
-                    return
-                ahead.append(next(items, done))
-                drawn.release()
-                if ahead[-1] is done:
-                    return
-        except BaseException as exc:
-            # Raised again by the caller, which would otherwise wait on
-            # `drawn` for ever.
-            failure.append(exc)
-            drawn.release()
+        while requests.get():
+            try:
+                answers.put((next(items, done), None))
+            except BaseException as exc:
+                # The caller waits for an answer to every request it puts.
+                answers.put((None, exc))
+                return
 
     worker = threading.Thread(target=produce, name="airfed-draw-ahead")
     worker.start()
     try:
         while True:
+            requests.put(True)
             yield item
-            drawn.acquire()
-            if failure:
-                raise failure[0]
-            item = ahead.pop()
+            item, error = answers.get()
+            if error is not None:
+                raise error
             if item is done:
                 return
-            free.release()
     finally:
-        stop.set()
-        # Only the caller releases `free`.  If it is held, the worker is
-        # producing, waiting for it or finished; released, the worker's next
-        # take sees `stop`.
-        if free.locked():
-            free.release()
+        requests.put(False)
         worker.join()

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import platform
 import re
 import sys
 import tempfile
@@ -1035,6 +1036,9 @@ class TestDeterminism:
         assert manifest["seed"] == 42
         assert len(manifest["config_hash"]) == 64
         assert "versions" in manifest
+        assert manifest["versions"]["python"] == platform.python_version()
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert manifest["versions"]["platform"] == platform.platform()
         payload = json.loads((out_dir / "snr_truncation.json").read_text())
         assert isinstance(payload, list) and payload
 

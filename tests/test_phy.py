@@ -518,6 +518,18 @@ class TestDigitalRound:
         with pytest.raises(ValueError, match="updates have dimension 5, scenario expects 4"):
             digital_round(np.zeros((2, 5)), [10.0, 20.0], PARAMS, scenario, derived_rng(0))
 
+    @pytest.mark.parametrize(
+        "prob, valid", [(-0.5, False), (math.nan, False), (1.5, False), (0.0, True), (1.0, True)]
+    )
+    def test_bit_flip_prob_must_be_a_probability(self, prob, valid):
+        scenario = ScenarioParams(k_devices=2, r_in=50.0, q_dim=4)
+        args = (np.zeros((2, 4)), [10.0, 20.0], PARAMS, scenario, derived_rng(0))
+        if valid:
+            digital_round(*args, bit_flip_prob=prob)
+        else:
+            with pytest.raises(ValueError, match=r"bit_flip_prob must lie in \[0, 1\]"):
+                digital_round(*args, bit_flip_prob=prob)
+
     def test_fine_quantization_recovers_mean(self):
         rng = derived_rng(15, "dig")
         updates = rng.normal(0.0, 1.0, size=(6, 4000))

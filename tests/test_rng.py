@@ -98,6 +98,24 @@ class TestDrawnAhead:
         # At most one item past the one the caller holds was started.
         assert produced in ([0, 1], [0, 1, 2])
 
+    def test_closing_while_an_item_fails_raises_nothing(self):
+        failing = threading.Event()
+
+        def items():
+            yield 0
+            yield 1
+            failing.set()
+            time.sleep(0.05)
+            raise RuntimeError("item failed")
+
+        threads_before = threading.active_count()
+        stream = drawn_ahead(items())
+        assert [next(stream), next(stream)] == [0, 1]
+        # The worker is producing item 2, which raises while the caller closes.
+        assert failing.wait(10)
+        stream.close()
+        assert threading.active_count() == threads_before
+
     # Each case pairs a stream just below the draw-ahead threshold with one
     # just at it: a first block of BLOCK_ENTRIES // 2 entries, and a second.
     @pytest.mark.parametrize(
