@@ -113,13 +113,18 @@ class ScenarioParams:
             raise ValueError(f"q_dim must be >= 1, got {self.q_dim}")
 
 
+def _is_normal(value):
+    """Where ``value`` is a positive, finite, normal float."""
+    # NaN fails both comparisons.
+    return (value >= sys.float_info.min) & (value <= sys.float_info.max)
+
+
 def _normal(value, what: str, params: SystemParams, r):
     """``value``, ``what`` at the distances ``r`` (a numpy scalar, or an
     array of ``r``'s shape), when every entry is a positive, finite, normal
     float.  Otherwise raises ValueError naming the first distance where it
     is not, with alpha, g_th, p0, m and n0."""
-    # NaN fails both comparisons.
-    normal = (value >= sys.float_info.min) & (value <= sys.float_info.max)
+    normal = _is_normal(value)
     if normal.all():
         return value
     at = np.flatnonzero(~np.ravel(normal))[0]
@@ -283,14 +288,18 @@ def k_in_pmf(k_devices: int, r_in: float, r_cell: float, k: int) -> float:
         return 1.0 if k == 0 else 0.0
     if p >= 1.0:
         return 1.0 if k == k_devices else 0.0
-    log_pmf = (
+    return math.exp(_log_k_in_pmf(k_devices, p, k))
+
+
+def _log_k_in_pmf(k_devices: int, p: float, k: int) -> float:
+    """ln P(K_in = k) for K_in ~ Binomial(k_devices, p), 0 < p < 1."""
+    return (
         math.lgamma(k_devices + 1)
         - math.lgamma(k + 1)
         - math.lgamma(k_devices - k + 1)
         + k * math.log(p)
         + (k_devices - k) * math.log1p(-p)
     )
-    return math.exp(log_pmf)
 
 
 def interior_count_pmf(k_devices: int, r_in: float, r_cell: float) -> np.ndarray:
@@ -399,7 +408,10 @@ def reliability_quantity_curve(params: SystemParams, k_devices: int, alpha_grid,
     expected cell-interior over all-inclusive receive SNR, is
     c * (r_cell / r_in)^alpha / (2K / (2K - alpha)) with the c of
     :func:`expected_snr_cell_interior`: p0, m, n0 and E1(g_th) cancel.  It
-    is 1 at F = 1; the last two columns are what c drops.
+    is 1 at F = 1; the last two columns are what c drops.  Where that
+    product is not a normal float (c underflows or the power overflows,
+    as at large alpha and small F), the gain is summed term by term in log
+    space instead.
     """
     for f_dat in f_dat_grid:
         if not 0.0 < f_dat <= 1.0:
@@ -413,9 +425,24 @@ def reliability_quantity_curve(params: SystemParams, k_devices: int, alpha_grid,
         for f_dat, r_in, pmf in zip(f_dat_grid, r_ins, pmfs):
             with np.errstate(all="ignore"):
                 gain = _interior_factor(pmf, weights) * np.power(params.r_cell / r_in, alpha) / all_inclusive
+            if not _is_normal(gain):
+                gain = _log_space_gain(weights, k_devices, r_in, params.r_cell, alpha, all_inclusive)
             gain = _normal(gain, "the SNR gain", replace(params, alpha=alpha), r_in)
             rows.append(GainRow(alpha, k_devices, f_dat, float(gain), *dropped_count_mass(pmf, weights)))
     return rows
+
+
+def _log_space_gain(weights, k_devices: int, r_in: float, r_cell: float, alpha: float, all_inclusive: float):
+    """The gain c * (r_cell / r_in)^alpha / all_inclusive, summed in count
+    order over the counts j of nonzero weight w_j as
+    exp(ln w_j + ln pmf_j + alpha ln(r_cell / r_in) - ln all_inclusive), so
+    that no factor leaves the float range on its own."""
+    p = fraction_exploited(r_in, r_cell)
+    counts = np.flatnonzero(weights)
+    log_pmf = np.array([_log_k_in_pmf(k_devices, p, j) for j in counts])
+    log_scale = alpha * math.log(r_cell / r_in) - math.log(all_inclusive)
+    with np.errstate(over="ignore"):  # an inf gain is rejected by the caller
+        return np.cumsum(np.exp(np.log(weights[counts]) + log_pmf + log_scale))[-1]
 
 
 def p_all_exploited(k_devices: int, n_cr: int, p_in: float) -> float:

@@ -26,7 +26,7 @@ given that seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +113,9 @@ class RoundRecord(NamedTuple):
     """One round's trace row; its fields are the trace columns, in order.
 
     The defaults describe a round that sends nothing over the air: ideal
-    averaging, or a round that schedules nobody."""
+    averaging, or a round that schedules nobody.  The last two are the
+    analog round's audits, set by ``baa`` alone: the largest per-device
+    transmit power over p0, and the fewest devices sent on any entry."""
 
     round: int
     accuracy: float
@@ -122,6 +124,8 @@ class RoundRecord(NamedTuple):
     rho0_db: float = float("nan")
     truncation_frac: float = float("nan")
     k_scheduled: int = 0
+    max_tx_power_ratio: float = float("nan")
+    min_contributors: int | float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -366,6 +370,8 @@ def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed,
             "latency_s": diag.latency_s,
             "rho0_db": _snr_db(diag.rho0 / params.n0),
             "truncation_frac": float(diag.truncation_fraction.mean()),
+            "max_tx_power_ratio": float(diag.tx_power.max() / params.p0),
+            "min_contributors": int(diag.contributor_counts.min()),
         }
         return aggregate, columns
     result = phy.digital_round(locals_, scheduled, params, scenario, channel)
@@ -390,10 +396,11 @@ def federated_train(
 
     Rounds whose scheduled set is empty leave the model untouched and are
     recorded with the :class:`RoundRecord` defaults: zero latency and no
-    device scheduled.  The scenario's model dimension is replaced
-    by the actual model size derived from the data.  ``mobility`` is one of
-    ``MOBILITY_MODES``.  ``topology_seed`` pins the first drop independently
-    of the training randomness, for sweeps that hold one deployment fixed.
+    device scheduled.  The device count K is ``scenario.k_devices``; each
+    round's channel step takes its k and q from the local models it sends.
+    ``mobility`` is one of ``MOBILITY_MODES``.  ``topology_seed`` pins the
+    first drop independently of the training randomness, for sweeps that
+    hold one deployment fixed.
     A round whose arithmetic overflows or yields a NaN raises ValueError
     naming the round: the model has diverged, as it does within a few
     rounds when the receive SNR is so low that the aggregate is noise.
@@ -405,8 +412,6 @@ def federated_train(
     features = dataset.features[rows]
     labels = dataset.labels[rows]
     d, n_classes = dataset.n_features, dataset.n_classes
-    q = model_dim(d, n_classes)
-    scenario = replace(scenario, q_dim=q)
 
     weights = init_weights(d, n_classes, derived_rng(seed, "init"))
     radii = network.sample_topology(

@@ -349,19 +349,17 @@ def digital_round(
     BER by default; ``bit_flip_prob`` injects per-bit flips for sensitivity
     studies, drawn block by block.  The round latency is the straggler's:
     the maximum of the per-device expected latencies, each the
-    :func:`analytics.latency_digital` of its distance among the k scheduled
-    devices.
+    :func:`analytics.latency_digital` of its distance at the k and q of
+    ``updates``; as in :func:`baa_round`, ``scenario`` gives neither.
     """
     mat, radii = _as_update_matrix(updates, radii)
     k, q = mat.shape
-    if q != scenario.q_dim:
-        raise ValueError(f"updates have dimension {q}, scenario expects {scenario.q_dim}")
     if not 0.0 <= bit_flip_prob <= 1.0:
         raise ValueError(f"bit_flip_prob must lie in [0, 1], got {bit_flip_prob}")
 
     aggregate = _quantized_mean(mat, params.q_bits, params.m, rng, bit_flip_prob)
 
-    latencies = latency_digital(params, replace(scenario, k_devices=k), radii)
+    latencies = latency_digital(params, replace(scenario, k_devices=k, q_dim=q), radii)
     return DigitalRoundResult(
         aggregate=aggregate,
         per_device_latency_s=latencies,

@@ -403,13 +403,27 @@ class TestReliabilityQuantityCurve:
 
     # At alpha = 399 and F = 1e-4 only the count j = K = 200 carries weight,
     # and the gain is sqrt(F) = 0.01 (400 * F^200 * F^-199.5 / 400).  The
-    # cancelled form underflows c to 0 and overflows (R / r_in)^alpha to inf,
-    # so it raises on a nan.  Summing each count's term in log space must
-    # flip this.
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason="c underflows and (R / r_in)^alpha overflows")
+    # cancelled form underflows c to 0 and overflows (R / r_in)^alpha to inf;
+    # each count's term summed in log space stays in range.
     def test_gain_stays_finite_where_its_factors_leave_the_float_range(self):
         [gain] = self.gains(SystemParams(r_cell=1.0, p0=1e60), 200, [399.0], [1e-4])
         assert gain == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.parametrize("k, alpha, f_dat", [(3, 2.5, 0.05), (20, 3.0, 0.5), (50, 10.0, 0.1), (200, 4.0, 0.3)])
+    def test_log_space_sum_matches_the_direct_form_in_range(self, k, alpha, f_dat):
+        [gain] = self.gains(FIG_PARAMS, k, [alpha], [f_dat])
+        r_in = 100.0 * math.sqrt(f_dat)
+        weights = count_snr_weights(k, alpha)
+        all_inclusive = furthest_snr_weight(k, alpha)
+        logged = analytics._log_space_gain(weights, k, r_in, 100.0, alpha, all_inclusive)
+        assert logged == pytest.approx(gain, rel=1e-12)
+
+    def test_direct_form_is_kept_where_it_is_normal(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("log-space sum taken where the direct form is normal")
+
+        monkeypatch.setattr(analytics, "_log_space_gain", unused)
+        reliability_quantity_curve(SystemParams(), 200, [3.0, 4.0], np.arange(0.1, 0.91, 0.1))
 
 
 class TestEverScheduledProbability:

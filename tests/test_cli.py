@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import platform
 import re
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -854,7 +856,8 @@ class TestTrainCompareCommands:
         tables = run_command("train", config, grid=True)
         trace = tables["trace_cell-interior_baa"]
         assert trace.columns == (
-            "round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac", "k_scheduled"
+            "round", "accuracy", "loss", "latency_s", "rho0_db", "truncation_frac", "k_scheduled",
+            "max_tx_power_ratio", "min_contributors",
         )
         assert len(trace.rows) == 3
         grid = tables["accuracy_grid"]
@@ -894,6 +897,32 @@ class TestRunCommand:
     def test_unknown_command_stays_a_plain_value_error(self):
         with pytest.raises(ValueError, match="unknown command 'nope'"):
             run_command("nope", load_config(None))
+
+
+class TestModuleEntryPoint:
+    """``python -m airfed`` runs ``cli.main`` in a fresh interpreter and
+    exits with its status."""
+
+    def test_python_dash_m_exits_with_mains_status(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "airfed", *args], capture_output=True, text=True, env=env, timeout=120
+            )
+
+        out = tmp_path / "out"
+        proc = run("tradeoff", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        written = proc.stdout.splitlines()
+        assert written and all(Path(path).parent == out and Path(path).is_file() for path in written)
+        config = tmp_path / "bad.cfg"
+        config.write_text("warp_drive = 9\n")
+        proc = run("tradeoff", "--config", str(config), "--out", str(tmp_path / "unused"))
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:") and "warp_drive" in line
+        assert not (tmp_path / "unused").exists()
 
 
 def _rewrite_images(corpus, transform):

@@ -6,7 +6,9 @@ exact accounting; channel substitutability by running the same seeds
 through all three aggregation paths.
 """
 
+import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -570,7 +572,7 @@ class TestFederatedTrain:
     def test_a_round_that_schedules_nobody_is_the_default_row(self):
         assert repr(learning.RoundRecord(3, 0.5, 1.2)) == (
             "RoundRecord(round=3, accuracy=0.5, loss=1.2, latency_s=0.0, rho0_db=nan, "
-            "truncation_frac=nan, k_scheduled=0)"
+            "truncation_frac=nan, k_scheduled=0, max_tx_power_ratio=nan, min_contributors=nan)"
         )
         data = toy_dataset(n=40, seed=34)
         cfg = TrainConfig(eta=0.3, tau=1, n_cr=4, batch_size=None, aggregation="baa")
@@ -678,9 +680,34 @@ class TestFederatedTrain:
         )
         text = trace_csv(result)
         header = text.splitlines()[0]
-        assert header == "round,accuracy,loss,latency_s,rho0_db,truncation_frac,k_scheduled"
+        assert header == (
+            "round,accuracy,loss,latency_s,rho0_db,truncation_frac,k_scheduled,max_tx_power_ratio,min_contributors"
+        )
         assert len(text.splitlines()) == 4
         assert result.records[0].latency_s > 0
+
+    def audit_columns(self, aggregation, params):
+        data = toy_dataset(n=40, seed=37)
+        cfg = TrainConfig(eta=0.3, tau=1, n_cr=3, batch_size=None, aggregation=aggregation)
+        result = federated_train(
+            data, PartitionSpec(mode="iid"), cfg, params, self.scenario(4),
+            SchedulingScheme.all_inclusive(), 68, data,
+        )
+        return [(r.max_tx_power_ratio, r.min_contributors, r.k_scheduled) for r in result.records]
+
+    def test_analog_rounds_record_their_power_and_contributor_audits(self):
+        for ratio, contributors, k_scheduled in self.audit_columns("baa", PARAMS):
+            assert math.isfinite(ratio) and ratio > 0
+            assert type(ratio) is float and type(contributors) is int
+            assert contributors <= k_scheduled
+        # At g_th = 1e-9 no gain falls below the cutoff, so every entry is sent by all.
+        for _, contributors, k_scheduled in self.audit_columns("baa", replace(PARAMS, g_th=1e-9)):
+            assert contributors == k_scheduled == 4
+
+    @pytest.mark.parametrize("aggregation", ["ideal", "digital"])
+    def test_other_rounds_leave_the_audits_unset(self, aggregation):
+        for ratio, contributors, _ in self.audit_columns(aggregation, PARAMS):
+            assert math.isnan(ratio) and math.isnan(contributors)
 
 
 class TestDatasets:

@@ -513,10 +513,17 @@ class TestNormalization:
 
 
 class TestDigitalRound:
-    def test_update_dimension_must_match_the_scenario(self):
-        scenario = ScenarioParams(k_devices=2, r_in=50.0, q_dim=4)
-        with pytest.raises(ValueError, match="updates have dimension 5, scenario expects 4"):
-            digital_round(np.zeros((2, 5)), [10.0, 20.0], PARAMS, scenario, derived_rng(0))
+    def test_k_and_q_come_from_the_update_matrix(self):
+        k, q = 3, 5
+        updates = derived_rng(19, "dig").normal(0.0, 1.0, size=(k, q))
+        radii = [10.0, 20.0, 30.0]
+        matching = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
+        expected = digital_round(updates, radii, PARAMS, matching, derived_rng(19, "round"), bit_flip_prob=0.1)
+        wrong = ScenarioParams(k_devices=40, r_in=50.0, q_dim=4)
+        result = digital_round(updates, radii, PARAMS, wrong, derived_rng(19, "round"), bit_flip_prob=0.1)
+        assert result.aggregate.tobytes() == expected.aggregate.tobytes()
+        assert result.per_device_latency_s.tobytes() == expected.per_device_latency_s.tobytes()
+        assert result.round_latency_s == analytics.latency_digital(PARAMS, matching, 30.0)
 
     @pytest.mark.parametrize(
         "prob, valid", [(-0.5, False), (math.nan, False), (1.5, False), (0.0, True), (1.0, True)]
