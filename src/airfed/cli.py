@@ -10,7 +10,8 @@ Subcommands map onto the study's result sets:
 * ``extensions``  - spread-spectrum suppression and beamforming comparison
 
 Every run writes its tables plus a ``manifest.json`` (config hash, seed,
-versions of airfed, its result schema, Python and numpy, and the platform).
+versions of airfed, its result schema, Python and numpy, the platform, and
+numpy's BLAS).
 Outputs are byte-identical for identical (config, seed) in one environment.
 A check's ValueError reaches ``main``, the one place that prints ``error:``
 and exits 2.

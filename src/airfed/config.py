@@ -337,6 +337,18 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     return _build(values)
 
 
+def _blas_build() -> dict | None:
+    """Name and version of the BLAS numpy was built against, whose matmul
+    bits the results depend on; None where numpy's ``show_config`` has no
+    dict mode (numpy < 1.26)."""
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:
+        return None
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def manifest_json(config: ExperimentConfig) -> str:
     """Reproducibility manifest written alongside every result set."""
     payload = {
@@ -349,6 +361,7 @@ def manifest_json(config: ExperimentConfig) -> str:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
+            "blas": _blas_build(),
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

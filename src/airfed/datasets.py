@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,11 @@ LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with integer class labels."""
+    """Feature matrix with integer class labels.
+
+    The arrays are checked once, here, and must not be changed in place
+    afterwards: the label arrays below are formed on first use and kept.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -48,6 +53,18 @@ class LabeledDataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def label_index(self) -> np.ndarray:
+        """Flat index of each sample's label entry in a C-contiguous
+        class-major (n_classes, n) array: ``labels * n + arange(n)``."""
+        n = len(self)
+        return self.labels * n + np.arange(n)
+
+    @cached_property
+    def below_label(self) -> np.ndarray:
+        """The (n_classes, n) mask of the classes below each sample's label."""
+        return np.arange(self.n_classes)[:, None] < self.labels
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=int)

@@ -9,12 +9,17 @@ the new model and the trace's channel columns, and evaluates on a held-out
 set.  Only ``baa`` and ``digital`` derive the round's ``channel`` stream; a
 round that schedules nobody skips the step and keeps the model.
 
-Evaluation (``accuracy`` and ``local_loss``) runs on class-major (C, n)
-logits, so every step after the matmul loops over the n samples rather
-than over the C classes.  It returns the same bits as the row-major
-formulas on (n, C) logits: the class sum adds its terms in numpy's
-row-sum order, and the accuracy test follows ``ndarray.argmax`` on ties
-and NaN.
+Evaluation (``accuracy`` and ``local_loss``) and the local SGD gradient
+run their softmax on class-major (C, n) logits, so every step after the
+matmul loops over the n samples rather than over the C classes; the
+gradient pools the samples of every device into one (C, K n) array and
+turns its probabilities back to the row-major layout for its matmul.
+Each returns the same bits as the row-major formulas on (n, C) logits:
+the class sum adds its terms in numpy's row-sum order, a NaN row maximum
+is numpy's row reduction, and the accuracy test follows
+``ndarray.argmax`` on ties and NaN.  What depends on the data alone is
+formed once: the training loop pools its shards once per run, and each
+:class:`LabeledDataset` keeps its label index and lower-class mask.
 
 The topology is the array of device distances.  Mobility is one of the two
 analyzed extremes: ``static`` keeps the first drop for every round, and
@@ -168,25 +173,19 @@ def _unpack(weights: np.ndarray, n_features: int, n_classes: int):
     return w, b
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _class_major_logits(weights: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
-    """The (C, n) logits, C-contiguous: ``features @ w`` as the row-major
-    formulas compute it, one transposed copy, then the bias in place.  Each
-    entry has the bits of ``features @ w + b``; only the layout differs."""
-    w, b = _unpack(weights, dataset.n_features, dataset.n_classes)
-    logits = (dataset.features @ w).T.copy()
-    logits += b[:, None]
-    return logits
-
-
-def _at_labels(class_major: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``class_major[labels[i], i]`` for every sample i, as one flat take."""
-    n = labels.size
-    return np.take(class_major, labels * n + np.arange(n))
+def _class_major_logits(weights: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
+    """The logits of features ``(..., n, d)`` as a C-contiguous
+    ``(C, ..., n)`` array: ``features @ w`` as the row-major formulas
+    compute it, one transposed copy, then the bias in place.  Each entry
+    has the bits of ``features @ w + b[..., None, :]``; only the layout
+    differs."""
+    w, b = _unpack(weights, features.shape[-1], n_classes)
+    logits = features @ w
+    class_major = logits.reshape(-1, n_classes).T.copy().reshape(n_classes, *logits.shape[:-1])
+    # b as (C, ..., 1), its leading axes aligned with the logits' ones.
+    bias = b.reshape((1,) * (logits.ndim - 1 - b.ndim) + b.shape)
+    class_major += bias.transpose(-1, *range(bias.ndim - 1))[..., None]
+    return class_major
 
 
 def _class_sum(terms: np.ndarray) -> np.ndarray:
@@ -207,35 +206,55 @@ def _class_sum(terms: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(terms.T).sum(axis=-1)
     if c < 8:
         return terms.sum(axis=0)
-    acc = terms[:8].copy()
     tail = c - c % 8
-    for start in range(8, tail, 8):
-        acc += terms[start : start + 8]
-    acc[::2] += acc[1::2]
-    acc[::4] += acc[2::4]
-    acc[0] += acc[4]
+    acc = terms[:8]
+    if tail > 8:
+        acc = acc + terms[8:16]
+        for start in range(16, tail, 8):
+            acc += terms[start : start + 8]
+    # Each pairwise step writes a new array half the size, so no step
+    # copies the first eight rows or writes into terms.
+    pairs = acc[::2] + acc[1::2]
+    quads = pairs[::2] + pairs[1::2]
+    total = quads[0] + quads[1]
     for row in terms[tail:]:
-        acc[0] += row
-    return acc[0]
+        total += row
+    return total
+
+
+def _subtract_column_max(logits: np.ndarray) -> None:
+    """Subtract each column's maximum from class-major ``logits`` (C, n) in
+    place, with the bits of ``row - row.max()`` on the row-major rows.
+
+    The maxima agree except where one is NaN: numpy's reduction of a
+    contiguous row returns a positive NaN or the row's first NaN, depending
+    on where the NaN lies, and the class-major maximum the column's first
+    NaN.  Those columns take their maximum from the row reduction.
+    """
+    column_max = logits.max(axis=0)
+    nan = np.isnan(column_max)
+    if nan.any():
+        column_max[nan] = np.ascontiguousarray(logits[:, nan].T).max(axis=-1)
+    logits -= column_max
 
 
 def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
     """Mean cross-entropy of the model on one device's shard."""
     if len(shard) == 0:
         raise ValueError("cannot evaluate the loss of an empty shard")
-    shifted = _class_major_logits(weights, shard)
-    shifted -= shifted.max(axis=0)
-    label_logit = _at_labels(shifted, shard.labels)
+    shifted = _class_major_logits(weights, shard.features, shard.n_classes)
+    _subtract_column_max(shifted)
+    label_logit = np.take(shifted, shard.label_index)
     # exp overwrites the shifted logits, which nothing reads afterwards.
-    log_norm = np.log(_class_sum(np.exp(shifted, out=shifted)))
-    return float(-(label_logit - log_norm).mean())
+    label_logit -= np.log(_class_sum(np.exp(shifted, out=shifted)))
+    # numpy's mean without its Python wrapper: the same sum and division.
+    return float(-(np.add.reduce(label_logit) / len(shard)))
 
 
-def global_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
-    """Mean of the per-device losses over equal-sized shards stacked as
-    features ``(K, n, d)`` and labels ``(K, n)``: one loss over the pooled
-    samples, which a contiguous stack reshapes to without a copy."""
-    pooled = LabeledDataset(features.reshape(-1, features.shape[-1]), labels.reshape(-1), n_classes)
+def global_loss(weights: np.ndarray, pooled: LabeledDataset) -> float:
+    """Mean of the per-device losses over equal-sized shards pooled into one
+    dataset: one loss over all their samples.  The training loop pools its
+    shards once per run."""
     return local_loss(weights, pooled)
 
 
@@ -244,15 +263,29 @@ def loss_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
 
     Weights ``(..., q)``, features ``(..., n, d)`` and labels ``(..., n)``
     share their leading (device) axes; each leading index is one model on
-    its own samples.
+    its own samples.  The softmax runs once over the class-major logits of
+    every sample; the probabilities then return to the row-major
+    ``(..., n, C)`` layout for the matmul and the bias mean.
     """
     n, d = features.shape[-2:]
-    w, b = _unpack(weights, d, n_classes)
-    p = np.exp(_log_softmax(features @ w + b[..., None, :]))
-    p -= labels[..., None] == np.arange(n_classes)
-    grad_w = np.swapaxes(features, -1, -2) @ p / n
-    grad_b = p.mean(axis=-2)
-    return np.concatenate([grad_w.reshape(*grad_w.shape[:-2], d * n_classes), grad_b], axis=-1)
+    logits = _class_major_logits(weights, features, n_classes)
+    lead_n = logits.shape[1:]
+    shifted = logits.reshape(n_classes, -1)
+    _subtract_column_max(shifted)
+    terms = np.exp(shifted)
+    shifted -= np.log(_class_sum(terms))
+    p = np.exp(shifted, out=terms)
+    # Subtract the one-hot labels at their flat class-major index.
+    n_samples = p.shape[1]
+    p.reshape(-1)[labels * n_samples + np.arange(n_samples).reshape(lead_n)] -= 1.0
+    residual = np.ascontiguousarray(p.T).reshape(*lead_n, n_classes)
+    grad = np.empty(lead_n[:-1] + (model_dim(d, n_classes),))
+    grad_w, grad_b = _unpack(grad, d, n_classes)
+    np.divide(np.swapaxes(features, -1, -2) @ residual, n, out=grad_w)
+    # numpy's mean without its Python wrapper: the same sum and division.
+    np.add.reduce(residual, axis=-2, out=grad_b)
+    grad_b /= n
+    return grad
 
 
 def accuracy(weights: np.ndarray, dataset: LabeledDataset) -> float:
@@ -262,14 +295,22 @@ def accuracy(weights: np.ndarray, dataset: LabeledDataset) -> float:
     maxima the lowest class wins, and a NaN logit counts as the maximum, so
     the first NaN wins.  On class-major logits that reads: the label is
     predicted iff its logit is a column maximum (or a NaN, where the
-    column's maximum is NaN) and no lower class's logit is.
+    column's maximum is NaN) and no lower class's logit is.  The lower
+    classes are looked at only where some column has tied maxima.
     """
-    logits = _class_major_logits(weights, dataset)
-    top = (logits == logits.max(axis=0)) | np.isnan(logits)
-    labels = dataset.labels
-    lower = np.arange(dataset.n_classes)[:, None] < labels
-    predicted = _at_labels(top, labels) & ~(top & lower).any(axis=0)
-    return float(predicted.mean())
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate the accuracy of an empty dataset")
+    logits = _class_major_logits(weights, dataset.features, dataset.n_classes)
+    column_max = logits.max(axis=0)
+    top = logits == column_max
+    if np.isnan(column_max).any():
+        top |= np.isnan(logits)
+    predicted = np.take(top, dataset.label_index)
+    # Every column holds a top entry; more than n of them means tied maxima.
+    if np.count_nonzero(top) > len(dataset):
+        top &= dataset.below_label
+        predicted &= ~top.any(axis=0)
+    return np.count_nonzero(predicted) / len(dataset)
 
 
 def local_sgd(
@@ -294,8 +335,8 @@ def local_sgd(
     if n == 0:
         raise ValueError("cannot train on an empty shard")
     lead = features.shape[:-2]
-    w = np.broadcast_to(weights, lead + weights.shape).copy()
     full_batch = batch_size is None or batch_size >= n
+    w = weights
     for _ in range(tau):
         if full_batch:
             batch_x, batch_y = features, labels
@@ -303,7 +344,8 @@ def local_sgd(
             idx = rng.permuted(np.broadcast_to(np.arange(n), lead + (n,)), axis=-1)[..., :batch_size]
             batch_x = np.take_along_axis(features, idx[..., None], axis=-2)
             batch_y = np.take_along_axis(labels, idx, axis=-1)
-        w -= eta * loss_gradient(w, batch_x, batch_y, n_classes)
+        # The first step broadcasts the (q,) model over the leading axes.
+        w = w - eta * loss_gradient(w, batch_x, batch_y, n_classes)
     return w
 
 
@@ -412,6 +454,8 @@ def federated_train(
     features = dataset.features[rows]
     labels = dataset.labels[rows]
     d, n_classes = dataset.n_features, dataset.n_classes
+    # The contiguous stack reshapes to the pooled samples without a copy.
+    pooled = LabeledDataset(features.reshape(-1, d), labels.reshape(-1), n_classes)
 
     weights = init_weights(d, n_classes, derived_rng(seed, "init"))
     radii = network.sample_topology(
@@ -446,7 +490,7 @@ def federated_train(
                     weights, channel = _aggregate(
                         train_cfg.aggregation, weights, locals_, radii[ids], params, scenario, seed, rnd
                     )
-                evaluation = accuracy(weights, test_set), global_loss(weights, features, labels, n_classes)
+                evaluation = accuracy(weights, test_set), global_loss(weights, pooled)
                 records.append(RoundRecord(rnd, *evaluation, k_scheduled=ids.size, **channel))
     except FloatingPointError as exc:
         raise ValueError(

@@ -1068,6 +1068,12 @@ class TestDeterminism:
         assert manifest["versions"]["python"] == platform.python_version()
         assert manifest["versions"]["numpy"] == np.__version__
         assert manifest["versions"]["platform"] == platform.platform()
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            expected_blas = {"name": blas["name"], "version": blas["version"]}
+        except TypeError:  # numpy < 1.26: no dict mode
+            expected_blas = None
+        assert manifest["versions"]["blas"] == expected_blas
         payload = json.loads((out_dir / "snr_truncation.json").read_text())
         assert isinstance(payload, list) and payload
 

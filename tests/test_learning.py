@@ -6,8 +6,10 @@ exact accounting; channel substitutability by running the same seeds
 through all three aggregation paths.
 """
 
+import functools
 import math
 import struct
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -66,9 +68,8 @@ class TestLossAndGradient:
         rows = partition(data, PartitionSpec(mode="iid"), 6, derived_rng(1, "p"))
         weights = init_weights(data.n_features, data.n_classes, derived_rng(1, "w"))
         mean_local = np.mean([local_loss(weights, data.subset(row)) for row in rows])
-        features = data.features[rows]
-        labels = data.labels[rows]
-        assert global_loss(weights, features, labels, data.n_classes) == pytest.approx(mean_local, abs=1e-12)
+        pooled = data.subset(rows.reshape(-1))
+        assert global_loss(weights, pooled) == pytest.approx(mean_local, abs=1e-12)
 
     def test_gradient_matches_central_differences(self):
         # 20 random (model, sample-batch) probes, relative error < 1e-5.
@@ -93,6 +94,12 @@ class TestLossAndGradient:
         with pytest.raises(ValueError):
             local_loss(np.zeros(model_dim(3, 2)), empty)
 
+    def test_accuracy_of_an_empty_dataset_rejected(self):
+        # Like the loss, not a nan with numpy's "Mean of empty slice" warning.
+        empty = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), n_classes=2)
+        with pytest.raises(ValueError, match="empty"):
+            accuracy(np.zeros(model_dim(3, 2)), empty)
+
 
 # The row-major evaluation formulas that the class-major ones replaced,
 # kept verbatim as the bit-for-bit reference.
@@ -105,6 +112,16 @@ def row_major_local_loss(weights, shard):
     w, b = learning._unpack(weights, shard.n_features, shard.n_classes)
     log_p = row_major_log_softmax(shard.features @ w + b)
     return float(-log_p[np.arange(len(shard)), shard.labels].mean())
+
+
+def row_major_loss_gradient(weights, features, labels, n_classes):
+    n, d = features.shape[-2:]
+    w, b = learning._unpack(weights, d, n_classes)
+    p = np.exp(row_major_log_softmax(features @ w + b[..., None, :]))
+    p -= labels[..., None] == np.arange(n_classes)
+    grad_w = np.swapaxes(features, -1, -2) @ p / n
+    grad_b = p.mean(axis=-2)
+    return np.concatenate([grad_w.reshape(*grad_w.shape[:-2], d * n_classes), grad_b], axis=-1)
 
 
 def row_major_accuracy(weights, dataset):
@@ -198,6 +215,33 @@ class TestClassMajorEvaluation:
                 if got.tobytes() != expected.tobytes():
                     mismatched.append((classes, n))
         assert mismatched == []
+
+
+class TestClassMajorGradient:
+    """``loss_gradient`` forms its softmax on class-major logits and must
+    return exactly the bytes of the row-major formula."""
+
+    # Leading axes of the weights and of the features: none, one and two
+    # device axes, and one model broadcast over a device axis.
+    @pytest.mark.parametrize("weights_lead, features_lead", [((), ()), ((3,), (3,)), ((2, 3), (2, 3)), ((), (3,))])
+    @pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 10, 16, 17, 64, 129])
+    def test_gradient_matches_row_major_bytes(self, classes, weights_lead, features_lead):
+        dim = 5
+        rng = derived_rng(8, "gradient", classes, len(weights_lead), len(features_lead))
+        for n in (1, 2, 3, 8, 31):
+            features = rng.normal(0.0, 1.0, features_lead + (n, dim))
+            labels = rng.integers(0, classes, features_lead + (n,))
+            non_finite = features.copy()
+            cells = rng.integers(0, non_finite.size, max(1, non_finite.size // 5))
+            non_finite.reshape(-1)[cells] = rng.choice([np.inf, -np.inf, np.nan], cells.size)
+            for scale in (1e-3, 0.1, 1.0, 10.0, 300.0):
+                weights = rng.normal(0.0, scale, weights_lead + (model_dim(dim, classes),))
+                for x in (features, non_finite):
+                    with np.errstate(all="ignore"):
+                        got = loss_gradient(weights, x, labels, classes)
+                        expected = row_major_loss_gradient(weights, x, labels, classes)
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), (n, scale, np.isfinite(x).all())
 
 
 class TestLocalSgd:
@@ -495,6 +539,41 @@ class TestFederatedTrain:
         channel = [labels for labels in derived if labels[0] == "channel"]
         expected = [] if aggregation == "ideal" else [("channel", rnd) for rnd in range(scheduled_rounds)]
         assert channel == expected
+
+    def test_data_only_arrays_stay_out_of_the_round_loop(self, monkeypatch):
+        # The pooled training set and each dataset's label arrays depend on
+        # the data alone, so a longer run forms no more of them.
+        counts = Counter()
+        post_init = LabeledDataset.__post_init__
+
+        def counting_post_init(dataset):
+            counts["LabeledDataset"] += 1
+            post_init(dataset)
+
+        monkeypatch.setattr(LabeledDataset, "__post_init__", counting_post_init)
+        for name in ("label_index", "below_label"):
+            form = LabeledDataset.__dict__[name].func
+
+            def counting_form(dataset, form=form, name=name):
+                counts[name] += 1
+                return form(dataset)
+
+            prop = functools.cached_property(counting_form)
+            prop.__set_name__(LabeledDataset, name)
+            monkeypatch.setattr(LabeledDataset, name, prop)
+
+        per_run = []
+        for n_cr in (2, 8):
+            train, test = toy_dataset(n=40, seed=36), toy_dataset(n=30, seed=37)
+            counts.clear()
+            cfg = TrainConfig(eta=0.3, tau=1, n_cr=n_cr, batch_size=None, aggregation="ideal")
+            federated_train(
+                train, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4),
+                SchedulingScheme.all_inclusive(), 67, test,
+            )
+            per_run.append(dict(counts))
+        assert per_run[0] == per_run[1]
+        assert per_run[0]["LabeledDataset"] >= 1 and per_run[0]["label_index"] >= 2
 
     def test_unknown_mobility_rejected(self):
         data = toy_dataset(n=40, seed=36)
