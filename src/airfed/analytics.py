@@ -521,7 +521,11 @@ def rate_digital_expected(params: SystemParams, k_devices: int, r_k):
     """
     if k_devices < 1:
         raise ValueError(f"k_devices must be >= 1, got {k_devices}")
-    return params.m / k_devices * params.b_sub * _bits_per_symbol(params, k_devices, r_k)
+    return _rate_of_bits(params, k_devices, _bits_per_symbol(params, k_devices, r_k))
+
+
+def _rate_of_bits(params: SystemParams, k_devices: int, bits):
+    return params.m / k_devices * params.b_sub * bits
 
 
 def latency_digital(params: SystemParams, scenario: ScenarioParams, r_max: float) -> float:
@@ -532,7 +536,13 @@ def latency_digital(params: SystemParams, scenario: ScenarioParams, r_max: float
     k * q * Q / (m * log2(1 + factor * snr(r_max)) * e^-g_th) OFDM symbols.
     """
     with np.errstate(all="ignore"):
-        latency = scenario.q_dim * params.q_bits / rate_digital_expected(params, scenario.k_devices, r_max)
+        rate = rate_digital_expected(params, scenario.k_devices, r_max)
+    return _latency_of_rate(params, scenario, r_max, rate)
+
+
+def _latency_of_rate(params: SystemParams, scenario: ScenarioParams, r_max, rate):
+    with np.errstate(all="ignore"):
+        latency = scenario.q_dim * params.q_bits / rate
     return _normal(latency, "the digital round latency", params, r_max)
 
 
@@ -543,8 +553,12 @@ def latency_reduction_ratio(params: SystemParams, scenario: ScenarioParams, r_ma
     quotient of the two latency functions whenever q is a multiple of m.
     """
     k = scenario.k_devices
+    return _ratio_of_bits(params, k, r_max, _bits_per_symbol(params, k, r_max))
+
+
+def _ratio_of_bits(params: SystemParams, k_devices: int, r_max, bits):
     with np.errstate(all="ignore"):
-        ratio = k * params.q_bits / _bits_per_symbol(params, k, r_max)
+        ratio = k_devices * params.q_bits / bits
     return _normal(ratio, "the latency reduction ratio", params, r_max)
 
 
@@ -560,6 +574,9 @@ def latency_report(params: SystemParams, scenario: ScenarioParams, k_grid, q_bit
     :class:`LatencyRow` rows, K-major, then q_bits, ber and r_max.  The
     last column, the scaling-law diagnostic ratio / K * log2(K), is 0 at
     K = 1; log2(K) / K <= 0.531, so it is finite wherever the ratio is.
+    Each row forms its bits per symbol once, for both the digital latency
+    and the ratio, with the expressions of :func:`latency_digital` and
+    :func:`latency_reduction_ratio`.
     """
     t_analog = latency_baa(scenario.q_dim, params)
     rows = []
@@ -569,8 +586,11 @@ def latency_report(params: SystemParams, scenario: ScenarioParams, k_grid, q_bit
             for ber in ber_grid:
                 params_qb = replace(params, q_bits=q_bits, ber=ber)
                 for r_max in r_max_grid:
-                    t_digital = latency_digital(params_qb, scenario_k, r_max)
-                    ratio = latency_reduction_ratio(params_qb, scenario_k, r_max)
+                    bits = _bits_per_symbol(params_qb, k, r_max)
+                    with np.errstate(all="ignore"):
+                        rate = _rate_of_bits(params_qb, k, bits)
+                    t_digital = _latency_of_rate(params_qb, scenario_k, r_max, rate)
+                    ratio = _ratio_of_bits(params_qb, k, r_max, bits)
                     rows.append(LatencyRow(
                         k, q_bits, ber, r_max, t_analog, t_digital, ratio, float(ratio) / k * math.log2(k)
                     ))

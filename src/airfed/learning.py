@@ -6,8 +6,9 @@ q-vector as the channel layer expects.  Each round schedules devices, runs
 local minibatch SGD from the broadcast model on every scheduled device,
 takes one aggregation step (``ideal``, ``baa`` or ``digital``) that returns
 the new model and the trace's channel columns, and evaluates on a held-out
-set.  Only ``baa`` and ``digital`` derive the round's ``channel`` stream; a
-round that schedules nobody skips the step and keeps the model.
+set.  Only ``baa`` derives the round's ``channel`` stream: the digital
+round flips no bits in training, so it draws nothing.  A round that
+schedules nobody skips the step and keeps the model.
 
 Evaluation (``accuracy`` and ``local_loss``) and the local SGD gradient
 run their softmax on class-major (C, n) logits, so every step after the
@@ -19,7 +20,12 @@ the class sum adds its terms in numpy's row-sum order, a NaN row maximum
 is numpy's row reduction, and the accuracy test follows
 ``ndarray.argmax`` on ties and NaN.  What depends on the data alone is
 formed once: the training loop pools its shards once per run, and each
-:class:`LabeledDataset` keeps its label index and lower-class mask.
+:class:`LabeledDataset` keeps its label index and lower-class mask.  What
+depends on the scheduled set alone is formed once per set: the training
+loop keeps the shard stacks of its last two sets, and small memos here
+and in the channel layer keep their link budgets (rho0, the digital
+latencies and the straggler's SNR), so a static run forms them once
+(twice under ``alternating``) and a run whose devices move, once a round.
 
 The topology is the array of device distances.  Mobility is one of the two
 analyzed extremes: ``static`` keeps the first drop for every round, and
@@ -30,6 +36,7 @@ given that seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -389,22 +396,44 @@ def _snr_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
+def _gather_set(ids, radii, features, labels) -> tuple:
+    """The distances and the stacked shards of the devices ``ids``, made
+    read-only: the rounds that schedule the same set share them."""
+    gathered = radii[ids], features[ids], labels[ids]
+    for array in gathered:
+        array.flags.writeable = False
+    return gathered
+
+
+@functools.lru_cache(maxsize=4)
+def _straggler_snr_db(params: SystemParams, k: int, r_max) -> float:
+    """A digital round's ``rho0_db``: the digital SNR of its furthest
+    device, in dB, formed once for each of the last few scheduled sets."""
+    return _snr_db(digital_device_snr(params, k, r_max))
+
+
+# The scheduled sets whose shard stacks a run keeps: both of an alternating
+# schedule's.
+_SETS_KEPT = 2
+
+
 def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed, rnd):
     """One round's aggregation step: the new global model from the local
     models of the devices at distances ``scheduled``, and the
     :class:`RoundRecord` channel columns it forms, by field name.  Only
-    ``baa`` and ``digital`` derive the round's ``channel`` stream.  ``baa``
-    normalizes the float64 (k, q) ``locals_`` into symbols in place, so it
-    allocates no second (k, q) array; the caller reads ``locals_`` no more."""
+    ``baa`` derives the round's ``channel`` stream; ``digital`` flips no
+    bits, so it draws nothing.  ``baa`` normalizes the float64 (k, q)
+    ``locals_`` into symbols in place, so it allocates no second (k, q)
+    array; the caller reads ``locals_`` no more."""
     if aggregation == "ideal":
         return global_average(locals_), {}
-    channel = derived_rng(seed, "channel", rnd)
     if aggregation == "baa":
         # normalize_updates and denormalize(..., 1), in place: the same
         # IEEE operations in the same order.
         norm_spec = phy.normalization_from_values(weights)
         locals_ -= norm_spec.mean
         locals_ /= norm_spec.std
+        channel = derived_rng(seed, "channel", rnd)
         aggregate, diag = phy.baa_round(locals_, scheduled, params, channel)
         aggregate *= norm_spec.std
         aggregate += norm_spec.mean
@@ -416,9 +445,11 @@ def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed,
             "min_contributors": int(diag.contributor_counts.min()),
         }
         return aggregate, columns
-    result = phy.digital_round(locals_, scheduled, params, scenario, channel)
-    furthest_snr = digital_device_snr(params, scheduled.size, scheduled.max())
-    columns = {"latency_s": result.round_latency_s, "rho0_db": _snr_db(furthest_snr)}
+    result = phy.digital_round(locals_, scheduled, params, scenario, None)
+    columns = {
+        "latency_s": result.round_latency_s,
+        "rho0_db": _straggler_snr_db(params, scheduled.size, scheduled.max()),
+    }
     return result.aggregate, columns
 
 
@@ -466,6 +497,9 @@ def federated_train(
     # move and full-batch SGD never samples.
     static = mobility == "static"
     minibatch = train_cfg.batch_size is not None and train_cfg.batch_size < features.shape[1]
+    # The distances and shard stacks of the last _SETS_KEPT scheduled sets,
+    # by the bytes of their indices and of the drop, oldest first.
+    kept_sets = {}
     records = []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -477,10 +511,16 @@ def federated_train(
                 ids = network.schedule(radii, scheme, rnd)
                 channel = {}
                 if ids.size > 0:
+                    key = (ids.tobytes(), radii.tobytes())
+                    kept = kept_sets.pop(key, None) or _gather_set(ids, radii, features, labels)
+                    kept_sets[key] = kept
+                    if len(kept_sets) > _SETS_KEPT:
+                        del kept_sets[next(iter(kept_sets))]
+                    scheduled, shard_features, shard_labels = kept
                     locals_ = local_sgd(
                         weights,
-                        features[ids],
-                        labels[ids],
+                        shard_features,
+                        shard_labels,
                         n_classes,
                         train_cfg.eta,
                         train_cfg.tau,
@@ -488,7 +528,7 @@ def federated_train(
                         derived_rng(seed, "sgd", rnd) if minibatch else None,
                     )
                     weights, channel = _aggregate(
-                        train_cfg.aggregation, weights, locals_, radii[ids], params, scenario, seed, rnd
+                        train_cfg.aggregation, weights, locals_, scheduled, params, scenario, seed, rnd
                     )
                 evaluation = accuracy(weights, test_set), global_loss(weights, pooled)
                 records.append(RoundRecord(rnd, *evaluation, k_scheduled=ids.size, **channel))

@@ -35,6 +35,14 @@ Conventions:
 * The analog round takes its aligned receive power rho0 from
   :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
   from :func:`analytics.latency_baa`.
+* A scheduled set's link budget depends on its distances alone: rho0 and
+  the digital per-device latencies.  Training schedules the same set round
+  after round when devices do not move, so a private memo keeps the link
+  budgets of the last few sets, keyed by the frozen ``SystemParams`` (and,
+  for the latencies, the scenario at the round's k and q) and the bytes of
+  the distances, and forms each once.  Other distances, such as a fresh
+  drop, are formed anew; the memo keeps its latencies read-only and a
+  round returns a copy.
 * Transmitted symbols are real amplitudes; the receiver keeps the real part
   of the complex noise, so each aggregated entry sees noise of variance
   n0 / 2 before the 1/sqrt(rho0) and 1/K scalings.
@@ -46,6 +54,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -137,6 +146,26 @@ def align_rho0(distances, params: SystemParams) -> float:
     return aligned_receive_power(params, float(distances.max()))
 
 
+# Link budgets kept by the memo: the sets of an alternating schedule and a
+# few others.
+_LINK_BUDGETS_KEPT = 4
+
+
+@functools.lru_cache(maxsize=_LINK_BUDGETS_KEPT)
+def _memo_rho0(params: SystemParams, radii_bytes: bytes) -> float:
+    """:func:`align_rho0` of the distances whose float64 bytes are given."""
+    return align_rho0(np.frombuffer(radii_bytes), params)
+
+
+@functools.lru_cache(maxsize=_LINK_BUDGETS_KEPT)
+def _memo_digital_latencies(params: SystemParams, scenario: ScenarioParams, radii_bytes: bytes) -> np.ndarray:
+    """Read-only per-device :func:`analytics.latency_digital` of the
+    distances whose float64 bytes are given."""
+    latencies = latency_digital(params, scenario, np.frombuffer(radii_bytes))
+    latencies.flags.writeable = False
+    return latencies
+
+
 def _as_update_matrix(updates, radii):
     """The scheduled set as a nonempty (k, q) update matrix and the (k,)
     radii of its devices."""
@@ -187,7 +216,7 @@ def baa_round(
     """
     mat, radii = _as_update_matrix(updates, radii)
     k, q = mat.shape
-    rho0 = align_rho0(radii, params)
+    rho0 = _memo_rho0(params, radii.tobytes())
 
     m = params.m
     # Unit gains pass a zero threshold, so nothing is truncated without fading.
@@ -347,8 +376,9 @@ def digital_round(
     block of ``params.m`` columns at a time, so its working memory is
     O(K M) beyond the (k, q) input.  Delivery is error-free at the target
     BER by default; ``bit_flip_prob`` injects per-bit flips for sensitivity
-    studies, drawn block by block.  The round latency is the straggler's:
-    the maximum of the per-device expected latencies, each the
+    studies, drawn block by block from ``rng``, which is unused and may be
+    None when no bit flips.  The round latency is the straggler's: the
+    maximum of the per-device expected latencies, each the
     :func:`analytics.latency_digital` of its distance at the k and q of
     ``updates``; as in :func:`baa_round`, ``scenario`` gives neither.
     """
@@ -356,10 +386,13 @@ def digital_round(
     k, q = mat.shape
     if not 0.0 <= bit_flip_prob <= 1.0:
         raise ValueError(f"bit_flip_prob must lie in [0, 1], got {bit_flip_prob}")
+    if bit_flip_prob > 0.0 and rng is None:
+        raise ValueError("bit flips need a random stream, got rng=None")
 
     aggregate = _quantized_mean(mat, params.q_bits, params.m, rng, bit_flip_prob)
 
-    latencies = latency_digital(params, replace(scenario, k_devices=k, q_dim=q), radii)
+    scenario = replace(scenario, k_devices=k, q_dim=q)
+    latencies = _memo_digital_latencies(params, scenario, radii.tobytes()).copy()
     return DigitalRoundResult(
         aggregate=aggregate,
         per_device_latency_s=latencies,

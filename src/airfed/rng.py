@@ -17,13 +17,18 @@ block (Monte Carlo row blocks, OFDM symbols' gains) into two reused
 buffers and, by one rule, lets a worker thread draw the next block while
 the caller reduces the current one (:func:`drawn_ahead`): the caller asks
 for each block through one queue and the worker answers through another,
-so the draws keep their order and every output keeps its bytes.
+so the draws keep their order and every output keeps its bytes.  The rule
+asks for a large enough stream and for more than one usable CPU, read at
+each call from the process's affinity (``os.cpu_count()`` where the OS
+reports none): pinned to one CPU, the worker would only take turns with
+the caller, and the stream is drawn serially.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import queue
 import threading
 
@@ -64,6 +69,8 @@ def row_blocks(n_rows: int, row_entries: int) -> list:
 # 4-symbol one 13 % slower and a 32-symbol one 18 % faster; at 32,000 gains
 # 2 symbols broke even and 3 or 16 ran 9 % and 37 % faster.  A stream of
 # several row_blocks has a first block that large: floor(x) >= x / 2, x >= 1.
+# Pinned to one CPU (taskset -c 0, x86), the drawn-ahead Monte Carlo streams
+# of cli-reports cost 3-5 % and gained nothing.
 def drawn_blocks(shapes, draw):
     """Yield one float64 block per shape of the list ``shapes``, in order,
     each filled by ``draw(block)``.
@@ -72,13 +79,13 @@ def drawn_blocks(shapes, draw):
     sized to the largest block: the caller may overwrite it, and it holds
     other draws once the next block has been requested.  The draws run in
     order and the last has finished when the last block is yielded.  With
-    more than one block and a first block of at least ``BLOCK_ENTRIES // 2``
-    entries, :func:`drawn_ahead` draws block i + 1 on a worker thread while
-    the caller works on block i; otherwise no thread starts and the second
-    buffer is not allocated.
+    more than one block, a first block of at least ``BLOCK_ENTRIES // 2``
+    entries and more than one :func:`usable_cpus`, :func:`drawn_ahead`
+    draws block i + 1 on a worker thread while the caller works on block i;
+    otherwise no thread starts and the second buffer is not allocated.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    ahead = len(shapes) > 1 and sizes[0] >= BLOCK_ENTRIES // 2
+    ahead = len(shapes) > 1 and sizes[0] >= BLOCK_ENTRIES // 2 and usable_cpus() > 1
     buffers = [np.empty(max(sizes)) for _ in range(1 + ahead)]
 
     def draws():
@@ -88,6 +95,14 @@ def drawn_blocks(shapes, draw):
             yield block
 
     return drawn_ahead(draws()) if ahead else draws()
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on, read anew at each call:
+    its CPU affinity, or ``os.cpu_count()`` where the OS reports none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def drawn_ahead(items):

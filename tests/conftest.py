@@ -9,6 +9,8 @@ import tracemalloc
 
 import pytest
 
+from airfed import rng
+
 # A test still running after this many seconds, such as one deadlocked in a
 # thread hand-off, dumps every thread's traceback and ends the run.  The
 # slowest test takes under 2 s.
@@ -56,6 +58,13 @@ def started_threads(monkeypatch) -> list:
 
     monkeypatch.setattr(threading.Thread, "start", record)
     return started
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two usable CPUs to the draw-ahead rule, so that a test reaches
+    the worker thread even when the process is pinned to one CPU."""
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
 
 
 def write_idx_pair(directory, images, labels):

@@ -566,6 +566,21 @@ class TestLatency:
             assert scaled == ratio / k * math.log2(k)
             assert (scaled == 0.0) == (k == 1)
 
+    def test_each_row_forms_its_bits_per_symbol_once(self, monkeypatch):
+        # The digital latency and the ratio share one row's SNR and bits.
+        calls = []
+        form = analytics._bits_per_symbol
+
+        def counted(*args):
+            calls.append(args)
+            return form(*args)
+
+        monkeypatch.setattr(analytics, "_bits_per_symbol", counted)
+        grids = (1, 3, 200), (8, 16), (1e-2, 1e-4), (30.0, 100.0)
+        rows = latency_report(FIG_PARAMS, self.SCENARIO, *grids)
+        assert len(rows) == 24
+        assert [(k, r_max) for _, k, r_max in calls] == [(row.k_devices, row.r_max_m) for row in rows]
+
 
 class TestDigitalRate:
     def test_vanishes_under_aggressive_cutoff(self):

@@ -563,7 +563,7 @@ class TestMonteCarloCommand:
         ]
         assert all(row[-1] == "pass" for row in table.rows)
 
-    def test_threaded_draws_give_the_serial_rows(self, monkeypatch):
+    def test_threaded_draws_give_the_serial_rows(self, monkeypatch, two_cpus):
         # 62 topology blocks and 334 mobility blocks, each stream drawn ahead
         # on its own worker.  Forced serial, the same streams give the same
         # bits.

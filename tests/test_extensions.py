@@ -114,7 +114,7 @@ class TestAdversarySuppression:
                 despread_power += symbols @ symbols
             assert ratio == pytest.approx(raw_power / code.gamma / despread_power, rel=1e-12)
 
-    def test_threaded_draws_give_the_serial_ratios(self, monkeypatch):
+    def test_threaded_draws_give_the_serial_ratios(self, monkeypatch, two_cpus):
         # 125 chip blocks: a worker draws block i + 1 while block i is
         # despread.  Forced serial, the same stream gives the same bits.
         codes = [pn_code(gamma, derived_rng(16, "code", gamma)) for gamma in (1, 4, 16, 64)]

@@ -19,6 +19,8 @@ from airfed import learning, network, phy
 from airfed.analytics import ScenarioParams, SystemParams
 from airfed.datasets import LabeledDataset, load_mnist_idx, synth_gaussian_mixture
 from airfed.learning import (
+    AGGREGATIONS,
+    MOBILITY_MODES,
     PartitionSpec,
     TrainConfig,
     accuracy,
@@ -513,8 +515,8 @@ class TestFederatedTrain:
         assert unused.isdisjoint(derived)
         assert {"mobility", "sgd"} - unused <= set(derived)
 
-    # Only the over-the-air steps draw from the channel stream, and only in
-    # rounds that schedule someone.
+    # Only the analog step draws from the channel stream, and only in rounds
+    # that schedule someone: the digital step flips no bits in training.
     @pytest.mark.parametrize("aggregation", ["ideal", "baa", "digital"])
     @pytest.mark.parametrize(
         "scheme, scheduled_rounds",
@@ -537,7 +539,7 @@ class TestFederatedTrain:
             data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4), scheme, 67, data,
         )
         channel = [labels for labels in derived if labels[0] == "channel"]
-        expected = [] if aggregation == "ideal" else [("channel", rnd) for rnd in range(scheduled_rounds)]
+        expected = [("channel", rnd) for rnd in range(scheduled_rounds)] if aggregation == "baa" else []
         assert channel == expected
 
     def test_data_only_arrays_stay_out_of_the_round_loop(self, monkeypatch):
@@ -574,6 +576,112 @@ class TestFederatedTrain:
             per_run.append(dict(counts))
         assert per_run[0] == per_run[1]
         assert per_run[0]["LabeledDataset"] >= 1 and per_run[0]["label_index"] >= 2
+
+    SCHEMES = {
+        "all-inclusive": SchedulingScheme.all_inclusive(),
+        "cell-interior": SchedulingScheme.cell_interior(55.0),
+        "alternating": SchedulingScheme.alternating(55.0),
+    }
+
+    def counted_run(self, monkeypatch, aggregation, scheme, mobility, n_cr):
+        """How often one run formed each part of a scheduled set's link
+        budget and gathered its shard stack, with every memo emptied first;
+        and the number of rounds that scheduled someone."""
+        for memo in (phy._memo_rho0, phy._memo_digital_latencies, learning._straggler_snr_db):
+            memo.cache_clear()
+        counts = Counter()
+        for module, name in (
+            (phy, "align_rho0"),
+            (phy, "latency_digital"),
+            (learning, "digital_device_snr"),
+            (learning, "_gather_set"),
+        ):
+            form = getattr(module, name)
+
+            def counted(*args, _name=name, _form=form):
+                counts[_name] += 1
+                return _form(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        data = toy_dataset(n=40, seed=36)
+        cfg = TrainConfig(eta=0.3, tau=1, n_cr=n_cr, batch_size=None, aggregation=aggregation)
+        result = federated_train(
+            data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4), self.SCHEMES[scheme], 67, data,
+            mobility=mobility,
+        )
+        return dict(counts), sum(r.k_scheduled > 0 for r in result.records)
+
+    @staticmethod
+    def expected_forms(aggregation, times):
+        forms = {"_gather_set": times}
+        if aggregation == "baa":
+            forms["align_rho0"] = times
+        if aggregation == "digital":
+            forms["latency_digital"] = forms["digital_device_snr"] = times
+        return forms
+
+    # Static devices schedule one set every round (two under alternating),
+    # so a longer run forms no more link budgets and gathers no more shard
+    # stacks; moving devices make a new set every round.
+    @pytest.mark.parametrize("aggregation", ["ideal", "baa", "digital"])
+    @pytest.mark.parametrize(
+        "scheme, mobility, per_run",
+        [
+            ("all-inclusive", "static", 1),
+            ("cell-interior", "static", 1),
+            ("alternating", "static", 2),
+            ("all-inclusive", "iid-resample", None),
+            ("cell-interior", "iid-resample", None),
+        ],
+    )
+    def test_forms_each_scheduled_sets_link_budget_once(self, monkeypatch, aggregation, scheme, mobility, per_run):
+        for n_cr in (2, 8):
+            counts, scheduled_rounds = self.counted_run(monkeypatch, aggregation, scheme, mobility, n_cr)
+            assert scheduled_rounds >= min(n_cr, 2)
+            expected = self.expected_forms(aggregation, per_run or scheduled_rounds)
+            assert counts == expected, (n_cr, counts)
+
+    @staticmethod
+    def bypass_memos(monkeypatch):
+        """Form every round's link budget and shard stack anew."""
+        for module, name in (
+            (phy, "_memo_rho0"),
+            (phy, "_memo_digital_latencies"),
+            (learning, "_straggler_snr_db"),
+        ):
+            monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)
+        monkeypatch.setattr(learning, "_SETS_KEPT", 0)
+
+    @pytest.mark.parametrize("mobility", MOBILITY_MODES)
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_memos_keep_every_byte(self, monkeypatch, scheme, mobility):
+        rounds = []
+        real_round = phy.digital_round
+
+        def recorded_round(*args, **kwargs):
+            result = real_round(*args, **kwargs)
+            rounds.append(result.per_device_latency_s.tobytes() + struct.pack("<d", result.round_latency_s))
+            return result
+
+        monkeypatch.setattr(phy, "digital_round", recorded_round)
+        data, test = toy_dataset(n=40, seed=36), toy_dataset(n=30, seed=37)
+
+        def runs():
+            out = []
+            for aggregation in AGGREGATIONS:
+                cfg = TrainConfig(eta=0.3, tau=1, n_cr=6, batch_size=5, aggregation=aggregation)
+                result = federated_train(
+                    data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4), self.SCHEMES[scheme],
+                    67, test, mobility=mobility,
+                )
+                out.append((trace_csv(result), result.final_weights.tobytes()))
+            return out, rounds[:]
+
+        kept = runs()
+        rounds.clear()
+        self.bypass_memos(monkeypatch)
+        assert runs() == kept
+        assert kept[1]
 
     def test_unknown_mobility_rejected(self):
         data = toy_dataset(n=40, seed=36)

@@ -6,6 +6,7 @@ empirically; normalization is checked by composition.
 """
 
 import math
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -30,7 +31,7 @@ from airfed.phy import (
     normalize_updates,
 )
 from airfed.rng import BLOCK_ENTRIES, derived_rng
-from conftest import traced_peak
+from conftest import started_threads, traced_peak
 
 PARAMS = SystemParams(p0=0.1, m=1000, b=1e6, alpha=3.0, r_cell=100.0, g_th=0.5, n0=1e-11)
 
@@ -349,9 +350,11 @@ class TestBaaRound:
             run(np.zeros((3, 0)), [10.0, 20.0, 30.0])
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestGainPrefetch:
     """Rounds whose OFDM symbols carry at least ``BLOCK_ENTRIES // 2`` gains
-    draw the next symbol's gains on a worker thread."""
+    draw the next symbol's gains on a worker thread where more than one CPU
+    is usable; these tests report two, so they reach the worker pinned too."""
 
     # The fewest devices whose M-wide symbols reach the threshold.
     K_THREADED = BLOCK_ENTRIES // 2 // PARAMS.m + 1
@@ -443,6 +446,16 @@ class TestGainPrefetch:
         self.round_bytes(self.K_THREADED, 3 * PARAMS.m, PARAMS, 35, fading=False)
         with pytest.raises(AssertionError, match="a thread was started"):
             self.round_bytes(self.K_THREADED, 3 * PARAMS.m, PARAMS, 35)
+
+
+def test_a_multi_symbol_round_draws_ahead_iff_more_than_one_cpu_is_usable(monkeypatch):
+    # No CPU count is patched: the rule is checked against the affinity the
+    # process really has, once unpinned and once under taskset -c 0.
+    started = started_threads(monkeypatch)
+    k = TestGainPrefetch.K_THREADED
+    TestGainPrefetch.round_bytes(k, 3 * PARAMS.m, PARAMS, 36)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert started == (["airfed-draw-ahead"] if usable > 1 else [])
 
 
 class TestNormalization:
@@ -682,9 +695,78 @@ class TestDigitalRound:
         rates = analytics.rate_digital_expected(PARAMS, k, radii)
         assert np.array_equal(result.per_device_latency_s, q * PARAMS.q_bits / rates)
 
+    def test_writing_into_the_latencies_leaves_the_next_rounds_unchanged(self):
+        # The memo keeps each set's latencies; a round returns its own copy.
+        k, q = 5, 30
+        radii = np.linspace(20.0, 95.0, k)
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
+        first = digital_round(np.zeros((k, q)), radii, PARAMS, scenario, None)
+        expected = first.per_device_latency_s.copy()
+        first.per_device_latency_s[:] = -1.0
+        again = digital_round(np.zeros((k, q)), radii, PARAMS, scenario, None)
+        assert again.per_device_latency_s.tobytes() == expected.tobytes()
+        assert again.round_latency_s == expected.max()
+
+    def test_bit_flips_need_a_stream(self):
+        scenario = ScenarioParams(k_devices=2, r_in=50.0, q_dim=4)
+        with pytest.raises(ValueError, match="bit flips need a random stream"):
+            digital_round(np.zeros((2, 4)), [10.0, 20.0], PARAMS, scenario, None, bit_flip_prob=0.1)
+
     def test_constant_updates_quantize_exactly(self):
         updates = np.full((3, 50), 1.25)
         radii = np.array([30.0, 60.0, 90.0])
         scenario = ScenarioParams(k_devices=3, r_in=50.0, q_dim=50)
         result = digital_round(updates, radii, PARAMS, scenario, derived_rng(19, "round"))
         assert np.all(result.aggregate == 1.25)
+
+
+class TestLinkBudgetMemo:
+    """Rounds over the same distances form their link budget once."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        phy._memo_rho0.cache_clear()
+        phy._memo_digital_latencies.cache_clear()
+        counts = {"align_rho0": 0, "latency_digital": 0}
+        for name in counts:
+            form = getattr(phy, name)
+
+            def counted(*args, _name=name, _form=form):
+                counts[_name] += 1
+                return _form(*args)
+
+            monkeypatch.setattr(phy, name, counted)
+        return counts
+
+    def rounds(self, radii, params=PARAMS, q=12):
+        k = len(radii)
+        updates = derived_rng(40, "updates").normal(0.0, 1.0, size=(k, q))
+        scenario = ScenarioParams(k_devices=k, r_in=50.0, q_dim=q)
+        analog = baa_round(updates, radii, params, derived_rng(40, "round"))
+        return analog, digital_round(updates, radii, params, scenario, None)
+
+    def test_same_distances_form_once(self, formed):
+        radii = np.linspace(20.0, 95.0, 4)
+        first = self.rounds(radii)
+        for _ in range(3):
+            again = self.rounds(radii.copy())
+        assert formed == {"align_rho0": 1, "latency_digital": 1}
+        assert again[0][1].rho0 == first[0][1].rho0
+        assert again[1].per_device_latency_s.tobytes() == first[1].per_device_latency_s.tobytes()
+
+    def test_other_distances_parameters_or_sizes_form_anew(self, formed):
+        radii = np.linspace(20.0, 95.0, 4)
+        self.rounds(radii)
+        self.rounds(radii * 0.5)
+        self.rounds(radii, params=replace(PARAMS, alpha=3.5))
+        assert formed == {"align_rho0": 3, "latency_digital": 3}
+        # The digital latencies depend on q too; rho0 does not.
+        self.rounds(radii, q=13)
+        assert formed == {"align_rho0": 3, "latency_digital": 4}
+
+    def test_a_rejected_set_is_not_kept(self, formed):
+        radii = np.array([20.0, 0.0, 40.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be positive"):
+                baa_round(np.zeros((3, 4)), radii, PARAMS, derived_rng(41, "round"))
+        assert formed["align_rho0"] == 2

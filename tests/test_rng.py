@@ -7,6 +7,7 @@ the caller the items it gives without the worker.
 """
 
 import math
+import os
 import threading
 import time
 from contextlib import closing
@@ -14,7 +15,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 
-from airfed import extensions, learning, network, phy, validation
+from airfed import extensions, learning, network, phy, rng, validation
 from airfed.analytics import SystemParams
 from airfed.config import load_config
 from airfed.datasets import synth_gaussian_mixture
@@ -126,7 +127,7 @@ class TestDrawnAhead:
             ([(4, HALF // 4 - 1)] * 2 + [(4, 17)], [(4, HALF // 4)] * 2 + [(4, 17)]),
         ],
     )
-    def test_streams_below_the_threshold_start_no_thread(self, monkeypatch, below, at):
+    def test_streams_below_the_threshold_start_no_thread(self, monkeypatch, two_cpus, below, at):
         started = started_threads(monkeypatch)
         # One chip block and one block of each montecarlo stream.
         codes = [extensions.pn_code(gamma, derived_rng(2, gamma)) for gamma in (1, 4)]
@@ -142,3 +143,29 @@ class TestDrawnAhead:
             entries = sum(math.prod(shape) for shape in shapes)
             assert drawn == derived_rng(3, "blocks").standard_normal(entries).tobytes()
             assert started == threads
+
+    def test_one_usable_cpu_draws_serially(self, monkeypatch):
+        # The rule reads the CPU count at each call: a stream large enough to
+        # draw ahead starts no worker on one CPU and gives the same bytes.
+        shapes = [(2, HALF)] * 3
+        entries = sum(math.prod(shape) for shape in shapes)
+        started = started_threads(monkeypatch)
+        for cpus, threads in ((1, []), (2, ["airfed-draw-ahead"])):
+            monkeypatch.setattr(rng, "usable_cpus", lambda cpus=cpus: cpus)
+            stream = derived_rng(4, "blocks")
+            with closing(drawn_blocks(shapes, lambda out: stream.standard_normal(out=out))) as blocks:
+                drawn = b"".join(block.tobytes() for block in blocks)
+            assert drawn == derived_rng(4, "blocks").standard_normal(entries).tobytes()
+            assert started == threads
+
+
+class TestUsableCpus:
+    def test_reads_the_process_affinity(self):
+        assert rng.usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert rng.usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert rng.usable_cpus() == 1
