@@ -20,12 +20,12 @@ the class sum adds its terms in numpy's row-sum order, a NaN row maximum
 is numpy's row reduction, and the accuracy test follows
 ``ndarray.argmax`` on ties and NaN.  What depends on the data alone is
 formed once: the training loop pools its shards once per run, and each
-:class:`LabeledDataset` keeps its label index and lower-class mask.  What
-depends on the scheduled set alone is formed once per set: the training
-loop keeps the shard stacks of its last two sets, and small memos here
-and in the channel layer keep their link budgets (rho0, the digital
-latencies and the straggler's SNR), so a static run forms them once
-(twice under ``alternating``) and a run whose devices move, once a round.
+:class:`LabeledDataset` keeps its label index and lower-class mask.  The
+training loop also keeps the shard stacks of its last two scheduled sets,
+keyed by the scheduled devices, so a set whose devices it schedules again
+is gathered once.  Each round's link budget (rho0, or the digital
+latencies and straggler SNR) comes from the channel layer, which forms it
+once per set of distances; this module only writes it to the trace in dB.
 
 The topology is the array of device distances.  Mobility is one of the two
 analyzed extremes: ``static`` keeps the first drop for every round, and
@@ -36,7 +36,6 @@ given that seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import network, phy
-from .analytics import ScenarioParams, SystemParams, digital_device_snr
+from .analytics import ScenarioParams, SystemParams
 from .datasets import LabeledDataset
 from .rng import derived_rng
 from .tables import Table
@@ -396,20 +395,13 @@ def _snr_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
 
 
-def _gather_set(ids, radii, features, labels) -> tuple:
-    """The distances and the stacked shards of the devices ``ids``, made
-    read-only: the rounds that schedule the same set share them."""
-    gathered = radii[ids], features[ids], labels[ids]
+def _gather_shards(ids, features, labels) -> tuple:
+    """The stacked shards of the devices ``ids``, made read-only: the
+    rounds that schedule the same devices share them."""
+    gathered = features[ids], labels[ids]
     for array in gathered:
         array.flags.writeable = False
     return gathered
-
-
-@functools.lru_cache(maxsize=4)
-def _straggler_snr_db(params: SystemParams, k: int, r_max) -> float:
-    """A digital round's ``rho0_db``: the digital SNR of its furthest
-    device, in dB, formed once for each of the last few scheduled sets."""
-    return _snr_db(digital_device_snr(params, k, r_max))
 
 
 # The scheduled sets whose shard stacks a run keeps: both of an alternating
@@ -446,11 +438,7 @@ def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed,
         }
         return aggregate, columns
     result = phy.digital_round(locals_, scheduled, params, scenario, None)
-    columns = {
-        "latency_s": result.round_latency_s,
-        "rho0_db": _straggler_snr_db(params, scheduled.size, scheduled.max()),
-    }
-    return result.aggregate, columns
+    return result.aggregate, {"latency_s": result.round_latency_s, "rho0_db": _snr_db(result.straggler_snr)}
 
 
 def federated_train(
@@ -497,8 +485,8 @@ def federated_train(
     # move and full-batch SGD never samples.
     static = mobility == "static"
     minibatch = train_cfg.batch_size is not None and train_cfg.batch_size < features.shape[1]
-    # The distances and shard stacks of the last _SETS_KEPT scheduled sets,
-    # by the bytes of their indices and of the drop, oldest first.
+    # The shard stacks of the last _SETS_KEPT scheduled sets, by the bytes
+    # of their indices, oldest first.
     kept_sets = {}
     records = []
     try:
@@ -511,12 +499,12 @@ def federated_train(
                 ids = network.schedule(radii, scheme, rnd)
                 channel = {}
                 if ids.size > 0:
-                    key = (ids.tobytes(), radii.tobytes())
-                    kept = kept_sets.pop(key, None) or _gather_set(ids, radii, features, labels)
+                    key = ids.tobytes()
+                    kept = kept_sets.pop(key, None) or _gather_shards(ids, features, labels)
                     kept_sets[key] = kept
                     if len(kept_sets) > _SETS_KEPT:
                         del kept_sets[next(iter(kept_sets))]
-                    scheduled, shard_features, shard_labels = kept
+                    shard_features, shard_labels = kept
                     locals_ = local_sgd(
                         weights,
                         shard_features,
@@ -528,7 +516,7 @@ def federated_train(
                         derived_rng(seed, "sgd", rnd) if minibatch else None,
                     )
                     weights, channel = _aggregate(
-                        train_cfg.aggregation, weights, locals_, scheduled, params, scenario, seed, rnd
+                        train_cfg.aggregation, weights, locals_, radii[ids], params, scenario, seed, rnd
                     )
                 evaluation = accuracy(weights, test_set), global_loss(weights, pooled)
                 records.append(RoundRecord(rnd, *evaluation, k_scheduled=ids.size, **channel))

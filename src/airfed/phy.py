@@ -35,14 +35,14 @@ Conventions:
 * The analog round takes its aligned receive power rho0 from
   :func:`align_rho0`, a float, and its latency, ceil(q/M) OFDM symbols,
   from :func:`analytics.latency_baa`.
-* A scheduled set's link budget depends on its distances alone: rho0 and
-  the digital per-device latencies.  Training schedules the same set round
-  after round when devices do not move, so a private memo keeps the link
-  budgets of the last few sets, keyed by the frozen ``SystemParams`` (and,
-  for the latencies, the scenario at the round's k and q) and the bytes of
-  the distances, and forms each once.  Other distances, such as a fresh
-  drop, are formed anew; the memo keeps its latencies read-only and a
-  round returns a copy.
+* A scheduled set's link budget depends on its distances alone: rho0, and
+  the digital per-device latencies and straggler SNR.  Training schedules
+  the same set round after round when devices do not move, so two private
+  memos keep the link budgets of the last few sets and form each once:
+  rho0 keyed by the frozen ``SystemParams`` and the bytes of the
+  distances, the digital budget by those and the scenario at the round's
+  k and q.  Other distances, such as a fresh drop, are formed anew; the
+  digital memo keeps its latencies read-only and a round returns a copy.
 * Transmitted symbols are real amplitudes; the receiver keeps the real part
   of the complex noise, so each aggregated entry sees noise of variance
   n0 / 2 before the 1/sqrt(rho0) and 1/K scalings.
@@ -65,6 +65,7 @@ from .analytics import (
     ScenarioParams,
     SystemParams,
     aligned_receive_power,
+    digital_device_snr,
     latency_baa,
     latency_digital,
 )
@@ -114,9 +115,13 @@ class BaaDiagnostics:
 
 @dataclass(frozen=True)
 class DigitalRoundResult:
+    """:func:`digital_round`'s result.  ``straggler_snr`` is the furthest
+    device's :func:`analytics.digital_device_snr` (linear)."""
+
     aggregate: np.ndarray
     per_device_latency_s: np.ndarray
     round_latency_s: float
+    straggler_snr: float
 
 
 def draw_channels(k_devices: int, width: int, rng, out=None) -> np.ndarray:
@@ -158,12 +163,14 @@ def _memo_rho0(params: SystemParams, radii_bytes: bytes) -> float:
 
 
 @functools.lru_cache(maxsize=_LINK_BUDGETS_KEPT)
-def _memo_digital_latencies(params: SystemParams, scenario: ScenarioParams, radii_bytes: bytes) -> np.ndarray:
-    """Read-only per-device :func:`analytics.latency_digital` of the
-    distances whose float64 bytes are given."""
-    latencies = latency_digital(params, scenario, np.frombuffer(radii_bytes))
+def _memo_digital_budget(params: SystemParams, scenario: ScenarioParams, radii_bytes: bytes) -> tuple:
+    """The read-only per-device :func:`analytics.latency_digital` of the
+    distances whose float64 bytes are given, and the
+    :func:`analytics.digital_device_snr` of the furthest of them."""
+    radii = np.frombuffer(radii_bytes)
+    latencies = latency_digital(params, scenario, radii)
     latencies.flags.writeable = False
-    return latencies
+    return latencies, float(digital_device_snr(params, scenario.k_devices, radii.max()))
 
 
 def _as_update_matrix(updates, radii):
@@ -392,9 +399,10 @@ def digital_round(
     aggregate = _quantized_mean(mat, params.q_bits, params.m, rng, bit_flip_prob)
 
     scenario = replace(scenario, k_devices=k, q_dim=q)
-    latencies = _memo_digital_latencies(params, scenario, radii.tobytes()).copy()
+    latencies, straggler_snr = _memo_digital_budget(params, scenario, radii.tobytes())
     return DigitalRoundResult(
         aggregate=aggregate,
-        per_device_latency_s=latencies,
+        per_device_latency_s=latencies.copy(),
         round_latency_s=float(latencies.max()),
+        straggler_snr=straggler_snr,
     )

@@ -586,15 +586,16 @@ class TestFederatedTrain:
     def counted_run(self, monkeypatch, aggregation, scheme, mobility, n_cr):
         """How often one run formed each part of a scheduled set's link
         budget and gathered its shard stack, with every memo emptied first;
-        and the number of rounds that scheduled someone."""
-        for memo in (phy._memo_rho0, phy._memo_digital_latencies, learning._straggler_snr_db):
+        and the sets of devices scheduled, one per round that scheduled
+        someone, in round order."""
+        for memo in (phy._memo_rho0, phy._memo_digital_budget):
             memo.cache_clear()
         counts = Counter()
         for module, name in (
             (phy, "align_rho0"),
             (phy, "latency_digital"),
-            (learning, "digital_device_snr"),
-            (learning, "_gather_set"),
+            (phy, "digital_device_snr"),
+            (learning, "_gather_shards"),
         ):
             form = getattr(module, name)
 
@@ -603,17 +604,40 @@ class TestFederatedTrain:
                 return _form(*args)
 
             monkeypatch.setattr(module, name, counted)
+        scheduled = []
+        schedule = network.schedule
+
+        def recorded_schedule(*args):
+            ids = schedule(*args)
+            if ids.size:
+                scheduled.append(ids.tobytes())
+            return ids
+
+        monkeypatch.setattr(network, "schedule", recorded_schedule)
         data = toy_dataset(n=40, seed=36)
         cfg = TrainConfig(eta=0.3, tau=1, n_cr=n_cr, batch_size=None, aggregation=aggregation)
         result = federated_train(
             data, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4), self.SCHEMES[scheme], 67, data,
             mobility=mobility,
         )
-        return dict(counts), sum(r.k_scheduled > 0 for r in result.records)
+        return dict(counts), scheduled
 
     @staticmethod
-    def expected_forms(aggregation, times):
-        forms = {"_gather_set": times}
+    def stacks_gathered(scheduled):
+        """How many shard stacks a run that keeps those of its last two
+        scheduled sets gathers over the sets ``scheduled``."""
+        kept, gathered = [], 0
+        for ids in scheduled:
+            if ids in kept:
+                kept.remove(ids)
+            else:
+                gathered += 1
+            kept = [*kept, ids][-2:]
+        return gathered
+
+    @staticmethod
+    def expected_forms(aggregation, times, stacks):
+        forms = {"_gather_shards": stacks}
         if aggregation == "baa":
             forms["align_rho0"] = times
         if aggregation == "digital":
@@ -622,34 +646,38 @@ class TestFederatedTrain:
 
     # Static devices schedule one set every round (two under alternating),
     # so a longer run forms no more link budgets and gathers no more shard
-    # stacks; moving devices make a new set every round.
+    # stacks; moving devices make a new set every round.  An all-inclusive
+    # run schedules the same devices every round, so it gathers their
+    # stack once even where they move.  A per_run of None stands for once
+    # a round; a stacks_per_run of None, for once a round unless the round
+    # schedules the devices of one of the last two sets again.
     @pytest.mark.parametrize("aggregation", ["ideal", "baa", "digital"])
     @pytest.mark.parametrize(
-        "scheme, mobility, per_run",
+        "scheme, mobility, per_run, stacks_per_run",
         [
-            ("all-inclusive", "static", 1),
-            ("cell-interior", "static", 1),
-            ("alternating", "static", 2),
-            ("all-inclusive", "iid-resample", None),
-            ("cell-interior", "iid-resample", None),
+            ("all-inclusive", "static", 1, 1),
+            ("cell-interior", "static", 1, 1),
+            ("alternating", "static", 2, 2),
+            ("all-inclusive", "iid-resample", None, 1),
+            ("cell-interior", "iid-resample", None, None),
         ],
     )
-    def test_forms_each_scheduled_sets_link_budget_once(self, monkeypatch, aggregation, scheme, mobility, per_run):
+    def test_forms_each_scheduled_sets_link_budget_once(
+        self, monkeypatch, aggregation, scheme, mobility, per_run, stacks_per_run
+    ):
         for n_cr in (2, 8):
-            counts, scheduled_rounds = self.counted_run(monkeypatch, aggregation, scheme, mobility, n_cr)
-            assert scheduled_rounds >= min(n_cr, 2)
-            expected = self.expected_forms(aggregation, per_run or scheduled_rounds)
+            counts, scheduled = self.counted_run(monkeypatch, aggregation, scheme, mobility, n_cr)
+            assert len(scheduled) >= min(n_cr, 2)
+            expected = self.expected_forms(
+                aggregation, per_run or len(scheduled), stacks_per_run or self.stacks_gathered(scheduled)
+            )
             assert counts == expected, (n_cr, counts)
 
     @staticmethod
     def bypass_memos(monkeypatch):
         """Form every round's link budget and shard stack anew."""
-        for module, name in (
-            (phy, "_memo_rho0"),
-            (phy, "_memo_digital_latencies"),
-            (learning, "_straggler_snr_db"),
-        ):
-            monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)
+        for name in ("_memo_rho0", "_memo_digital_budget"):
+            monkeypatch.setattr(phy, name, getattr(phy, name).__wrapped__)
         monkeypatch.setattr(learning, "_SETS_KEPT", 0)
 
     @pytest.mark.parametrize("mobility", MOBILITY_MODES)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from airfed import analytics, phy
 from airfed.analytics import ScenarioParams, SystemParams, exp_integral, truncation_ratio
-from airfed.config import dbm_to_watts
+from airfed.config import load_config
 from airfed.network import sample_radii
 from airfed.phy import (
     NormalizationSpec,
@@ -196,22 +196,47 @@ class TestBaaRound:
     # moments Var[e^2] = 3 K zeta (1 - zeta) + 2 (K zeta + s2)^2.  Entries
     # draw independent gains, so the mean over q entries has standard error
     # sqrt(Var[e^2] / q) / K^2.
-    @pytest.mark.parametrize(
-        "k, g_th, noise_dbm, alpha",
-        [(10, 0.2, -80.0, 3.0), (50, 1.0, -60.0, 3.0), (4, 0.05, -50.0, 4.0)],
+    #
+    # The transmit-power audit: device k sends an entry of gain g >= t at
+    # power rho0 r_k^alpha / g per sub-channel, so its tx_power, M times the
+    # mean over its q entries, has mean M rho0 r_k^alpha E1(t) =
+    # p0 (r_k / r_max)^alpha.  Per entry, E[1/g; g >= t] = E1(t) and
+    # E[1/g^2; g >= t] = e^-t / t - E1(t), which give its standard error.
+    #
+    # Each case is a config that load_config accepts, over K, the cutoff,
+    # the path-loss exponent and the noise power; the examples are the
+    # three points the law was first checked at.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 200),
+        g_th=st.floats(0.01, 5.0),
+        noise_dbm=st.floats(-110.0, -20.0),
+        alpha=st.floats(2.0, 5.0),
     )
+    @example(k=10, g_th=0.2, noise_dbm=-80.0, alpha=3.0)
+    @example(k=50, g_th=1.0, noise_dbm=-60.0, alpha=3.0)
+    @example(k=4, g_th=0.05, noise_dbm=-50.0, alpha=4.0)
     def test_aggregate_error_follows_the_truncation_and_noise_law(self, k, g_th, noise_dbm, alpha):
-        q = 100_000
-        params = replace(PARAMS, g_th=g_th, n0=dbm_to_watts(noise_dbm), alpha=alpha)
-        updates = derived_rng(12, "law", "updates", k).standard_normal((k, q))
-        radii = sample_radii(k, params.r_cell, derived_rng(12, "law", "radii", k))
-        aggregate, diag = baa_round(updates, radii, params, derived_rng(12, "law", "round", k))
+        q = 20_000
+        overrides = {"k_devices": k, "g_th": g_th, "noise_dbm": noise_dbm, "path_loss_exponent": alpha}
+        params = load_config(None, overrides).system
+        case = ("law", k, g_th, noise_dbm, alpha)
+        updates = derived_rng(12, *case, "updates").standard_normal((k, q))
+        radii = sample_radii(k, params.r_cell, derived_rng(12, *case, "radii"))
+        aggregate, diag = baa_round(updates, radii, params, derived_rng(12, *case, "round"))
+
         mse = float(np.mean(np.square(aggregate - updates.mean(axis=0))))
         zeta = truncation_ratio(g_th)
         s2 = params.n0 / (2.0 * diag.rho0)
         expected = (k * zeta + s2) / k**2
         variance = 3.0 * k * zeta * (1.0 - zeta) + 2.0 * (k * zeta + s2) ** 2
         assert abs(mse - expected) <= 5.0 * math.sqrt(variance / q) / k**2
+
+        e1 = exp_integral(g_th)
+        scale = params.m * diag.rho0 * radii**params.alpha
+        power_se = scale * math.sqrt((math.exp(-g_th) / g_th - e1 - e1**2) / q)
+        expected_power = params.p0 * (radii / radii.max()) ** params.alpha
+        assert np.all(np.abs(diag.tx_power - expected_power) <= 5.0 * power_se)
 
     # q spans a partial first symbol, whole symbols and ragged last symbols.
     # The examples pin one-entry symbols, which numpy would sum pairwise
@@ -726,8 +751,8 @@ class TestLinkBudgetMemo:
     @pytest.fixture
     def formed(self, monkeypatch):
         phy._memo_rho0.cache_clear()
-        phy._memo_digital_latencies.cache_clear()
-        counts = {"align_rho0": 0, "latency_digital": 0}
+        phy._memo_digital_budget.cache_clear()
+        counts = {"align_rho0": 0, "latency_digital": 0, "digital_device_snr": 0}
         for name in counts:
             form = getattr(phy, name)
 
@@ -750,19 +775,29 @@ class TestLinkBudgetMemo:
         first = self.rounds(radii)
         for _ in range(3):
             again = self.rounds(radii.copy())
-        assert formed == {"align_rho0": 1, "latency_digital": 1}
+        assert formed == {"align_rho0": 1, "latency_digital": 1, "digital_device_snr": 1}
         assert again[0][1].rho0 == first[0][1].rho0
         assert again[1].per_device_latency_s.tobytes() == first[1].per_device_latency_s.tobytes()
+        assert again[1].straggler_snr == first[1].straggler_snr
+
+    def test_the_round_reports_its_straggler_snr(self, formed):
+        # The furthest device sits in a middle row.
+        radii = np.array([40.0, 20.0, 95.0, 60.0])
+        expected = float(analytics.digital_device_snr(PARAMS, radii.size, radii.max())).hex()
+        miss = self.rounds(radii)[1]
+        hit = self.rounds(radii.copy())[1]
+        assert formed["digital_device_snr"] == 1
+        assert miss.straggler_snr.hex() == hit.straggler_snr.hex() == expected
 
     def test_other_distances_parameters_or_sizes_form_anew(self, formed):
         radii = np.linspace(20.0, 95.0, 4)
         self.rounds(radii)
         self.rounds(radii * 0.5)
         self.rounds(radii, params=replace(PARAMS, alpha=3.5))
-        assert formed == {"align_rho0": 3, "latency_digital": 3}
-        # The digital latencies depend on q too; rho0 does not.
+        assert formed == {"align_rho0": 3, "latency_digital": 3, "digital_device_snr": 3}
+        # The digital budget is keyed by q too; rho0 is not.
         self.rounds(radii, q=13)
-        assert formed == {"align_rho0": 3, "latency_digital": 4}
+        assert formed == {"align_rho0": 3, "latency_digital": 4, "digital_device_snr": 4}
 
     def test_a_rejected_set_is_not_kept(self, formed):
         radii = np.array([20.0, 0.0, 40.0])
