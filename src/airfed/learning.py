@@ -12,14 +12,14 @@ schedules nobody skips the step and keeps the model.
 
 Evaluation (``accuracy`` and ``local_loss``) and the local SGD gradient
 run their softmax on class-major (C, n) logits, so every step after the
-matmul loops over the n samples rather than over the C classes; the
-gradient pools the samples of every device into one (C, K n) array and
-turns its probabilities back to the row-major layout for its matmul.
-Each returns the same bits as the row-major formulas on (n, C) logits:
-the class sum adds its terms in numpy's row-sum order, a NaN row maximum
-is numpy's row reduction, and the accuracy test follows
-``ndarray.argmax`` on ties and NaN.  What depends on the data alone is
-formed once: the training loop pools its shards once per run, and each
+matmul loops over the n samples rather than over the C classes.
+Evaluation forms them in one (C, d) @ (d, n) product, and its accuracy
+test follows ``ndarray.argmax`` on ties and NaN.  The gradient pools the
+samples of every device into one (C, K n) array, sums each sample's terms
+as one contiguous row and turns its probabilities back to the row-major
+layout for its matmul, so each device of a (K, n, d) stack gets exactly
+the bits of its own 2-D call.  What depends on the data alone is formed
+once: the training loop pools its shards once per run, and each
 :class:`LabeledDataset` keeps its label index and lower-class mask.  The
 training loop also keeps the shard stacks of its last two scheduled sets,
 keyed by the scheduled devices, so a set whose devices it schedules again
@@ -180,11 +180,11 @@ def _unpack(weights: np.ndarray, n_features: int, n_classes: int):
 
 
 def _class_major_logits(weights: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    """The logits of features ``(..., n, d)`` as a C-contiguous
-    ``(C, ..., n)`` array: ``features @ w`` as the row-major formulas
-    compute it, one transposed copy, then the bias in place.  Each entry
-    has the bits of ``features @ w + b[..., None, :]``; only the layout
-    differs."""
+    """The gradient's logits of features ``(..., n, d)`` as a C-contiguous
+    ``(C, ..., n)`` array: ``features @ w``, one transposed copy, then the
+    bias in place.  Unlike :func:`_evaluation_logits`'s single product,
+    ``features @ w`` gives each device of a (K, n, d) stack the bits of its
+    own 2-D call."""
     w, b = _unpack(weights, features.shape[-1], n_classes)
     logits = features @ w
     class_major = logits.reshape(-1, n_classes).T.copy().reshape(n_classes, *logits.shape[:-1])
@@ -194,65 +194,25 @@ def _class_major_logits(weights: np.ndarray, features: np.ndarray, n_classes: in
     return class_major
 
 
-def _class_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of class-major ``terms`` (C, n) with the bits of
-    ``row_major.sum(axis=-1)``, row_major being the same terms as a
-    C-contiguous (n, C) array.
-
-    numpy adds one contiguous row of C < 8 terms in sequence, which is how
-    it reduces the outer axis of ``terms`` too, and up to 128 terms into
-    eight strided partial sums that it combines pairwise before adding the
-    tail.  Each step here is that addition, done for all n samples at once.
-    Longer rows, which numpy splits recursively, take the row-major sum.
-    numpy also adds the row's sum to a starting 0.0, which changes only a
-    sum of -0.0; the terms here are exp values, never -0.0.
-    """
-    c = terms.shape[0]
-    if c > 128:
-        return np.ascontiguousarray(terms.T).sum(axis=-1)
-    if c < 8:
-        return terms.sum(axis=0)
-    tail = c - c % 8
-    acc = terms[:8]
-    if tail > 8:
-        acc = acc + terms[8:16]
-        for start in range(16, tail, 8):
-            acc += terms[start : start + 8]
-    # Each pairwise step writes a new array half the size, so no step
-    # copies the first eight rows or writes into terms.
-    pairs = acc[::2] + acc[1::2]
-    quads = pairs[::2] + pairs[1::2]
-    total = quads[0] + quads[1]
-    for row in terms[tail:]:
-        total += row
-    return total
-
-
-def _subtract_column_max(logits: np.ndarray) -> None:
-    """Subtract each column's maximum from class-major ``logits`` (C, n) in
-    place, with the bits of ``row - row.max()`` on the row-major rows.
-
-    The maxima agree except where one is NaN: numpy's reduction of a
-    contiguous row returns a positive NaN or the row's first NaN, depending
-    on where the NaN lies, and the class-major maximum the column's first
-    NaN.  Those columns take their maximum from the row reduction.
-    """
-    column_max = logits.max(axis=0)
-    nan = np.isnan(column_max)
-    if nan.any():
-        column_max[nan] = np.ascontiguousarray(logits[:, nan].T).max(axis=-1)
-    logits -= column_max
+def _evaluation_logits(weights: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
+    """The model's class-major (C, n) logits on ``dataset``: one
+    ``w.T @ X.T`` product, which writes them C-contiguous, then the bias in
+    place."""
+    w, b = _unpack(weights, dataset.n_features, dataset.n_classes)
+    logits = w.T @ dataset.features.T
+    logits += b[:, None]
+    return logits
 
 
 def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
     """Mean cross-entropy of the model on one device's shard."""
     if len(shard) == 0:
         raise ValueError("cannot evaluate the loss of an empty shard")
-    shifted = _class_major_logits(weights, shard.features, shard.n_classes)
-    _subtract_column_max(shifted)
+    shifted = _evaluation_logits(weights, shard)
+    shifted -= shifted.max(axis=0)
     label_logit = np.take(shifted, shard.label_index)
     # exp overwrites the shifted logits, which nothing reads afterwards.
-    label_logit -= np.log(_class_sum(np.exp(shifted, out=shifted)))
+    label_logit -= np.log(np.exp(shifted, out=shifted).sum(axis=0))
     # numpy's mean without its Python wrapper: the same sum and division.
     return float(-(np.add.reduce(label_logit) / len(shard)))
 
@@ -277,9 +237,11 @@ def loss_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
     logits = _class_major_logits(weights, features, n_classes)
     lead_n = logits.shape[1:]
     shifted = logits.reshape(n_classes, -1)
-    _subtract_column_max(shifted)
+    shifted -= shifted.max(axis=0)
     terms = np.exp(shifted)
-    shifted -= np.log(_class_sum(terms))
+    # One contiguous row per sample, as in its own 2-D call: a (C, K n) block
+    # summed down its columns adds in another order than a lone (C, 1) one.
+    shifted -= np.log(np.ascontiguousarray(terms.T).sum(axis=-1))
     p = np.exp(shifted, out=terms)
     # Subtract the one-hot labels at their flat class-major index.
     n_samples = p.shape[1]
@@ -306,7 +268,7 @@ def accuracy(weights: np.ndarray, dataset: LabeledDataset) -> float:
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate the accuracy of an empty dataset")
-    logits = _class_major_logits(weights, dataset.features, dataset.n_classes)
+    logits = _evaluation_logits(weights, dataset)
     column_max = logits.max(axis=0)
     top = logits == column_max
     if np.isnan(column_max).any():

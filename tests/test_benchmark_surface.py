@@ -50,13 +50,13 @@ def test_every_traced_name_is_an_airfed_callable():
 # A few ops of each workload, traced: one of every op kind.  The traced
 # run must record a call for every name ``layers.py`` lists for the
 # workload, which ``benchmarks/run.py`` otherwise checks only at benchmark
-# time.
-@pytest.mark.parametrize("workload, ops", [("fl-desk", 3), ("phy-paper", 2), ("cli-reports", 4)])
-def test_workload_ops_run_and_pass_their_checks(workload, ops):
+# time.  The same ops run untraced must give the traced digests, as
+# ``run.py --trace 1`` requires of a correct run.
+def _worker_ops(workload, ops, trace):
     proc = subprocess.run(
         [
             sys.executable, str(BENCHMARKS / "worker.py"), "--workload", workload, "--seed", "1",
-            "--ops", str(ops), "--trace", "1",
+            "--ops", str(ops), "--trace", str(trace),
         ],
         capture_output=True, text=True, timeout=120,
     )
@@ -64,6 +64,14 @@ def test_workload_ops_run_and_pass_their_checks(workload, ops):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert len(result["ops"]) == ops
     assert [op["problems"] for op in result["ops"]] == [[]] * ops
+    return result
+
+
+@pytest.mark.parametrize("workload, ops", [("fl-desk", 3), ("phy-paper", 2), ("cli-reports", 4)])
+def test_workload_ops_run_and_pass_their_checks(workload, ops):
+    result = _worker_ops(workload, ops, trace=1)
     functions = result["trace"]["functions"]
     uncalled = [name for name in _layers().qualnames(workload) if functions[name]["calls"] == 0]
     assert not uncalled
+    untraced = _worker_ops(workload, ops, trace=0)
+    assert [op["digest"] for op in untraced["ops"]] == [op["digest"] for op in result["ops"]]

@@ -103,8 +103,9 @@ class TestLossAndGradient:
             accuracy(np.zeros(model_dim(3, 2)), empty)
 
 
-# The row-major evaluation formulas that the class-major ones replaced,
-# kept verbatim as the bit-for-bit reference.
+# The row-major formulas that the class-major ones replaced, kept verbatim
+# as the reference: the gradient keeps their bits on finite inputs, and the
+# loss lies within a few ulps of theirs.
 def row_major_log_softmax(logits):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -136,9 +137,15 @@ def assert_same_bits(value, reference):
     assert value == reference or (np.isnan(value) and np.isnan(reference))
 
 
+# The class-major loss sums its exp terms in another order than the
+# row-major one; a few ulps bound what that moves.
+LOSS_RTOL = 4 * np.finfo(float).eps
+
+
 class TestClassMajorEvaluation:
-    """``accuracy`` and ``local_loss`` evaluate class-major logits and must
-    return exactly what the row-major formulas return."""
+    """``accuracy`` and ``local_loss`` evaluate class-major logits: the
+    accuracy must be exactly the row-major formula's, and the loss within
+    ``LOSS_RTOL`` of it (both NaN where it is NaN)."""
 
     @staticmethod
     def random_dataset(n, classes, dim, seed):
@@ -154,7 +161,8 @@ class TestClassMajorEvaluation:
             for scale in (1e-3, 0.1, 1.0, 10.0, 300.0):
                 weights = rng.normal(0.0, scale, model_dim(dim, classes))
                 assert accuracy(weights, data) == row_major_accuracy(weights, data)
-                assert local_loss(weights, data) == row_major_local_loss(weights, data)
+                expected = row_major_local_loss(weights, data)
+                assert local_loss(weights, data) == pytest.approx(expected, rel=LOSS_RTOL, abs=0.0)
 
     @pytest.mark.parametrize("classes", [2, 3, 10, 17])
     def test_zero_weights_predict_class_zero(self, classes):
@@ -203,25 +211,12 @@ class TestClassMajorEvaluation:
             logits = data.features @ learning._unpack(weights, dim, classes)[0]
         assert np.isnan(logits).any() and np.isinf(logits).any()
 
-    def test_class_sum_adds_in_numpy_row_order(self):
-        # The loss column depends on the class sum adding its terms in the
-        # order numpy's pairwise reduction adds one contiguous row.  A numpy
-        # release that changes that order fails here.
-        rng = derived_rng(7, "class-sum")
-        mismatched = []
-        for classes in range(2, 131):
-            for n in (1, 5, 300):
-                row_major = np.exp(rng.normal(0.0, 20.0, (n, classes)))
-                expected = row_major.sum(axis=-1)
-                got = learning._class_sum(np.ascontiguousarray(row_major.T))
-                if got.tobytes() != expected.tobytes():
-                    mismatched.append((classes, n))
-        assert mismatched == []
-
 
 class TestClassMajorGradient:
     """``loss_gradient`` forms its softmax on class-major logits and must
-    return exactly the bytes of the row-major formula."""
+    return exactly the bytes of the row-major formula on finite features.
+    On non-finite ones only a NaN's payload may differ: NaN, +inf and -inf
+    lie in the same entries, and every other entry keeps its bytes."""
 
     # Leading axes of the weights and of the features: none, one and two
     # device axes, and one model broadcast over a device axis.
@@ -243,7 +238,11 @@ class TestClassMajorGradient:
                         got = loss_gradient(weights, x, labels, classes)
                         expected = row_major_loss_gradient(weights, x, labels, classes)
                     assert got.shape == expected.shape
-                    assert got.tobytes() == expected.tobytes(), (n, scale, np.isfinite(x).all())
+                    nan = np.isnan(expected)
+                    assert np.array_equal(np.isnan(got), nan), (n, scale)
+                    assert got[~nan].tobytes() == expected[~nan].tobytes(), (n, scale)
+                    if np.isfinite(x).all():
+                        assert got.tobytes() == expected.tobytes(), (n, scale)
 
 
 class TestLocalSgd:
@@ -311,22 +310,36 @@ class TestLocalSgd:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("tau", [1, 3])
-    @pytest.mark.parametrize("devices", [1, 7, 50])
-    def test_device_axis_equals_per_device_calls(self, devices, tau):
+    @pytest.mark.parametrize(
+        "devices, n, dim, classes",
+        [
+            pytest.param(1, 12, 5, 3, id="1"),
+            pytest.param(7, 12, 5, 3, id="7"),
+            pytest.param(50, 12, 5, 3, id="50"),
+            # Single-sample shards: numpy sums a lone (C, 1) column pairwise
+            # but a (C, K) block row by row, so a class sum down the columns
+            # of the pooled logits would break the equality here.
+            pytest.param(4, 1, 5, 8, id="4x1-C8"),
+            pytest.param(4, 1, 5, 10, id="4x1-C10"),
+            # The desk benchmark's shards: 48 devices of 10 samples.
+            pytest.param(48, 10, 16, 10, id="48x10-d16-C10"),
+        ],
+    )
+    def test_device_axis_equals_per_device_calls(self, devices, n, dim, classes, tau):
         # A (K, n, d) shard stack gives each device exactly its own 2-D result.
         rng = derived_rng(7, "stack", devices)
-        features = rng.normal(0.0, 1.0, size=(devices, 12, 5))
-        labels = rng.integers(0, 3, size=(devices, 12))
-        w0 = init_weights(5, 3, derived_rng(7, "w"))
-        stacked = local_sgd(w0, features, labels, 3, 0.3, tau, None, derived_rng(7, "s"))
+        features = rng.normal(0.0, 1.0, size=(devices, n, dim))
+        labels = rng.integers(0, classes, size=(devices, n))
+        w0 = init_weights(dim, classes, derived_rng(7, "w"))
+        stacked = local_sgd(w0, features, labels, classes, 0.3, tau, None, derived_rng(7, "s"))
         per_device = [
-            local_sgd(w0, features[i], labels[i], 3, 0.3, tau, None, derived_rng(7, "s"))
+            local_sgd(w0, features[i], labels[i], classes, 0.3, tau, None, derived_rng(7, "s"))
             for i in range(devices)
         ]
         assert np.array_equal(stacked, np.stack(per_device))
-        models = rng.normal(0.0, 1.0, size=(devices, model_dim(5, 3)))
-        gradients = [loss_gradient(models[i], features[i], labels[i], 3) for i in range(devices)]
-        assert np.array_equal(loss_gradient(models, features, labels, 3), np.stack(gradients))
+        models = rng.normal(0.0, 1.0, size=(devices, model_dim(dim, classes)))
+        gradients = [loss_gradient(models[i], features[i], labels[i], classes) for i in range(devices)]
+        assert np.array_equal(loss_gradient(models, features, labels, classes), np.stack(gradients))
 
 
     def test_full_batch_builds_no_generator(self):
