@@ -26,7 +26,12 @@ class LabeledDataset:
     """Feature matrix with integer class labels.
 
     The arrays are checked once, here, and must not be changed in place
-    afterwards: the label arrays below are formed on first use and kept.
+    afterwards: three arrays derived from them are formed on first use and
+    kept, read-only.  ``label_index`` and ``below_label`` locate each
+    sample's label in the class-major (n_classes, n) layout of evaluation;
+    ``transposed_features`` is a C-contiguous copy of ``features.T``, which
+    costs one more copy of the features (8 n d bytes: 640 KB for 5,000
+    samples at d = 16, 31 MB at d = 784) on each dataset evaluated.
     """
 
     features: np.ndarray
@@ -59,12 +64,18 @@ class LabeledDataset:
         """Flat index of each sample's label entry in a C-contiguous
         class-major (n_classes, n) array: ``labels * n + arange(n)``."""
         n = len(self)
-        return self.labels * n + np.arange(n)
+        return _read_only(self.labels * n + np.arange(n))
 
     @cached_property
     def below_label(self) -> np.ndarray:
         """The (n_classes, n) mask of the classes below each sample's label."""
-        return np.arange(self.n_classes)[:, None] < self.labels
+        return _read_only(np.arange(self.n_classes)[:, None] < self.labels)
+
+    @cached_property
+    def transposed_features(self) -> np.ndarray:
+        """``features.T`` as a C-contiguous (n_features, n) array: a copy,
+        unless n or n_features is 1 and the view already is one."""
+        return _read_only(np.ascontiguousarray(self.features.T))
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=int)
@@ -73,6 +84,11 @@ class LabeledDataset:
             labels=self.labels[indices],
             n_classes=self.n_classes,
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _read_idx(path: Path, expect_magic: int, n_dims: int):

@@ -46,6 +46,11 @@ def toy_dataset(n=40, classes=4, dim=6, seed=0):
     return synth_gaussian_mixture(classes, dim, n, seed=seed, separation=4.0)
 
 
+def dataset_caches():
+    """Names of the arrays each :class:`LabeledDataset` forms once and keeps."""
+    return [name for name, attr in vars(LabeledDataset).items() if isinstance(attr, functools.cached_property)]
+
+
 def reference_probabilities(weights, features, n_classes):
     """Independent softmax computation, one sample at a time."""
     d = features.shape[1]
@@ -556,9 +561,12 @@ class TestFederatedTrain:
         assert channel == expected
 
     def test_data_only_arrays_stay_out_of_the_round_loop(self, monkeypatch):
-        # The pooled training set and each dataset's label arrays depend on
-        # the data alone, so a longer run forms no more of them.
+        # The pooled training set and each dataset's cached arrays depend on
+        # the data alone, so a longer run forms no more of them.  Each of the
+        # two evaluated datasets, the test set and the pooled training set,
+        # forms its transposed features exactly once.
         counts = Counter()
+        formed_by = {name: [] for name in dataset_caches()}
         post_init = LabeledDataset.__post_init__
 
         def counting_post_init(dataset):
@@ -566,11 +574,12 @@ class TestFederatedTrain:
             post_init(dataset)
 
         monkeypatch.setattr(LabeledDataset, "__post_init__", counting_post_init)
-        for name in ("label_index", "below_label"):
+        for name in formed_by:
             form = LabeledDataset.__dict__[name].func
 
             def counting_form(dataset, form=form, name=name):
                 counts[name] += 1
+                formed_by[name].append(dataset)
                 return form(dataset)
 
             prop = functools.cached_property(counting_form)
@@ -581,12 +590,17 @@ class TestFederatedTrain:
         for n_cr in (2, 8):
             train, test = toy_dataset(n=40, seed=36), toy_dataset(n=30, seed=37)
             counts.clear()
+            for datasets in formed_by.values():
+                datasets.clear()
             cfg = TrainConfig(eta=0.3, tau=1, n_cr=n_cr, batch_size=None, aggregation="ideal")
             federated_train(
                 train, PartitionSpec(mode="iid"), cfg, PARAMS, self.scenario(4),
                 SchedulingScheme.all_inclusive(), 67, test,
             )
             per_run.append(dict(counts))
+            transposed = formed_by["transposed_features"]
+            assert sorted(map(len, transposed)) == [30, 40]
+            assert any(dataset is test for dataset in transposed)
         assert per_run[0] == per_run[1]
         assert per_run[0]["LabeledDataset"] >= 1 and per_run[0]["label_index"] >= 2
 
@@ -1021,6 +1035,25 @@ class TestDatasets:
                 eta=0.5, tau=1, batch_size=None, rng=derived_rng(43, "s"),
             )
         assert accuracy(w, test) > 0.99
+
+    def test_cached_arrays_are_read_only(self):
+        data = toy_dataset(n=50, classes=5, dim=3, seed=47)
+        weights = init_weights(3, 5, derived_rng(47, "w"))
+        before = accuracy(weights, data), local_loss(weights, data)
+        names = dataset_caches()
+        assert {"label_index", "below_label", "transposed_features"} <= set(names)
+        for name in names:
+            array = getattr(data, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+        assert (accuracy(weights, data), local_loss(weights, data)) == before
+
+    def test_transposed_features_are_c_contiguous(self):
+        for n, dim in ((1, 4), (7, 1), (40, 6)):
+            data = toy_dataset(n=n, classes=3, dim=dim, seed=48)
+            transposed = data.transposed_features
+            assert transposed.flags.c_contiguous
+            assert np.array_equal(transposed, data.features.T)
 
     def test_balanced_labels(self):
         data = synth_gaussian_mixture(10, 4, 2000, seed=45)
