@@ -25,13 +25,16 @@ LABELS_MAGIC = 0x00000801
 class LabeledDataset:
     """Feature matrix with integer class labels.
 
-    The arrays are checked once, here, and must not be changed in place
-    afterwards: three arrays derived from them are formed on first use and
-    kept, read-only.  ``label_index`` and ``below_label`` locate each
-    sample's label in the class-major (n_classes, n) layout of evaluation;
-    ``transposed_features`` is a C-contiguous copy of ``features.T``, which
-    costs one more copy of the features (8 n d bytes: 640 KB for 5,000
-    samples at d = 16, 31 MB at d = 784) on each dataset evaluated.
+    The arrays are checked once, here, and kept as read-only views: an
+    in-place write through them raises ValueError, where it would go unseen
+    by the arrays derived from them.  The caller's own arrays keep their
+    flags, and must not be changed either.  Three derived arrays are formed
+    on first use and kept, read-only.  ``label_index`` and ``below_label``
+    locate each sample's label in the class-major (n_classes, n) layout of
+    evaluation; ``transposed_features`` is a C-contiguous copy of
+    ``features.T``, which costs one more copy of the features (8 n d bytes:
+    640 KB for 5,000 samples at d = 16, 31 MB at d = 784) on each dataset
+    evaluated.
     """
 
     features: np.ndarray
@@ -49,8 +52,8 @@ class LabeledDataset:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError("labels must lie in [0, n_classes)")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "features", _read_only(features.view()))
+        object.__setattr__(self, "labels", _read_only(labels.view()))
 
     def __len__(self) -> int:
         return self.features.shape[0]

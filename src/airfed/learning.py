@@ -15,19 +15,20 @@ run their softmax on class-major (C, n) logits, so every step after the
 matmul loops over the n samples rather than over the C classes.
 Evaluation forms them in one (C, d) @ (d, n) product from the dataset's
 C-contiguous (d, n) copy of its features, and its accuracy test follows
-``ndarray.argmax`` on ties and NaN.  The gradient pools the samples of
-every device into one (C, K n) array, sums each sample's terms as one
-contiguous row and turns its probabilities back to the row-major layout
-for its matmul, so each device of a (K, n, d) stack gets exactly the bits
-of its own 2-D call.  What depends on the data alone is formed once: the
-training loop pools its shards once per run, and each
+``ndarray.argmax`` on ties and NaN.  The gradient forms ``features @ w``
+plus the bias and takes the samples of every device into one class-major
+(C, K n) copy, sums each sample's terms as one contiguous row and turns
+its probabilities back to the row-major layout for its matmul, so each
+device of a (K, n, d) stack gets exactly the bits of its own 2-D call.
+Evaluation rejects an empty dataset.  What depends on the data alone is
+formed once: the training loop pools its shards once per run, and each
 :class:`LabeledDataset` keeps its label index, lower-class mask and
 transposed features.  The training loop also keeps the shard stacks of
-its last two scheduled sets, keyed by the scheduled devices, so a set
-whose devices it schedules again is gathered once.  Each round's link
-budget (rho0, or the digital latencies and straggler SNR) comes from the
-channel layer, which forms it once per set of distances; this module only
-writes it to the trace in dB.
+its last two scheduled sets in a per-run ``functools.lru_cache``, keyed
+by the scheduled devices, so a set whose devices it schedules again is
+gathered once.  Each round's link budget (rho0, or the digital latencies
+and straggler SNR) comes from the channel layer, which forms it once per
+set of distances; this module only writes it to the trace in dB.
 
 The topology is the array of device distances.  Mobility is one of the two
 analyzed extremes: ``static`` keeps the first drop for every round, and
@@ -38,6 +39,7 @@ given that seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -181,27 +183,14 @@ def _unpack(weights: np.ndarray, n_features: int, n_classes: int):
     return w, b
 
 
-def _class_major_logits(weights: np.ndarray, features: np.ndarray, n_classes: int) -> np.ndarray:
-    """The gradient's logits of features ``(..., n, d)`` as a C-contiguous
-    ``(C, ..., n)`` array: ``features @ w``, one transposed copy, then the
-    bias in place.  Unlike :func:`_evaluation_logits`'s single product,
-    ``features @ w`` gives each device of a (K, n, d) stack the bits of its
-    own 2-D call."""
-    w, b = _unpack(weights, features.shape[-1], n_classes)
-    logits = features @ w
-    class_major = logits.reshape(-1, n_classes).T.copy().reshape(n_classes, *logits.shape[:-1])
-    # b as (C, ..., 1), its leading axes aligned with the logits' ones.
-    bias = b.reshape((1,) * (logits.ndim - 1 - b.ndim) + b.shape)
-    class_major += bias.transpose(-1, *range(bias.ndim - 1))[..., None]
-    return class_major
-
-
 def _evaluation_logits(weights: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
-    """The model's class-major (C, n) logits on ``dataset``: one
-    ``w.T @ X.T`` product, which writes them C-contiguous, then the bias in
-    place.  ``X.T`` is the dataset's C-contiguous transposed copy: at desk
-    shapes BLAS multiplies by it about twice as fast as by the F-ordered
-    ``features.T`` view, with the same bits."""
+    """The model's class-major (C, n) logits on the nonempty ``dataset``:
+    one ``w.T @ X.T`` product, which writes them C-contiguous, then the bias
+    in place.  ``X.T`` is the dataset's C-contiguous transposed copy: at
+    desk shapes BLAS multiplies by it about twice as fast as by the
+    F-ordered ``features.T`` view, with the same bits."""
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate a model on an empty dataset")
     w, b = _unpack(weights, dataset.n_features, dataset.n_classes)
     logits = w.T @ dataset.transposed_features
     logits += b[:, None]
@@ -210,8 +199,6 @@ def _evaluation_logits(weights: np.ndarray, dataset: LabeledDataset) -> np.ndarr
 
 def local_loss(weights: np.ndarray, shard: LabeledDataset) -> float:
     """Mean cross-entropy of the model on one device's shard."""
-    if len(shard) == 0:
-        raise ValueError("cannot evaluate the loss of an empty shard")
     shifted = _evaluation_logits(weights, shard)
     shifted -= shifted.max(axis=0)
     label_logit = np.take(shifted, shard.label_index)
@@ -233,14 +220,19 @@ def loss_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
 
     Weights ``(..., q)``, features ``(..., n, d)`` and labels ``(..., n)``
     share their leading (device) axes; each leading index is one model on
-    its own samples.  The softmax runs once over the class-major logits of
-    every sample; the probabilities then return to the row-major
-    ``(..., n, C)`` layout for the matmul and the bias mean.
+    its own samples.  The logits are ``features @ w`` plus the bias, which
+    gives each device of a (K, n, d) stack the bits of its own 2-D call
+    (unlike evaluation's single product).  The bias is added before the one
+    class-major copy of every sample's logits, over which the softmax runs
+    once; the probabilities then return to the row-major ``(..., n, C)``
+    layout for the matmul and the bias mean.
     """
     n, d = features.shape[-2:]
-    logits = _class_major_logits(weights, features, n_classes)
-    lead_n = logits.shape[1:]
-    shifted = logits.reshape(n_classes, -1)
+    w, b = _unpack(weights, d, n_classes)
+    logits = features @ w
+    logits += b[..., None, :]
+    lead_n = logits.shape[:-1]
+    shifted = logits.reshape(-1, n_classes).T.copy()
     shifted -= shifted.max(axis=0)
     terms = np.exp(shifted)
     # One contiguous row per sample, as in its own 2-D call: a (C, K n) block
@@ -270,8 +262,6 @@ def accuracy(weights: np.ndarray, dataset: LabeledDataset) -> float:
     column's maximum is NaN) and no lower class's logit is.  The lower
     classes are looked at only where some column has tied maxima.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate the accuracy of an empty dataset")
     logits = _evaluation_logits(weights, dataset)
     column_max = logits.max(axis=0)
     top = logits == column_max
@@ -371,7 +361,7 @@ def _gather_shards(ids, features, labels) -> tuple:
 
 
 # The scheduled sets whose shard stacks a run keeps: both of an alternating
-# schedule's.
+# schedule's.  Each run reads it when it starts.
 _SETS_KEPT = 2
 
 
@@ -386,15 +376,13 @@ def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed,
     if aggregation == "ideal":
         return global_average(locals_), {}
     if aggregation == "baa":
-        # normalize_updates and denormalize(..., 1), in place: the same
-        # IEEE operations in the same order.
+        # normalize_updates in place: the same IEEE operations in the same
+        # order.
         norm_spec = phy.normalization_from_values(weights)
         locals_ -= norm_spec.mean
         locals_ /= norm_spec.std
         channel = derived_rng(seed, "channel", rnd)
         aggregate, diag = phy.baa_round(locals_, scheduled, params, channel)
-        aggregate *= norm_spec.std
-        aggregate += norm_spec.mean
         columns = {
             "latency_s": diag.latency_s,
             "rho0_db": _snr_db(diag.rho0 / params.n0),
@@ -402,7 +390,7 @@ def _aggregate(aggregation, weights, locals_, scheduled, params, scenario, seed,
             "max_tx_power_ratio": float(diag.tx_power.max() / params.p0),
             "min_contributors": int(diag.contributor_counts.min()),
         }
-        return aggregate, columns
+        return phy.denormalize(aggregate, norm_spec), columns
     result = phy.digital_round(locals_, scheduled, params, scenario, None)
     return result.aggregate, {"latency_s": result.round_latency_s, "rho0_db": _snr_db(result.straggler_snr)}
 
@@ -451,9 +439,13 @@ def federated_train(
     # move and full-batch SGD never samples.
     static = mobility == "static"
     minibatch = train_cfg.batch_size is not None and train_cfg.batch_size < features.shape[1]
+
     # The shard stacks of the last _SETS_KEPT scheduled sets, by the bytes
-    # of their indices, oldest first.
-    kept_sets = {}
+    # of their device indices.
+    @functools.lru_cache(maxsize=_SETS_KEPT)
+    def shards_of(key):
+        return _gather_shards(np.frombuffer(key, dtype=np.intp), features, labels)
+
     records = []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -465,12 +457,7 @@ def federated_train(
                 ids = network.schedule(radii, scheme, rnd)
                 channel = {}
                 if ids.size > 0:
-                    key = ids.tobytes()
-                    kept = kept_sets.pop(key, None) or _gather_shards(ids, features, labels)
-                    kept_sets[key] = kept
-                    if len(kept_sets) > _SETS_KEPT:
-                        del kept_sets[next(iter(kept_sets))]
-                    shard_features, shard_labels = kept
+                    shard_features, shard_labels = shards_of(ids.tobytes())
                     locals_ = local_sgd(
                         weights,
                         shard_features,

@@ -224,8 +224,12 @@ class TestClassMajorGradient:
     lie in the same entries, and every other entry keeps its bytes."""
 
     # Leading axes of the weights and of the features: none, one and two
-    # device axes, and one model broadcast over a device axis.
-    @pytest.mark.parametrize("weights_lead, features_lead", [((), ()), ((3,), (3,)), ((2, 3), (2, 3)), ((), (3,))])
+    # device axes, one model broadcast over a device axis, and G models on
+    # the same samples, alone or each over a device axis.
+    @pytest.mark.parametrize(
+        "weights_lead, features_lead",
+        [((), ()), ((3,), (3,)), ((2, 3), (2, 3)), ((), (3,)), ((4,), ()), ((4, 3), (3,))],
+    )
     @pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 10, 16, 17, 64, 129])
     def test_gradient_matches_row_major_bytes(self, classes, weights_lead, features_lead):
         dim = 5
@@ -248,6 +252,12 @@ class TestClassMajorGradient:
                     assert got[~nan].tobytes() == expected[~nan].tobytes(), (n, scale)
                     if np.isfinite(x).all():
                         assert got.tobytes() == expected.tobytes(), (n, scale)
+                    if len(weights_lead) > len(features_lead):
+                        # G models on the same samples: each gets the bytes of its own call.
+                        for g in range(weights_lead[0]):
+                            with np.errstate(all="ignore"):
+                                alone = loss_gradient(weights[g], x, labels, classes)
+                            assert got[g].tobytes() == alone.tobytes(), (n, scale, g)
 
 
 class TestLocalSgd:
@@ -721,8 +731,17 @@ class TestFederatedTrain:
         monkeypatch.setattr(phy, "digital_round", recorded_round)
         data, test = toy_dataset(n=40, seed=36), toy_dataset(n=30, seed=37)
 
+        gathers = []
+        gather = learning._gather_shards
+
+        def counted_gather(*args):
+            gathers.append(args[0])
+            return gather(*args)
+
+        monkeypatch.setattr(learning, "_gather_shards", counted_gather)
+
         def runs():
-            out = []
+            out, scheduled_rounds = [], 0
             for aggregation in AGGREGATIONS:
                 cfg = TrainConfig(eta=0.3, tau=1, n_cr=6, batch_size=5, aggregation=aggregation)
                 result = federated_train(
@@ -730,13 +749,19 @@ class TestFederatedTrain:
                     67, test, mobility=mobility,
                 )
                 out.append((trace_csv(result), result.final_weights.tobytes()))
-            return out, rounds[:]
+                scheduled_rounds += sum(record.k_scheduled > 0 for record in result.records)
+            return out, rounds[:], scheduled_rounds
 
         kept = runs()
         rounds.clear()
+        gathers.clear()
         self.bypass_memos(monkeypatch)
-        assert runs() == kept
+        bypassed = runs()
+        assert bypassed == kept
         assert kept[1]
+        # The bypass reaches the run's shard-stack cache: one gather per
+        # round that schedules someone.
+        assert len(gathers) == bypassed[2] > 0
 
     def test_unknown_mobility_rejected(self):
         data = toy_dataset(n=40, seed=36)
@@ -1047,6 +1072,14 @@ class TestDatasets:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = array
         assert (accuracy(weights, data), local_loss(weights, data)) == before
+        # The checked arrays are read-only views; the caller's stay writeable.
+        features, labels = data.features.copy(), data.labels.copy()
+        viewed = LabeledDataset(features, labels, data.n_classes)
+        for array, own in ((viewed.features, features), (viewed.labels, labels)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+            assert own.flags.writeable
+        assert (accuracy(weights, viewed), local_loss(weights, viewed)) == before
 
     def test_transposed_features_are_c_contiguous(self):
         for n, dim in ((1, 4), (7, 1), (40, 6)):
